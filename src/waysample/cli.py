@@ -20,6 +20,9 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import fields, replace
+from typing import Iterator
 from urllib.parse import quote
 
 from . import client as client_mod
@@ -34,54 +37,83 @@ from .cdx import (
 from .config import PipelineConfig
 from .surt import CanonicalUrl, SurtError, parse_url, surt_text_for_url
 
+class Stage:
+    """The plumbing every subcommand shares.
 
-def _open_in(path: str):
-    return sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    It loads the config file, overridden by every parsed flag whose dest
+    names a config field; keeps the outcome counts; opens ``-`` as stdin or
+    stdout without closing it; builds the CDX client on first use; and,
+    once the subcommand returns, writes the ``--log`` TSV and the manifest.
+    """
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.cfg = PipelineConfig.load(args.config, {
+            f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
+        self.params = self.cfg.to_dict()
+        self.counts: dict = {}
+        self.manifest = args.manifest
+        self._client: client_mod.ArchiveClient | None = None
+        self._started = time.monotonic()
+
+    @property
+    def client(self) -> client_mod.ArchiveClient:
+        if self._client is None:
+            if not self.cfg.endpoint:
+                raise SystemExit("configuration error: no CDX endpoint configured")
+            self._client = client_mod.ArchiveClient(
+                base_url=self.cfg.endpoint,
+                retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
+                                             backoff_base=self.cfg.backoff_base),
+                politeness_limit=self.cfg.politeness_limit,
+                request_delay=self.cfg.request_delay,
+                storage_dir=self.cfg.storage_dir,
+            )
+        return self._client
+
+    @contextmanager
+    def open(self, path: str, mode: str = "r"):
+        if path == "-":
+            yield sys.stdin if mode == "r" else sys.stdout
+        else:
+            with open(path, mode, encoding="utf-8") as fh:
+                yield fh
+
+    def urls(self, path: str) -> Iterator[str]:
+        """The non-blank lines of ``path``, stripped; each counts as ``input``."""
+        self.counts.setdefault("input", 0)
+        with self.open(path) as fh:
+            for line in fh:
+                url = line.strip()
+                if url:
+                    self.counts["input"] += 1
+                    yield url
+
+    def finish(self) -> None:
+        log = getattr(self.args, "log", None)
+        if log:
+            with open(log, "w", encoding="utf-8") as fh:
+                fh.writelines(entry.to_tsv_line() + "\n" for entry in self.client.logs)
+        if self.manifest:
+            manifest = {
+                "stage": self.args.command,
+                "params": self.params,
+                "counts": self.counts,
+                "elapsed_seconds": round(time.monotonic() - self._started, 3),
+            }
+            with open(self.manifest, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-
-
-def _read_urls(path: str) -> list[str]:
-    with _open_in(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
-
-
-def _write_manifest(path: str | None, stage: str, params: dict, counts: dict,
-                    started: float) -> None:
-    if not path:
-        return
-    manifest = {
-        "stage": stage,
-        "params": params,
-        "counts": counts,
-        "elapsed_seconds": round(time.monotonic() - started, 3),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _make_client(cfg: PipelineConfig) -> client_mod.ArchiveClient:
-    if not cfg.endpoint:
-        raise SystemExit("configuration error: no CDX endpoint configured")
-    return client_mod.ArchiveClient(
-        base_url=cfg.endpoint,
-        retry=client_mod.RetryPolicy(max_attempts=cfg.retry_cap,
-                                     backoff_base=cfg.backoff_base),
-        politeness_limit=cfg.politeness_limit,
-        request_delay=cfg.request_delay,
-        storage_dir=cfg.storage_dir,
-    )
-
-
-def _write_fetch_logs(path: str | None, logs) -> None:
-    if not path:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in logs:
-            fh.write(entry.to_tsv_line() + "\n")
+def _parse_urls(stage: Stage, path: str) -> Iterator[CanonicalUrl]:
+    """The URLs of ``path`` that parse; other lines are skipped, uncounted."""
+    with stage.open(path) as fh:
+        for line in fh:
+            try:
+                yield parse_url(line.strip())
+            except SurtError:
+                continue
 
 
 def timemap_filename(url: str) -> str:
@@ -92,53 +124,36 @@ def timemap_filename(url: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_filter(args) -> int:
-    started = time.monotonic()
-    counts = {"input": 0, "valid": 0, "invalid": 0}
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for line in fin:
-            url = line.strip()
-            if not url:
-                continue
-            counts["input"] += 1
+def cmd_filter(stage: Stage, args) -> None:
+    counts = stage.counts
+    counts.update(valid=0, invalid=0)
+    with stage.open(args.output, "w") as fout:
+        for url in stage.urls(args.input):
             v = urlfilter.verdict(url)
             counts["valid" if v.valid else "invalid"] += 1
             fout.write(v.to_tsv_line() + "\n")
-    _write_manifest(args.manifest, "filter", {}, counts, started)
-    return 0
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
-    counts = {"input": 0, "likely_html": 0, "other": 0}
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for line in fin:
-            url = line.strip()
-            if not url:
-                continue
-            counts["input"] += 1
+def cmd_classify(stage: Stage, args) -> None:
+    counts = stage.counts
+    counts.update(likely_html=0, other=0)
+    with stage.open(args.output, "w") as fout:
+        for url in stage.urls(args.input):
             try:
                 heuristic = urlfilter.classify_likely_html(parse_url(url))
             except SurtError:
                 heuristic = None
             counts["likely_html" if heuristic else "other"] += 1
             fout.write(f"{url}\t{heuristic.value if heuristic else '-'}\n")
-    _write_manifest(args.manifest, "classify", {}, counts, started)
-    return 0
 
 
-def cmd_fetch_first(args) -> int:
-    started = time.monotonic()
-    cfg = PipelineConfig.load(args.config, {
-        "endpoint": args.endpoint,
-        "politeness_limit": args.politeness,
-        "backoff_base": args.backoff_base,
-    })
-    cdx_client = _make_client(cfg)
-    counts = {"input": 0, "archived": 0, "empty": 0, "skipped": 0, "error": 0}
-    with _open_out(args.output) as fout:
-        for url in _read_urls(args.input):
-            counts["input"] += 1
+def cmd_fetch_first(stage: Stage, args) -> None:
+    cdx_client = stage.client
+    urls = list(stage.urls(args.input))
+    counts = stage.counts
+    counts.update(archived=0, empty=0, skipped=0, error=0)
+    with stage.open(args.output, "w") as fout:
+        for url in urls:
             if not urlfilter.is_valid_url(url) or urlfilter.detect_wildcard(url):
                 counts["skipped"] += 1
                 fout.write(f"{url}\t-\t-\tskipped\n")
@@ -155,14 +170,11 @@ def cmd_fetch_first(args) -> int:
             else:
                 counts["archived"] += 1
                 fout.write(f"{url}\t{record.timestamp.raw}\t{record.mime}\tok\n")
-    _write_fetch_logs(args.log, cdx_client.logs)
-    _write_manifest(args.manifest, "fetch-first", cfg.to_dict(), counts, started)
-    return 0
 
 
-def _read_first_captures(path: str) -> list[tuple[CanonicalUrl, Timestamp14]]:
+def _read_first_captures(stage: Stage, path: str) -> list[tuple[CanonicalUrl, Timestamp14]]:
     entries = []
-    with _open_in(path) as fh:
+    with stage.open(path) as fh:
         for i, line in enumerate(fh):
             line = line.rstrip("\n")
             if not line:
@@ -180,58 +192,42 @@ def _read_first_captures(path: str) -> list[tuple[CanonicalUrl, Timestamp14]]:
     return entries
 
 
-def cmd_sample(args) -> int:
-    started = time.monotonic()
-    cfg = PipelineConfig.load(args.config, {
-        "target": args.target,
-        "c": args.c,
-        "tail_threshold": args.tail_threshold,
-        "tail_keep_fraction": args.tail_keep,
-        "seed": args.seed,
-        "endpoint": args.endpoint,
-    })
-    if not args.first_captures:
-        raise SystemExit("configuration error: --first-captures file is required")
-    entries = _read_first_captures(args.first_captures)
-    counts: dict = {"input": len(entries)}
+def cmd_sample(stage: Stage, args) -> None:
+    cfg, counts = stage.cfg, stage.counts
+    stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
+    entries = _read_first_captures(stage, args.first_captures)
+    counts["input"] = len(entries)
 
     # upsample: add roots for hosts seen only through deep links
     roots = sampler.extract_missing_roots(url for url, _ in entries)
     counts["missing_roots"] = len(roots)
-    resolved_roots = 0
+    counts["roots_added"] = 0
     if roots and cfg.endpoint:
-        cdx_client = _make_client(cfg)
         for root in roots:
             try:
-                record = cdx_client.fetch_first_record(root.text)
+                record = stage.client.fetch_first_record(root.text)
             except (client_mod.TransportError, client_mod.CdxResponseError):
                 continue
             if record is not None:
                 entries.append((root, record.timestamp))
-                resolved_roots += 1
-    counts["roots_added"] = resolved_roots
+                counts["roots_added"] += 1
 
     result = sampler.bucket_by_first_year(entries)
     counts["dropped_pre_1996"] = result.dropped_pre_1996
 
     os.makedirs(args.out_dir, exist_ok=True)
-    bucket_reports = []
-    total_selected = 0
+    params = sampler.DownsampleParams(
+        c=cfg.c, target=cfg.target,
+        tail_threshold=cfg.tail_threshold,
+        tail_keep_fraction=cfg.tail_keep_fraction,
+        seed=cfg.seed,
+    )
+    bucket_reports = counts["buckets"] = []
+    counts["selected_total"] = 0
     for bucket in result.buckets:
-        params = sampler.DownsampleParams(
-            c=cfg.c, target=cfg.target,
-            tail_threshold=cfg.tail_threshold,
-            tail_keep_fraction=cfg.tail_keep_fraction,
-            seed=cfg.seed,
-        )
         reduced = sampler.reduce_long_tail(bucket, params)
         calibration = sampler.calibrate_k(reduced, cfg.c, cfg.target)
-        run_params = sampler.DownsampleParams(
-            k=calibration.k, c=cfg.c, target=cfg.target,
-            tail_threshold=cfg.tail_threshold,
-            tail_keep_fraction=cfg.tail_keep_fraction,
-            seed=cfg.seed,
-        )
+        run_params = replace(params, k=calibration.k)
         selected = 0
         out_path = os.path.join(args.out_dir, f"bucket_{bucket.label}.txt")
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -240,7 +236,7 @@ def cmd_sample(args) -> int:
                 for url in sampler.select_urls(domain, k, cfg.seed):
                     fh.write(url.text + "\n")
                 selected += k
-        total_selected += selected
+        counts["selected_total"] += selected
         bucket_reports.append({
             "label": bucket.label,
             "domains": bucket.n_domains,
@@ -251,29 +247,13 @@ def cmd_sample(args) -> int:
             "overshoot": calibration.overshoot,
             "selected": selected,
         })
-    counts["buckets"] = bucket_reports
-    counts["selected_total"] = total_selected
-    _write_manifest(args.manifest or os.path.join(args.out_dir, "manifest.json"),
-                    "sample", cfg.to_dict(), counts, started)
-    return 0
 
 
-def cmd_reintegrate(args) -> int:
-    started = time.monotonic()
-    cfg = PipelineConfig.load(args.config, {
-        "endpoint": args.endpoint,
-        "per_year_min": args.per_year_min,
-        "seed": args.seed,
-    })
-    cdx_client = _make_client(cfg)
+def cmd_reintegrate(stage: Stage, args) -> None:
+    cfg, cdx_client = stage.cfg, stage.client
     first, last = (int(part) for part in args.years.split("-"))
     years = list(range(first, last + 1))
-    candidates = []
-    for url in _read_urls(args.input):
-        try:
-            candidates.append(parse_url(url))
-        except SurtError:
-            continue
+    candidates = list(_parse_urls(stage, args.input))
 
     def lookup(url: CanonicalUrl) -> Timestamp14 | None:
         try:
@@ -284,38 +264,28 @@ def cmd_reintegrate(args) -> int:
 
     result = sampler.reintegrate_popular(
         args.domain, candidates, lookup, years, cfg.per_year_min, cfg.seed)
-    with _open_out(args.output) as fout:
+    with stage.open(args.output, "w") as fout:
         for year in years:
             for url in result.per_year[year]:
                 fout.write(f"{year}\t{url.text}\n")
     if result.exhausted:
         print(f"candidate pool exhausted before quotas met for years: "
               f"{result.unmet_years}", file=sys.stderr)
-    counts = {
-        "candidates": len(candidates),
-        "per_year": {y: len(result.per_year[y]) for y in years},
-        "unmet_years": result.unmet_years,
-    }
-    _write_fetch_logs(args.log, cdx_client.logs)
-    _write_manifest(args.manifest, "reintegrate", cfg.to_dict(), counts, started)
-    return 0
+    stage.counts.update(
+        candidates=len(candidates),
+        per_year={y: len(result.per_year[y]) for y in years},
+        unmet_years=result.unmet_years,
+    )
 
 
-def cmd_fetch(args) -> int:
-    started = time.monotonic()
-    cfg = PipelineConfig.load(args.config, {
-        "endpoint": args.endpoint,
-        "politeness_limit": args.politeness,
-        "backoff_base": args.backoff_base,
-    })
-    cdx_client = _make_client(cfg)
+def cmd_fetch(stage: Stage, args) -> None:
+    cdx_client = stage.client
     os.makedirs(args.out_dir, exist_ok=True)
-    counts = {"input": 0, "fetched": 0, "empty": 0, "resumed": 0,
-              "skipped": 0, "error": 0}
+    counts = stage.counts
+    counts.update(fetched=0, empty=0, resumed=0, skipped=0, error=0)
     report_path = args.report or os.path.join(args.out_dir, "fetch_report.tsv")
     with open(report_path, "w", encoding="utf-8") as report:
-        for url in _read_urls(args.input):
-            counts["input"] += 1
+        for url in stage.urls(args.input):
             if not urlfilter.is_valid_url(url) or urlfilter.detect_wildcard(url):
                 counts["skipped"] += 1
                 report.write(f"{url}\tskipped\n")
@@ -338,16 +308,12 @@ def cmd_fetch(args) -> int:
             else:
                 counts["empty"] += 1
                 report.write(f"{url}\tempty\n")
-    _write_fetch_logs(args.log, cdx_client.logs)
-    _write_manifest(args.manifest, "fetch", cfg.to_dict(), counts, started)
-    return 0
 
 
-def cmd_rehydrate(args) -> int:
-    started = time.monotonic()
-    capacity = args.capacity
+def cmd_rehydrate(stage: Stage, args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    counts = {"timemaps": 0, "revisits_resolved": 0, "revisits_unresolved": 0}
+    counts = stage.counts
+    counts.update(timemaps=0, revisits_resolved=0, revisits_unresolved=0)
     unresolved_path = args.unresolved or os.path.join(args.out_dir, "unresolved.tsv")
     with open(unresolved_path, "w", encoding="utf-8") as unresolved_out:
         for name in sorted(os.listdir(args.in_dir)):
@@ -356,15 +322,13 @@ def cmd_rehydrate(args) -> int:
             counts["timemaps"] += 1
             tm = read_timemap(os.path.join(args.in_dir, name))
             before = sum(1 for r in tm.records if r.is_revisit)
-            hydrated, unresolved = timemaps.rehydrate(tm, capacity)
+            hydrated, unresolved = timemaps.rehydrate(tm, stage.cfg.cache_capacity)
             counts["revisits_resolved"] += before - len(unresolved)
             counts["revisits_unresolved"] += len(unresolved)
             write_timemap(hydrated, os.path.join(args.out_dir, name))
             for pos in unresolved:
                 record = tm.records[pos]
                 unresolved_out.write(f"{record.urlkey}\t{pos}\t{record.digest}\n")
-    _write_manifest(args.manifest, "rehydrate", {"capacity": capacity}, counts, started)
-    return 0
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -374,28 +338,26 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def cmd_stats(args) -> int:
-    started = time.monotonic()
+def cmd_stats(stage: Stage, args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
-    counts: dict = {}
+    counts = stage.counts
+    stage.params["top_n"] = args.top_n
 
     if args.first_captures:
-        histogram = stats.year_histogram(_read_first_captures(args.first_captures))
+        histogram = stats.year_histogram(_read_first_captures(stage, args.first_captures))
         _write_csv(os.path.join(args.out_dir, "first_capture_years.csv"),
                    ["year", "count"], histogram.items())
         counts["first_capture_years"] = sum(histogram.values())
 
     pre_counts = post_counts = None
     if args.urls:
-        pre_counts = stats.domain_counts(
-            parse_url(u) for u in _read_urls(args.urls) if urlfilter.is_valid_url(u))
+        pre_counts = stats.domain_counts(_parse_urls(stage, args.urls))
         _write_csv(os.path.join(args.out_dir, "urls_per_domain_ccdf.csv"),
                    ["urls_per_domain", "percent_of_domains"],
                    stats.ccdf_points(pre_counts.values()))
         counts["domains_pre"] = len(pre_counts)
     if args.sampled:
-        post_counts = stats.domain_counts(
-            parse_url(u) for u in _read_urls(args.sampled) if urlfilter.is_valid_url(u))
+        post_counts = stats.domain_counts(_parse_urls(stage, args.sampled))
         _write_csv(os.path.join(args.out_dir, "urls_per_domain_ccdf_sampled.csv"),
                    ["urls_per_domain", "percent_of_domains"],
                    stats.ccdf_points(post_counts.values()))
@@ -424,9 +386,6 @@ def cmd_stats(args) -> int:
                    ["mementos_per_url", "percent_of_urls"],
                    stats.ccdf_points(memento_counts))
         counts["timemaps"] = len(memento_counts)
-
-    _write_manifest(args.manifest, "stats", {"top_n": args.top_n}, counts, started)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--endpoint")
-    p.add_argument("--politeness", type=int)
+    p.add_argument("--politeness", type=int, dest="politeness_limit")
     p.add_argument("--backoff-base", type=float)
     p.add_argument("--log", help="write the fetch log TSV here")
     add_common(p)
@@ -472,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int)
     p.add_argument("--c", type=int)
     p.add_argument("--tail-threshold", type=int)
-    p.add_argument("--tail-keep", type=float)
+    p.add_argument("--tail-keep", type=float, dest="tail_keep_fraction")
     p.add_argument("--seed", type=int)
     p.add_argument("--endpoint", help="resolve first captures of upsampled roots")
     add_common(p)
@@ -494,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--endpoint")
-    p.add_argument("--politeness", type=int)
+    p.add_argument("--politeness", type=int, dest="politeness_limit")
     p.add_argument("--backoff-base", type=float)
     p.add_argument("--report")
     p.add_argument("--log")
@@ -504,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rehydrate", help="restore revisit statuses in TimeMaps")
     p.add_argument("--in-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--capacity", type=int, default=1000)
+    p.add_argument("--capacity", type=int, dest="cache_capacity")
     p.add_argument("--unresolved", help="unresolved-revisit report TSV")
     add_common(p)
     p.set_defaults(func=cmd_rehydrate)
@@ -524,7 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    stage = Stage(args)
+    args.func(stage, args)
+    stage.finish()
+    return 0
 
 
 if __name__ == "__main__":

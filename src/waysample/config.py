@@ -1,7 +1,7 @@
 """Pipeline configuration: a JSON config file plus per-flag overrides
-(flags win). Defaults follow the published pipeline constants: 6000-line
-skip interval, C=1, 900,000-domain tail threshold, 90% tail cut, a
-1000-record rehydration cache, and a 20-URL per-year reintegration floor.
+(flags win). Defaults follow the published pipeline constants: C=1, a
+900,000-domain tail threshold, 90% tail cut, a 1000-record rehydration
+cache, and a 20-URL per-year reintegration floor.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import asdict, dataclass, fields
 
 @dataclass
 class PipelineConfig:
-    interval: int = 6000
-    scheme: str = "https"
     target: int = 1_000_000
     c: int = 1
     tail_threshold: int = 900_000

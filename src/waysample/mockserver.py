@@ -51,7 +51,9 @@ class MockCdxServer:
                 server._handle(self)
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits up to one poll interval; serve_forever's default is 0.5 s
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.02}, daemon=True)
 
     # -- lifecycle ---------------------------------------------------------
 

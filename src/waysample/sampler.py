@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .cdx import Timestamp14
-from .surt import CanonicalUrl, strip_www_prefix
+from .surt import CanonicalUrl, domain_key
 from .urlfilter import trim_to_root
 
 FIRST_ARCHIVE_YEAR = 1996
@@ -75,15 +75,6 @@ class YearBucket:
     @property
     def n_urls(self) -> int:
         return sum(d.n_urls for d in self.domains)
-
-
-def domain_key(host: str) -> str:
-    """The Eq.-style domain key: hostname with www-class prefix stripped."""
-    while True:
-        stripped = strip_www_prefix(host)
-        if stripped == host:
-            return host
-        host = stripped
 
 
 def skip_sample(records: Iterable, interval: int, phase: int = 0) -> Iterator:

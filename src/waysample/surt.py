@@ -128,20 +128,23 @@ def strip_www_prefix(host: str) -> str:
     return host
 
 
-def url_to_surt(url: CanonicalUrl) -> SurtKey:
-    """Convert a canonical URL into its SURT key.
-
-    Scheme and ``www``-class prefixes never affect the result; stripping
-    runs to a fixpoint so stacked prefixes (www.www.example.com) also
-    canonicalize.
-    """
-    host = url.host
+def domain_key(host: str) -> str:
+    """The Eq.-style domain key: the host with www-class prefixes stripped
+    to a fixpoint, so stacked prefixes (www.www.example.com) also go."""
     while True:
         stripped = strip_www_prefix(host)
         if stripped == host:
-            break
+            return host
         host = stripped
-    labels = host.split(".")
+
+
+def url_to_surt(url: CanonicalUrl) -> SurtKey:
+    """Convert a canonical URL into its SURT key.
+
+    Scheme and ``www``-class prefixes (see domain_key) never affect the
+    result.
+    """
+    labels = domain_key(url.host).split(".")
     for label in labels:
         if not label or _BAD_LABEL_RE.search(label):
             raise UrlConversionError(f"malformed host label {label!r} in {url.host!r}")

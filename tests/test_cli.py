@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -30,6 +32,23 @@ def read_lines(path):
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
+OUTCOMES = {
+    "filter": ("valid", "invalid"),
+    "classify": ("likely_html", "other"),
+    "fetch-first": ("archived", "empty", "skipped", "error"),
+    "fetch": ("fetched", "empty", "resumed", "skipped", "error"),
+}
+
+
+def counts_adding_up(manifest):
+    """The manifest's counts, after checking that its stage's outcome counts
+    add up to its input count."""
+    report = json.loads(manifest.read_text())
+    counts = report["counts"]
+    assert sum(counts[k] for k in OUTCOMES[report["stage"]]) == counts["input"]
+    return counts
+
+
 class TestFilter:
     def test_index_sample_counts(self, tmp_path):
         inp = tmp_path / "urls.txt"
@@ -43,7 +62,7 @@ class TestFilter:
         assert sum(1 for r in rows if r[1] == "1") == 4
         report = json.loads(manifest.read_text())
         assert report["stage"] == "filter"
-        assert report["counts"] == {"input": 6, "valid": 4, "invalid": 2}
+        assert counts_adding_up(manifest) == {"input": 6, "valid": 4, "invalid": 2}
 
     def test_empty_input_empty_output(self, tmp_path):
         inp = tmp_path / "empty.txt"
@@ -52,17 +71,33 @@ class TestFilter:
         assert main(["filter", str(inp), "-o", str(out)]) == 0
         assert out.read_text() == ""
 
+    def test_dash_leaves_stdin_and_stdout_open(self, tmp_path, capsys, monkeypatch):
+        inp = tmp_path / "urls.txt"
+        write_lines(inp, INDEX_SAMPLE)
+        for _ in range(2):
+            assert main(["filter", str(inp), "-o", "-"]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert [row.split("\t")[0] for row in rows] == INDEX_SAMPLE
+        stdin = io.StringIO("\n".join(INDEX_SAMPLE) + "\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["filter", "-", "-o", "-"]) == 0
+        assert not stdin.closed
+        assert len(capsys.readouterr().out.splitlines()) == len(INDEX_SAMPLE)
+
 
 class TestClassify:
     def test_heuristic_column(self, tmp_path):
         inp = tmp_path / "urls.txt"
         out = tmp_path / "classes.tsv"
+        manifest = tmp_path / "manifest.json"
         write_lines(inp, ["https://notiche.com.ar/index.php?limitstart=42",
                           "https://brs53.dx.am/scripts/jquery.min.js"])
-        assert main(["classify", str(inp), "-o", str(out)]) == 0
+        assert main(["classify", str(inp), "-o", str(out),
+                     "--manifest", str(manifest)]) == 0
         rows = [line.split("\t") for line in read_lines(out)]
         assert rows[0][1] == ".php[0-9]"
         assert rows[1][1] == "-"
+        assert counts_adding_up(manifest)["likely_html"] == 1
 
 
 @pytest.fixture
@@ -100,7 +135,7 @@ class TestFetchFirst:
             assert rows[url][3] == "ok"
         assert rows["http://never-crawled.example/"][3] == "empty"
         assert rows["https://*/robots.txt"][3] == "skipped"
-        counts = json.loads(manifest.read_text())["counts"]
+        counts = counts_adding_up(manifest)
         assert (counts["archived"], counts["empty"], counts["skipped"]) == (12, 1, 1)
 
     def test_missing_endpoint_is_configuration_error(self, tmp_path):
@@ -196,11 +231,13 @@ class TestFetchAndRehydrate:
         inp = tmp_path / "urls.txt"
         out_dir = tmp_path / "timemaps"
         write_lines(inp, urls)
+        manifest = tmp_path / "manifest.json"
         args = ["fetch", str(inp), "--out-dir", str(out_dir),
-                "--endpoint", server.endpoint]
+                "--endpoint", server.endpoint, "--manifest", str(manifest)]
         assert main(args) == 0
         report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
         assert [report[u] for u in urls] == ["ok", "ok", "ok", "empty"]
+        assert counts_adding_up(manifest)["fetched"] == 3
         for url in urls[:3]:
             lines = read_lines(out_dir / timemap_filename(url))
             assert len(lines) == len(histories[url])
@@ -210,16 +247,23 @@ class TestFetchAndRehydrate:
         report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
         assert set(report.values()) == {"resumed"}
         assert server.request_count == before
+        assert counts_adding_up(manifest)["resumed"] == len(urls)
 
-    def test_rehydrate_directory(self, tmp_path):
+    @staticmethod
+    def _revisit_dir(tmp_path):
+        """A TimeMap directory holding one 40-record history, 40% revisits."""
         seeded = random.Random(0x77)
         url = "http://revisits.com/"
         in_dir = tmp_path / "raw"
-        out_dir = tmp_path / "hydrated"
         in_dir.mkdir()
         history = make_history(url, 40, seeded, revisit_fraction=0.4)
         name = timemap_filename(url)
         write_lines(in_dir / name, [r.to_line() for r in history])
+        return in_dir, name
+
+    def test_rehydrate_directory(self, tmp_path):
+        in_dir, name = self._revisit_dir(tmp_path)
+        out_dir = tmp_path / "hydrated"
         assert main(["rehydrate", "--in-dir", str(in_dir),
                      "--out-dir", str(out_dir)]) == 0
         hydrated = read_lines(out_dir / name)
@@ -237,6 +281,27 @@ class TestFetchAndRehydrate:
                 assert ";orig=" in fields[3]
         resolved = sum(1 for line in hydrated if ";orig=" in line)
         assert resolved > 0
+
+    def test_cache_capacity_from_config_and_flag(self, tmp_path):
+        in_dir, _ = self._revisit_dir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"cache_capacity": 1}))
+
+        def unresolved(run, *extra):
+            manifest = tmp_path / f"{run}.json"
+            assert main(["rehydrate", "--in-dir", str(in_dir),
+                         "--out-dir", str(tmp_path / run),
+                         "--manifest", str(manifest), *extra]) == 0
+            report = json.loads(manifest.read_text())
+            return report["params"]["cache_capacity"], report["counts"]["revisits_unresolved"]
+
+        default = unresolved("default")
+        assert default[0] == 1000
+        from_file = unresolved("file", "--config", str(config))
+        assert from_file[0] == 1
+        assert from_file[1] > default[1]
+        # the flag beats the file
+        assert unresolved("flag", "--config", str(config), "--capacity", "1000") == default
 
 
 class TestStats:
@@ -260,3 +325,21 @@ class TestStats:
         # identical pre/post lists correlate perfectly
         (header, row) = read_lines(out_dir / "rank_correlation.csv")
         assert float(row) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "IN", "-o", "OUT"],
+    ["classify", "IN", "-o", "OUT"],
+    ["rehydrate", "--in-dir", "DIR", "--out-dir", "DIR"],
+    ["stats", "--urls", "IN", "--out-dir", "DIR"],
+    ["fetch", "IN", "--out-dir", "DIR", "--endpoint", "http://127.0.0.1:9/cdx"],
+])
+def test_unknown_config_key_fails_every_stage(tmp_path, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"interval": 6000, "scheme": "https"}))
+    inp = tmp_path / "urls.txt"
+    write_lines(inp, INDEX_SAMPLE)
+    paths = {"IN": str(inp), "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path)}
+    with pytest.raises(ValueError, match="unknown config keys"):
+        main([paths.get(a, a) for a in argv] + ["--config", str(config)])
+    assert not (tmp_path / "out.tsv").exists()
