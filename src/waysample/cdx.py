@@ -33,32 +33,39 @@ class EmptyTimeMapError(ValueError):
     """An operation that needs at least one record got an empty TimeMap."""
 
 
-@dataclass(frozen=True, order=True)
+def _calendar_datetime(raw: str) -> datetime:
+    """The datetime of 14 digits; ValueError if it is no calendar date."""
+    return datetime(int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
+                    int(raw[8:10]), int(raw[10:12]), int(raw[12:14]))
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class Timestamp14:
     """A 14-digit archive timestamp (YYYYMMDDhhmmss).
 
-    String comparison order equals chronological order, so ordering is
-    defined directly on the raw digits.
+    Only the ASCII digits 0-9 are accepted, so string comparison order
+    equals chronological order, and ordering is defined directly on the
+    raw digits.
     """
 
     raw: str
 
     def __post_init__(self):
-        if len(self.raw) != 14 or not self.raw.isdigit():
-            raise CdxParseError(f"timestamp is not 14 digits: {self.raw!r}")
+        r = self.raw
+        if len(r) != 14 or not r.isascii() or not r.isdigit():
+            raise CdxParseError(f"timestamp is not 14 digits: {r!r}")
         try:
-            dt = datetime.strptime(self.raw, "%Y%m%d%H%M%S")
+            _calendar_datetime(r)
         except ValueError as exc:
-            raise CdxParseError(f"invalid calendar datetime: {self.raw!r}") from exc
-        object.__setattr__(self, "_dt", dt)
+            raise CdxParseError(f"invalid calendar datetime: {r!r}") from exc
 
     @property
     def datetime(self) -> datetime:
-        return self._dt
+        return _calendar_datetime(self.raw)
 
     @property
     def year(self) -> int:
-        return self._dt.year
+        return int(self.raw[:4])
 
     def __str__(self) -> str:
         return self.raw

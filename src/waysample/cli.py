@@ -172,8 +172,7 @@ def cmd_fetch_first(stage: Stage, args) -> None:
                 fout.write(f"{url}\t{record.timestamp.raw}\t{record.mime}\tok\n")
 
 
-def _read_first_captures(stage: Stage, path: str) -> list[tuple[CanonicalUrl, Timestamp14]]:
-    entries = []
+def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
     with stage.open(path) as fh:
         for i, line in enumerate(fh):
             line = line.rstrip("\n")
@@ -186,16 +185,16 @@ def _read_first_captures(stage: Stage, path: str) -> list[tuple[CanonicalUrl, Ti
             if ts == "-":
                 continue
             try:
-                entries.append((parse_url(url_text), parse_timestamp(ts)))
+                entry = parse_url(url_text), parse_timestamp(ts)
             except SurtError:
                 continue
-    return entries
+            yield entry
 
 
 def cmd_sample(stage: Stage, args) -> None:
     cfg, counts = stage.cfg, stage.counts
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    entries = _read_first_captures(stage, args.first_captures)
+    entries = list(_read_first_captures(stage, args.first_captures))
     counts["input"] = len(entries)
 
     # upsample: add roots for hosts seen only through deep links

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -119,19 +120,25 @@ def bucket_by_first_year(
     """Group URLs by first-capture year: pre-1996 dropped and counted,
     1996-2000 merged into one bucket, each later year on its own."""
     by_label: dict[str, dict[str, DomainCount]] = {}
+    # a URL's domain key is a function of the URL, so seen in the bucket
+    # means seen in its domain
+    seen_by_label: dict[str, set[CanonicalUrl]] = {}
     dropped = 0
     for url, first_capture in entries:
         label = year_bucket_label(first_capture.year)
         if label is None:
             dropped += 1
             continue
+        seen = seen_by_label.setdefault(label, set())
+        if url in seen:
+            continue
+        seen.add(url)
         domains = by_label.setdefault(label, {})
         key = domain_key(url.host)
         dc = domains.get(key)
         if dc is None:
             dc = domains[key] = DomainCount(key)
-        if url not in dc.urls:
-            dc.urls.append(url)
+        dc.urls.append(url)
     buckets = [
         YearBucket(label, [domains[k] for k in sorted(domains)])
         for label, domains in sorted(by_label.items())
@@ -233,53 +240,47 @@ class CalibrationResult:
     overshoot: bool
 
 
-def _bucket_total(counts: list[int], k: int, c: int) -> int:
-    params = DownsampleParams(k=k, c=c)
-    return sum(downsample_count(n, params) for n in counts)
-
-
 def calibrate_k(bucket: YearBucket, c: int, target: int) -> CalibrationResult:
     """Smallest integer K >= 1 whose reduced-URL total equals the largest
     achievable total not exceeding the target.
 
     The total is nondecreasing in K, so binary search applies. If even
     K = 1 overshoots the target, K = 1 is returned with the overshoot
-    flag set.
+    flag set. Each probe costs one step per distinct domain size.
     """
     if not bucket.domains:
         raise ValueError("bucket has no domains")
-    counts = [d.n_urls for d in bucket.domains]
-    max_total = sum(counts)
-    t1 = _bucket_total(counts, 1, c)
+    if c < 1:
+        raise ValueError("C must be >= 1")
+    sizes = Counter(d.n_urls for d in bucket.domains)
+
+    def total(k: int) -> int:
+        # downsample_count summed over the domains, m domains of size n at a time
+        return sum(m * min(n, _round_half_away(k * math.log(n) + c))
+                   for n, m in sizes.items())
+
+    t1 = total(1)
     if t1 > target:
         return CalibrationResult(1, t1, overshoot=True)
-    if max_total <= target:
-        best_total = max_total
-    else:
-        # find the largest K whose total still fits under the target
-        lo, hi = 1, 2
-        while _bucket_total(counts, hi, c) <= target:
-            lo, hi = hi, hi * 2
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if _bucket_total(counts, mid, c) <= target:
-                lo = mid
-            else:
-                hi = mid
-        best_total = _bucket_total(counts, lo, c)
-    # smallest K reaching that total (ties collapse toward the smallest K)
-    lo, hi = 1, 2
-    while _bucket_total(counts, hi, c) < best_total:
-        lo, hi = hi, hi * 2
-    if _bucket_total(counts, 1, c) >= best_total:
-        return CalibrationResult(1, _bucket_total(counts, 1, c), overshoot=False)
+    # with C >= 1, K = the largest domain size keeps every URL of every
+    # domain, so the largest K whose total fits under the target is at most that
+    lo, hi = 1, max(sizes) + 1
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if _bucket_total(counts, mid, c) >= best_total:
+        if total(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    best_total = total(lo)
+    # smallest K reaching that total (ties collapse toward the smallest K)
+    lo, hi = 0, lo
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if total(mid) >= best_total:
             hi = mid
         else:
             lo = mid
-    return CalibrationResult(hi, _bucket_total(counts, hi, c), overshoot=False)
+    return CalibrationResult(hi, best_total, overshoot=False)
 
 
 def select_urls(domain: DomainCount, k: int, seed: int) -> list[CanonicalUrl]:

@@ -1,7 +1,8 @@
 import random
+from datetime import datetime
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from waysample.cdx import (
     CdxParseError,
@@ -50,6 +51,33 @@ class TestTimestamp:
         rb = "%04d%02d%02d%02d%02d%02d" % b
         assert (ra < rb) == (parse_timestamp(ra) < parse_timestamp(rb))
         assert parse_timestamp(ra).raw == ra
+
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic digits pass isdigit() and int(); as a year-2000 stamp
+        # this one would sort after the year 3000
+        with pytest.raises(CdxParseError):
+            parse_timestamp("\u0662\u0660\u0660\u06600101000000")
+
+    @settings(max_examples=500)
+    @given(st.one_of(
+        st.builds("{:04d}{:02d}{:02d}{:02d}{:02d}{:02d}".format,
+                  st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                  st.integers(0, 25), st.integers(0, 61), st.integers(0, 61)),
+        st.text(alphabet="0123456789 -:Tx", min_size=14, max_size=14)))
+    def test_matches_strptime_oracle(self, raw):
+        # oracle: 14 digits parsed by strptime; strptime's %d also takes
+        # " 1", which the digit check refuses
+        try:
+            expected = datetime.strptime(raw, "%Y%m%d%H%M%S") if raw.isdigit() else None
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(CdxParseError):
+                parse_timestamp(raw)
+        else:
+            ts = parse_timestamp(raw)
+            assert ts.datetime == expected
+            assert ts.year == expected.year
 
 
 class TestCdxLine:

@@ -1,8 +1,10 @@
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from waysample.cdx import Timestamp14
 from waysample.sampler import (
@@ -116,6 +118,22 @@ class TestBucketing:
         assert bucket.n_domains == 1
         assert bucket.domains[0].domain == "a.co.uk"
         assert bucket.domains[0].n_urls == 2
+
+    def test_large_domain_dedup_is_linear(self):
+        texts = [f"https://big.example.com/p{i}" for i in range(20_000)]
+        repeats = texts[::10]
+        first = ts("20050101000000")
+        entries = [(parse_url(t), first) for t in texts[:10_000]]
+        entries += [(parse_url(t), first) for t in repeats[:1_000]]
+        entries += [(parse_url(t), first) for t in texts[10_000:]]
+        entries += [(parse_url(t), first) for t in repeats[1_000:]]
+        start = time.perf_counter()
+        result = bucket_by_first_year(entries)
+        elapsed = time.perf_counter() - start
+        (bucket,) = result.buckets
+        (domain,) = bucket.domains
+        assert [u.text for u in domain.urls] == texts
+        assert elapsed < 1.0
 
 
 class TestDomainKey:
@@ -286,6 +304,22 @@ class TestCalibration:
         result = calibrate_k(bucket, c=1, target=target)
         k, total, overshoot = scan_calibrate(counts, 1, target)
         assert (result.k, result.total, result.overshoot) == (k, total, overshoot)
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=20),
+           st.integers(1, 3), st.integers(0, 900))
+    def test_matches_brute_force_scan(self, counts, c, target):
+        # every K from 1 to the URL count, past which no total grows
+        totals = {
+            k: sum(min(n, int(math.floor(k * math.log(n) + c + 0.5))) for n in counts)
+            for k in range(1, sum(counts) + 1)
+        }
+        if totals[1] > target:
+            expected = (1, totals[1], True)
+        else:
+            best = max(t for t in totals.values() if t <= target)
+            expected = (min(k for k, t in totals.items() if t == best), best, False)
+        result = calibrate_k(_bucket(counts), c=c, target=target)
+        assert (result.k, result.total, result.overshoot) == expected
 
     def test_total_nondecreasing_in_k(self, rng):
         counts = [rng.randint(1, 500) for _ in range(300)]

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waysample.surt import (
     CanonicalUrl,
     MalformedSurtError,
     SurtError,
     UrlConversionError,
+    _parse_url_split,
     parse_surt,
     parse_url,
     strip_www_prefix,
@@ -90,6 +92,21 @@ class TestParseUrl:
 
     def test_fragment_dropped(self):
         assert parse_url("https://example.com/a#frag").text == "https://example.com/a"
+
+    @settings(max_examples=1000)
+    @given(st.sampled_from(["http://", "https://", "http://www."] * 2
+                           + ["HTTPS://", "Http://", " http://", "ftp://", "http:/", ""]),
+           st.lists(st.one_of(st.text("abcXYZ.09", min_size=1, max_size=5),
+                              st.sampled_from(list(":/?#@[]%* \t\n\x00\x7f\u00e9\uff21"))),
+                    max_size=8).map("".join))
+    def test_matches_urlsplit_path(self, prefix, rest):
+        def outcome(parse, url):
+            try:
+                return parse(url)
+            except SurtError as exc:
+                return type(exc), str(exc)
+        url = prefix + rest
+        assert outcome(parse_url, url) == outcome(_parse_url_split, url)
 
 
 class TestProperties:
