@@ -11,6 +11,9 @@ number.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -192,8 +195,23 @@ def parse_timemap_text(uri_r: str, text: str) -> TimeMap:
     return TimeMap(uri_r, records)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temporary sibling that replaces ``path`` when the block
+    ends, or is removed if it raises: ``path`` is never partly written."""
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_timemap(tm: TimeMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(tm.to_text())
 
 

@@ -61,14 +61,17 @@ class Stage:
         if self._client is None:
             if not self.cfg.endpoint:
                 raise SystemExit("configuration error: no CDX endpoint configured")
-            self._client = client_mod.ArchiveClient(
-                base_url=self.cfg.endpoint,
-                retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
-                                             backoff_base=self.cfg.backoff_base),
-                politeness_limit=self.cfg.politeness_limit,
-                request_delay=self.cfg.request_delay,
-                storage_dir=self.cfg.storage_dir,
-            )
+            try:
+                self._client = client_mod.ArchiveClient(
+                    base_url=self.cfg.endpoint,
+                    retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
+                                                 backoff_base=self.cfg.backoff_base),
+                    politeness_limit=self.cfg.politeness_limit,
+                    request_delay=self.cfg.request_delay,
+                    storage_dir=self.cfg.storage_dir,
+                )
+            except ValueError as exc:
+                raise SystemExit(f"configuration error: {exc}") from None
         return self._client
 
     @contextmanager
@@ -90,6 +93,8 @@ class Stage:
                     yield url
 
     def finish(self) -> None:
+        if self._client is not None:
+            self._client.close()
         log = getattr(self.args, "log", None)
         if log:
             with open(log, "w", encoding="utf-8") as fh:
@@ -160,7 +165,7 @@ def cmd_fetch_first(stage: Stage, args) -> None:
                 continue
             try:
                 record = cdx_client.fetch_first_record(url)
-            except (client_mod.TransportError, client_mod.CdxResponseError):
+            except client_mod.FetchError:
                 counts["error"] += 1
                 fout.write(f"{url}\t-\t-\terror\n")
                 continue
@@ -205,7 +210,7 @@ def cmd_sample(stage: Stage, args) -> None:
         for root in roots:
             try:
                 record = stage.client.fetch_first_record(root.text)
-            except (client_mod.TransportError, client_mod.CdxResponseError):
+            except client_mod.FetchError:
                 continue
             if record is not None:
                 entries.append((root, record.timestamp))
@@ -257,7 +262,7 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     def lookup(url: CanonicalUrl) -> Timestamp14 | None:
         try:
             record = cdx_client.fetch_first_record(url.text)
-        except (client_mod.TransportError, client_mod.CdxResponseError):
+        except client_mod.FetchError:
             return None
         return record.timestamp if record else None
 
@@ -296,7 +301,7 @@ def cmd_fetch(stage: Stage, args) -> None:
                 continue
             try:
                 tm = cdx_client.fetch_timemap(url)
-            except (client_mod.TransportError, client_mod.PartialFetchError):
+            except client_mod.FetchError:
                 counts["error"] += 1
                 report.write(f"{url}\terror\n")
                 continue

@@ -3,24 +3,29 @@ fetches, retries with exponential backoff, a politeness ceiling on
 concurrent requests, and content-addressed raw-response persistence.
 
 Safe for concurrent use; per-URL fetches are independent tasks coordinated
-only by the politeness semaphore.
+only by the politeness semaphore, and each thread keeps its own connection.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import os
 import random
+import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
+from urllib.parse import urlencode, urlsplit
 
-import requests
-
-from .cdx import CdxRecord, TimeMap, parse_cdx_line
+from . import __version__
+from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_timemap_text
 from .timemaps import merge_pages
 
 TRANSIENT_STATUS_MIN = 500
+HEADERS = {"User-Agent": f"waysample/{__version__}"}
 
 
 @dataclass(frozen=True)
@@ -61,20 +66,24 @@ class FetchLog:
                 f"\t{self.attempt}\t{self.duration:.6f}\t{self.stored_at or '-'}")
 
 
-class TransportError(RuntimeError):
+class FetchError(RuntimeError):
+    """A URL the archive did not answer usefully; the stage records it and goes on."""
+
+
+class TransportError(FetchError):
     def __init__(self, message: str, last_status: int | None = None):
         super().__init__(message)
         self.last_status = last_status
 
 
-class PartialFetchError(RuntimeError):
+class PartialFetchError(FetchError):
     def __init__(self, url: str, missing_pages: list[int]):
         super().__init__(f"pages {missing_pages} permanently failed for {url}")
         self.url = url
         self.missing_pages = missing_pages
 
 
-class CdxResponseError(RuntimeError):
+class CdxResponseError(FetchError):
     def __init__(self, message: str, stored_at: str | None = None):
         super().__init__(message)
         self.stored_at = stored_at
@@ -104,16 +113,33 @@ class ArchiveClient:
     timeout: float = 30.0
 
     def __post_init__(self):
+        parts = urlsplit(self.base_url)
+        if (parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc
+                or parts.query or parts.fragment or not self.base_url.isascii()):
+            raise ValueError("endpoint must be an ASCII http(s)://host[:port]/path URL "
+                             f"without userinfo or query, got {self.base_url!r}")
+        self._new_connection = partial(http.client.HTTPSConnection if parts.scheme == "https"
+                                       else http.client.HTTPConnection,
+                                       parts.hostname, parts.port, timeout=self.timeout)
+        self._path = parts.path or "/"
+        self._local = threading.local()
+        self._connections = weakref.WeakSet()  # a thread's connection goes when the thread ends
+        self._answered = False  # some request got an HTTP response
         self._semaphore = threading.BoundedSemaphore(self.politeness_limit)
-        self._log_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._logs: list[FetchLog] = []
-        self._session = requests.Session()
         self._rng = random.Random()
 
     @property
     def logs(self) -> list[FetchLog]:
-        with self._log_lock:
+        with self._lock:
             return list(self._logs)
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request opens a new one."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
 
     def _store_body(self, body: bytes) -> str | None:
         if self.storage_dir is None:
@@ -123,33 +149,52 @@ class ArchiveClient:
         os.makedirs(shard, exist_ok=True)
         path = os.path.join(shard, digest)
         if not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as fh:
+            with atomic_open(path, "wb") as fh:
                 fh.write(body)
-            os.replace(tmp, path)
         return path
 
     def _log(self, entry: FetchLog) -> None:
-        with self._log_lock:
+        with self._lock:
             self._logs.append(entry)
+
+    def _exchange(self, target: str) -> tuple[int, bytes, str | None]:
+        """Status, body and Location of a GET on this thread's keep-alive connection;
+        a reused one that the server closed while idle is replaced, once."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._new_connection()
+            with self._lock:
+                self._connections.add(conn)
+        resend = conn.sock is not None
+        while True:
+            try:
+                conn.request("GET", target, headers=HEADERS)
+                resp = conn.getresponse()
+                return resp.status, resp.read(), resp.getheader("Location")
+            except BaseException as exc:
+                conn.close()  # its state is unknown; the next request reconnects
+                if not (resend and isinstance(exc, ConnectionError)):
+                    raise
+                resend = False
 
     def _get(self, query: CdxQuery) -> str:
         """One logical request: retries transient failures, logs every
-        attempt, persists each received body."""
+        attempt, persists each received body. 3xx and 4xx are permanent, and
+        so is a refused or unresolvable endpoint that has never answered."""
+        params = query.params()
+        target = f"{self._path}?{urlencode(params)}"
         last_status: int | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             with self._semaphore:
                 start = time.monotonic()
-                status = 0
-                body = b""
+                status, body, location, unreachable = 0, b"", None, False
                 try:
-                    resp = self._session.get(
-                        self.base_url, params=query.params(), timeout=self.timeout
-                    )
-                    status = resp.status_code
-                    body = resp.content
-                except requests.RequestException:
-                    status = 0
+                    status, body, location = self._exchange(target)
+                    self._answered = True
+                except (ConnectionRefusedError, socket.gaierror):
+                    unreachable = not self._answered
+                except (OSError, http.client.HTTPException):
+                    pass
                 duration = time.monotonic() - start
                 stored_at = self._store_body(body) if body else None
                 self._log(FetchLog(query, status, attempt, duration, stored_at))
@@ -158,16 +203,25 @@ class ArchiveClient:
             if 200 <= status < 300:
                 return body.decode("utf-8")
             last_status = status
+            if unreachable:
+                raise TransportError(f"cannot reach {self.base_url} for {params}", 0)
+            if 300 <= status < 400:
+                raise TransportError(f"HTTP {status} redirect to {location} for {params}; "
+                                     "configure that endpoint instead", status)
             if 400 <= status < TRANSIENT_STATUS_MIN:
-                raise TransportError(
-                    f"permanent HTTP {status} for {query.params()}", status)
+                raise TransportError(f"permanent HTTP {status} for {params}", status)
             if attempt < self.retry.max_attempts:
                 time.sleep(self.retry.delay(attempt, self._rng))
         raise TransportError(
             f"gave up after {self.retry.max_attempts} attempts "
-            f"for {query.params()} (last status {last_status})",
+            f"for {params} (last status {last_status})",
             last_status,
         )
+
+    def _unparseable(self, url: str, body: str) -> CdxResponseError:
+        stored_at = self._store_body(body.encode("utf-8"))
+        return CdxResponseError(
+            f"unparseable CDX body for {url!r} (raw body at {stored_at})", stored_at)
 
     def fetch_first_record(self, url: str) -> CdxRecord | None:
         """First capture of a URL via a limit-1 query; None when the
@@ -179,11 +233,7 @@ class ArchiveClient:
         try:
             return parse_cdx_line(line)
         except ValueError as exc:
-            stored_at = self._store_body(body.encode("utf-8"))
-            raise CdxResponseError(
-                f"unparseable CDX body for {url!r} (raw body at {stored_at})",
-                stored_at,
-            ) from exc
+            raise self._unparseable(url, body) from exc
 
     def fetch_page_count(self, url: str) -> int:
         body = self._get(CdxQuery(url, show_num_pages=True)).strip()
@@ -202,19 +252,16 @@ class ArchiveClient:
         n_pages = self.fetch_page_count(url)
         pages: list[list[CdxRecord]] = []
         missing: list[int] = []
-        for page_no in range(n_pages):
-            try:
-                body = self._get(CdxQuery(url, page=page_no))
-            except TransportError:
-                missing.append(page_no)
-                continue
-            records = [
-                parse_cdx_line(line, line_no=i + 1)
-                for i, line in enumerate(body.splitlines())
-                if line.strip()
-            ]
-            pages.append(records)
-        if missing:
-            raise PartialFetchError(url, missing)
-        tm = merge_pages(pages) if pages else TimeMap(url, [])
-        return TimeMap(url, tm.records)
+        try:
+            for page_no in range(n_pages):
+                try:
+                    body = self._get(CdxQuery(url, page=page_no))
+                except TransportError:
+                    missing.append(page_no)
+                    continue
+                pages.append(parse_timemap_text(url, body).records)
+            if missing:
+                raise PartialFetchError(url, missing)
+            return merge_pages(pages) if any(pages) else TimeMap(url, [])
+        except ValueError as exc:  # CdxParseError, or MixedKeyError within or across pages
+            raise self._unparseable(url, body) from exc

@@ -2,15 +2,18 @@
 
 Serves the CDX API subset the pipeline uses (``url``, ``limit``, ``page``,
 ``showNumPages``) over an in-memory corpus sorted by (urlkey, timestamp),
-with scripted fault injection (5xx sequences, slow responses) and a
-max-concurrency probe for politeness tests.
+with scripted fault injection (5xx sequences, dropped connections, slow
+responses) and a max-concurrency probe for politeness tests. It speaks
+HTTP/1.1, so clients keep their connections alive across requests.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from collections import defaultdict, deque
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -23,8 +26,9 @@ class MockCdxServer:
 
     Fault scripts are keyed by (urlkey, kind) where kind is a page number,
     ``"limit"``, or ``"numpages"``; each scheduled status is consumed by
-    one matching request before real responses resume. ``None`` as the key
-    schedules faults for any request.
+    one matching request before real responses resume. Status 0 closes the
+    connection without a response. ``None`` as the key schedules faults for
+    any request.
     """
 
     def __init__(self, corpus: list[CdxRecord], page_size: int,
@@ -41,16 +45,35 @@ class MockCdxServer:
         self._active = 0
         self.max_concurrency = 0
         self.request_count = 0
+        self.connection_count = 0
+        self._connections: set[socket.socket] = set()
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body are two sends: Nagle + delayed ACK would stall each ~40 ms
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):
                 pass
 
             def do_GET(self):
                 server._handle(self)
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
+        class Server(ThreadingHTTPServer):
+            # process_request runs on the serving thread: stop() sees every connection
+            def process_request(self, request, client_address):
+                with server._lock:
+                    server.connection_count += 1
+                    server._connections.add(request)
+                super().process_request(request, client_address)
+
+            def shutdown_request(self, request):
+                with server._lock:
+                    server._connections.discard(request)
+                super().shutdown_request(request)
+
+        self._httpd = Server((host, port), Handler)
         # stop() waits up to one poll interval; serve_forever's default is 0.5 s
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         kwargs={"poll_interval": 0.02}, daemon=True)
@@ -62,8 +85,13 @@ class MockCdxServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then hang up every open keep-alive connection."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        with self._lock:
+            for sock in self._connections:  # wakes each handler blocked on a read
+                with suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
 
     def __enter__(self) -> "MockCdxServer":
         return self.start()
@@ -123,6 +151,9 @@ class MockCdxServer:
         try:
             status, body = self._respond(handler.path)
             time.sleep(0)  # encourage interleaving under load
+            if status == 0:
+                handler.close_connection = True
+                return
             handler.send_response(status)
             handler.send_header("Content-Type", "text/plain; charset=utf-8")
             handler.send_header("Content-Length", str(len(body)))

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
 from waysample.mockserver import MockCdxServer
+from waysample.surt import surt_text_for_url
 
 from conftest import make_history, make_record
 
@@ -144,6 +146,14 @@ class TestFetchFirst:
         with pytest.raises(SystemExit, match="no CDX endpoint"):
             main(["fetch-first", str(inp), "-o", "-"])
 
+    def test_malformed_endpoint_is_configuration_error(self, tmp_path):
+        inp = tmp_path / "urls.txt"
+        out = tmp_path / "first.tsv"
+        write_lines(inp, ["http://a.com/"])
+        with pytest.raises(SystemExit, match="configuration error"):
+            main(["fetch-first", str(inp), "-o", str(out), "--endpoint", "localhost:1"])
+        assert not out.exists()
+
 
 class TestSample:
     def _first_captures(self, tmp_path, archive):
@@ -248,6 +258,45 @@ class TestFetchAndRehydrate:
         assert set(report.values()) == {"resumed"}
         assert server.request_count == before
         assert counts_adding_up(manifest)["resumed"] == len(urls)
+
+    @pytest.mark.parametrize("kind", ["numpages", 1])
+    def test_malformed_response_is_an_error_row(self, tmp_path, archive, kind):
+        server, histories = archive
+        urls = sorted(histories)[:3]
+        bad = urls[1]
+        assert server.page_count_for(bad) >= 2
+        server.schedule_faults(surt_text_for_url(bad), kind, [200])  # body "injected fault"
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        manifest = tmp_path / "manifest.json"
+        write_lines(inp, urls)
+        assert main(["fetch", str(inp), "--out-dir", str(out_dir),
+                     "--endpoint", server.endpoint, "--manifest", str(manifest)]) == 0
+        report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
+        assert [report[u] for u in urls] == ["ok", "error", "ok"]
+        assert counts_adding_up(manifest)["error"] == 1
+        assert not (out_dir / timemap_filename(bad)).exists()
+
+    def test_failed_write_leaves_no_timemap(self, tmp_path, archive, monkeypatch):
+        server, histories = archive
+        url = sorted(histories)[0]
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        write_lines(inp, [url])
+        args = ["fetch", str(inp), "--out-dir", str(out_dir), "--endpoint", server.endpoint]
+
+        def interrupted(tm):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TimeMap, "to_text", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        assert os.listdir(out_dir) == ["fetch_report.tsv"]
+        assert main(args) == 0
+        report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
+        assert report == {url: "ok"}
+        assert len(read_lines(out_dir / timemap_filename(url))) == len(histories[url])
 
     @staticmethod
     def _revisit_dir(tmp_path):

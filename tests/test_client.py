@@ -1,12 +1,17 @@
 import concurrent.futures
 import os
 import random
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
 from waysample.client import (
     ArchiveClient,
     CdxQuery,
+    CdxResponseError,
     PartialFetchError,
     RetryPolicy,
     TransportError,
@@ -40,7 +45,9 @@ def server(corpus):
 
 @pytest.fixture
 def client(server):
-    return ArchiveClient(server.endpoint, retry=FAST_RETRY)
+    client = ArchiveClient(server.endpoint, retry=FAST_RETRY)
+    yield client
+    client.close()
 
 
 class TestFirstRecord:
@@ -175,3 +182,109 @@ class TestBodyStorage:
         with open(path, "rb") as fh:
             import hashlib
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+def attempts(client):
+    return [(log.http_status, log.attempt) for log in client.logs]
+
+
+class TestKeepAlive:
+    def test_one_connection_for_sequential_requests(self, server, client):
+        for _ in range(20):
+            client.fetch_first_record(URL_A)
+        assert server.connection_count == 1
+        assert server.request_count == 20
+
+    def test_sequential_requests_are_fast(self, client):
+        # Nagle's algorithm on the mock would add ~40 ms to each request
+        start = time.monotonic()
+        for _ in range(50):
+            client.fetch_first_record(URL_A)
+        assert time.monotonic() - start < 1.0
+
+    def test_drop_on_fresh_connection_is_an_attempt(self, server, client, corpus):
+        server.schedule_faults(KEY_A, "limit", [0])
+        assert client.fetch_first_record(URL_A) == corpus[URL_A][0]
+        assert attempts(client) == [(0, 1), (200, 2)]
+
+    def test_drop_on_reused_connection_is_resent(self, server, client, corpus):
+        client.fetch_page_count(URL_A)
+        server.schedule_faults(KEY_A, "limit", [0])
+        assert client.fetch_first_record(URL_A) == corpus[URL_A][0]
+        assert attempts(client) == [(200, 1), (200, 1)]
+        assert server.connection_count == 2
+
+    def test_redirect_is_permanent(self, server, client):
+        server.schedule_faults(KEY_A, "limit", [301])
+        with pytest.raises(TransportError) as exc:
+            client.fetch_first_record(URL_A)
+        assert exc.value.last_status == 301
+        assert attempts(client) == [(301, 1)]
+
+    def test_stopped_server_answers_nothing(self, server, client):
+        client.fetch_first_record(URL_A)
+        server.stop()
+        with pytest.raises(TransportError) as exc:
+            client.fetch_first_record(URL_A)
+        assert exc.value.last_status == 0
+        assert attempts(client) == [(200, 1)] + [
+            (0, n) for n in range(1, FAST_RETRY.max_attempts + 1)]
+        assert server.request_count == 1
+
+    def test_close_then_reconnect(self, server, client):
+        client.fetch_first_record(URL_A)
+        client.close()
+        client.fetch_first_record(URL_A)
+        assert server.connection_count == 2
+        assert attempts(client) == [(200, 1), (200, 1)]
+
+
+class TestEndpoint:
+    @pytest.mark.parametrize("base_url", [
+        "localhost:1", "127.0.0.1:1/cdx", "ftp://a.example/cdx", "http:///cdx",
+        "http://user:pw@a.example/cdx", "http://a.example/cdx?output=json",
+        "http://a.example/cdx#x", "http://a.example:port/cdx", "http://bücher.example/cdx",
+    ])
+    def test_malformed_endpoint_rejected(self, base_url):
+        with pytest.raises(ValueError):
+            ArchiveClient(base_url)
+
+    def test_refused_before_any_answer_fails_at_once(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = ArchiveClient(f"http://127.0.0.1:{port}/cdx")  # default RetryPolicy
+        start = time.monotonic()
+        with pytest.raises(TransportError) as exc:
+            client.fetch_first_record(URL_A)
+        assert time.monotonic() - start < 1.0
+        assert exc.value.last_status == 0
+        assert attempts(client) == [(0, 1)]
+
+
+class TestMalformedResponses:
+    def test_malformed_page_is_a_response_error(self, server, tmp_path):
+        client = ArchiveClient(server.endpoint, retry=FAST_RETRY, storage_dir=str(tmp_path))
+        server.schedule_faults(KEY_A, 1, [200])
+        with pytest.raises(CdxResponseError) as exc:
+            client.fetch_timemap(URL_A)
+        with open(exc.value.stored_at, "rb") as fh:
+            assert fh.read() == b"injected fault\n"
+
+    def test_non_integer_page_count(self, server, client):
+        server.schedule_faults(KEY_A, "numpages", [200])
+        with pytest.raises(CdxResponseError):
+            client.fetch_timemap(URL_A)
+
+
+def test_cli_import_loads_no_http_dependency():
+    # compared with the modules loaded before the import, since site hooks
+    # of the interpreter may load some of these packages themselves
+    probe = ("import sys; before = set(sys.modules); import waysample.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=env).stdout.split()
+    assert "waysample.client" in loaded
+    assert not {name.split(".")[0] for name in loaded} & {
+        "requests", "urllib3", "idna", "charset_normalizer", "certifi"}
