@@ -20,9 +20,10 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import closing, contextmanager
 from dataclasses import fields, replace
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 from urllib.parse import quote
 
 from . import client as client_mod
@@ -92,6 +93,45 @@ class Stage:
                     self.counts["input"] += 1
                     yield url
 
+    def map_urls(self, fn: Callable, items: Iterable, key: Callable | None = None) -> Iterator:
+        """Yield ``(item, fn(item), None)`` for each of ``items``, in input
+        order, running ``fn`` on ``politeness_limit`` threads with at most four
+        times that many items in flight. A ``FetchError`` from ``fn`` yields
+        ``(item, None, error)``. Items with the same ``key`` other than None
+        run one after another, in input order.
+
+        Any other exception from ``fn``, or closing the generator, cancels the
+        items not yet started and waits for the running ones to end.
+        """
+        # imported here: it loads logging, 0.6 MB that the offline stages do without
+        from concurrent.futures import ThreadPoolExecutor
+
+        window: deque = deque()  # (item, key, future or None), in input order
+        pool = ThreadPoolExecutor(self.cfg.politeness_limit)
+
+        def call(item) -> tuple:
+            try:
+                return item, fn(item), None
+            except client_mod.FetchError as exc:  # its traceback would hold fn's data
+                return item, None, exc.with_traceback(None)
+
+        def oldest() -> tuple:
+            item, _, future = window.popleft()
+            # an item whose key was in the window when it came in runs here, after the others
+            return future.result() if future else call(item)
+
+        try:
+            for item in items:
+                k = key(item) if key else None
+                held = k is not None and any(k == other for _, other, _ in window)
+                window.append((item, k, None if held else pool.submit(call, item)))
+                if len(window) >= 4 * self.cfg.politeness_limit:
+                    yield oldest()
+            while window:
+                yield oldest()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def finish(self) -> None:
         if self._client is not None:
             self._client.close()
@@ -152,29 +192,28 @@ def cmd_classify(stage: Stage, args) -> None:
             fout.write(f"{url}\t{heuristic.value if heuristic else '-'}\n")
 
 
+def _fetchable(url: str) -> bool:
+    return urlfilter.is_valid_url(url) and not urlfilter.detect_wildcard(url)
+
+
 def cmd_fetch_first(stage: Stage, args) -> None:
     cdx_client = stage.client
-    urls = list(stage.urls(args.input))
     counts = stage.counts
     counts.update(archived=0, empty=0, skipped=0, error=0)
+
+    def first_capture(url: str) -> tuple[str, str]:
+        if not _fetchable(url):
+            return "skipped", "-\t-\tskipped"
+        record = cdx_client.fetch_first_record(url)
+        if record is None:
+            return "empty", "-\t-\tempty"
+        return "archived", f"{record.timestamp.raw}\t{record.mime}\tok"
+
     with stage.open(args.output, "w") as fout:
-        for url in urls:
-            if not urlfilter.is_valid_url(url) or urlfilter.detect_wildcard(url):
-                counts["skipped"] += 1
-                fout.write(f"{url}\t-\t-\tskipped\n")
-                continue
-            try:
-                record = cdx_client.fetch_first_record(url)
-            except client_mod.FetchError:
-                counts["error"] += 1
-                fout.write(f"{url}\t-\t-\terror\n")
-                continue
-            if record is None:
-                counts["empty"] += 1
-                fout.write(f"{url}\t-\t-\tempty\n")
-            else:
-                counts["archived"] += 1
-                fout.write(f"{url}\t{record.timestamp.raw}\t{record.mime}\tok\n")
+        for url, row, _ in stage.map_urls(first_capture, stage.urls(args.input)):
+            outcome, columns = row or ("error", "-\t-\terror")
+            counts[outcome] += 1
+            fout.write(f"{url}\t{columns}\n")
 
 
 def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
@@ -207,11 +246,9 @@ def cmd_sample(stage: Stage, args) -> None:
     counts["missing_roots"] = len(roots)
     counts["roots_added"] = 0
     if roots and cfg.endpoint:
-        for root in roots:
-            try:
-                record = stage.client.fetch_first_record(root.text)
-            except client_mod.FetchError:
-                continue
+        cdx_client = stage.client
+        for root, record, _ in stage.map_urls(
+                lambda root: cdx_client.fetch_first_record(root.text), roots):
             if record is not None:
                 entries.append((root, record.timestamp))
                 counts["roots_added"] += 1
@@ -258,16 +295,20 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     first, last = (int(part) for part in args.years.split("-"))
     years = list(range(first, last + 1))
     candidates = list(_parse_urls(stage, args.input))
+    lookups = []  # one entry per lookup started, look-ahead included; append is atomic
 
     def lookup(url: CanonicalUrl) -> Timestamp14 | None:
-        try:
-            record = cdx_client.fetch_first_record(url.text)
-        except client_mod.FetchError:
-            return None
+        lookups.append(url)
+        record = cdx_client.fetch_first_record(url.text)
         return record.timestamp if record else None
 
+    def first_captures(draws: list[CanonicalUrl]):
+        with closing(stage.map_urls(lookup, draws)) as results:
+            for _, first, _ in results:
+                yield first
+
     result = sampler.reintegrate_popular(
-        args.domain, candidates, lookup, years, cfg.per_year_min, cfg.seed)
+        args.domain, candidates, first_captures, years, cfg.per_year_min, cfg.seed)
     with stage.open(args.output, "w") as fout:
         for year in years:
             for url in result.per_year[year]:
@@ -277,6 +318,7 @@ def cmd_reintegrate(stage: Stage, args) -> None:
               f"{result.unmet_years}", file=sys.stderr)
     stage.counts.update(
         candidates=len(candidates),
+        lookups=len(lookups),
         per_year={y: len(result.per_year[y]) for y in years},
         unmet_years=result.unmet_years,
     )
@@ -287,31 +329,30 @@ def cmd_fetch(stage: Stage, args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
     counts.update(fetched=0, empty=0, resumed=0, skipped=0, error=0)
+
+    def targets() -> Iterator[tuple[str, str | None]]:
+        for url in stage.urls(args.input):
+            yield url, (os.path.join(args.out_dir, timemap_filename(url))
+                        if _fetchable(url) else None)
+
+    def fetch(target: tuple[str, str | None]) -> str:
+        url, path = target
+        if path is None:
+            return "skipped"
+        if os.path.exists(path):
+            return "resumed"
+        tm = cdx_client.fetch_timemap(url)
+        write_timemap(tm, path)
+        return "ok" if tm.records else "empty"
+
     report_path = args.report or os.path.join(args.out_dir, "fetch_report.tsv")
     with open(report_path, "w", encoding="utf-8") as report:
-        for url in stage.urls(args.input):
-            if not urlfilter.is_valid_url(url) or urlfilter.detect_wildcard(url):
-                counts["skipped"] += 1
-                report.write(f"{url}\tskipped\n")
-                continue
-            path = os.path.join(args.out_dir, timemap_filename(url))
-            if os.path.exists(path):
-                counts["resumed"] += 1
-                report.write(f"{url}\tresumed\n")
-                continue
-            try:
-                tm = cdx_client.fetch_timemap(url)
-            except client_mod.FetchError:
-                counts["error"] += 1
-                report.write(f"{url}\terror\n")
-                continue
-            write_timemap(tm, path)
-            if tm.records:
-                counts["fetched"] += 1
-                report.write(f"{url}\tok\n")
-            else:
-                counts["empty"] += 1
-                report.write(f"{url}\tempty\n")
+        # URLs sharing a TimeMap file run in input order: the first fetches it
+        for (url, _), outcome, _ in stage.map_urls(fetch, targets(),
+                                                   key=lambda target: target[1]):
+            outcome = outcome or "error"
+            counts["fetched" if outcome == "ok" else outcome] += 1
+            report.write(f"{url}\t{outcome}\n")
 
 
 def cmd_rehydrate(stage: Stage, args) -> None:

@@ -3,7 +3,8 @@ fetches, retries with exponential backoff, a politeness ceiling on
 concurrent requests, and content-addressed raw-response persistence.
 
 Safe for concurrent use; per-URL fetches are independent tasks coordinated
-only by the politeness semaphore, and each thread keeps its own connection.
+only by the politeness semaphore and the request pacing, and each thread
+keeps its own connection.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ class RetryPolicy:
     backoff_base: float = 1.0
     jitter: float = 0.25
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(f"retry cap must be at least 1, got {self.max_attempts}")
+
     def delay(self, attempt: int, rng: random.Random) -> float:
         base = self.backoff_base * (2 ** (attempt - 1))
         return base * (1.0 + self.jitter * rng.random())
@@ -118,15 +123,18 @@ class ArchiveClient:
                 or parts.query or parts.fragment or not self.base_url.isascii()):
             raise ValueError("endpoint must be an ASCII http(s)://host[:port]/path URL "
                              f"without userinfo or query, got {self.base_url!r}")
+        if self.politeness_limit < 1:
+            raise ValueError(f"politeness limit must be at least 1, got {self.politeness_limit}")
         self._new_connection = partial(http.client.HTTPSConnection if parts.scheme == "https"
                                        else http.client.HTTPConnection,
                                        parts.hostname, parts.port, timeout=self.timeout)
         self._path = parts.path or "/"
         self._local = threading.local()
-        self._connections = weakref.WeakSet()  # a thread's connection goes when the thread ends
+        self._connections = weakref.WeakSet()  # a thread's connection goes with the thread
         self._answered = False  # some request got an HTTP response
         self._semaphore = threading.BoundedSemaphore(self.politeness_limit)
         self._lock = threading.Lock()
+        self._next_start = 0.0  # monotonic time before which no request may start
         self._logs: list[FetchLog] = []
         self._rng = random.Random()
 
@@ -157,6 +165,14 @@ class ArchiveClient:
         with self._lock:
             self._logs.append(entry)
 
+    def _pace(self) -> None:
+        """Wait until request_delay has passed since any thread's last request start."""
+        with self._lock:
+            now = time.monotonic()
+            start = max(now, self._next_start)
+            self._next_start = start + self.request_delay
+        time.sleep(start - now)
+
     def _exchange(self, target: str) -> tuple[int, bytes, str | None]:
         """Status, body and Location of a GET on this thread's keep-alive connection;
         a reused one that the server closed while idle is replaced, once."""
@@ -165,6 +181,7 @@ class ArchiveClient:
             conn = self._local.conn = self._new_connection()
             with self._lock:
                 self._connections.add(conn)
+            weakref.finalize(threading.current_thread(), conn.close)  # closed once its thread is gone
         resend = conn.sock is not None
         while True:
             try:
@@ -186,6 +203,8 @@ class ArchiveClient:
         last_status: int | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             with self._semaphore:
+                if self.request_delay:
+                    self._pace()
                 start = time.monotonic()
                 status, body, location, unreachable = 0, b"", None, False
                 try:
@@ -198,8 +217,6 @@ class ArchiveClient:
                 duration = time.monotonic() - start
                 stored_at = self._store_body(body) if body else None
                 self._log(FetchLog(query, status, attempt, duration, stored_at))
-                if self.request_delay:
-                    time.sleep(self.request_delay)
             if 200 <= status < 300:
                 return body.decode("utf-8")
             last_status = status

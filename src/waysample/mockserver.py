@@ -132,16 +132,16 @@ class MockCdxServer:
 
     # -- request handling --------------------------------------------------
 
-    def records_for(self, url: str) -> list[CdxRecord]:
+    def _lookup(self, url: str) -> tuple[str, list[CdxRecord]]:
+        """The URL's SURT key, or the URL itself if it has none, and its records."""
         try:
             key = surt_text_for_url(url)
         except SurtError:
-            return []
-        return self._index.get(key, [])
+            return url, []
+        return key, self._index.get(key, [])
 
     def page_count_for(self, url: str) -> int:
-        n = len(self.records_for(url))
-        return -(-n // self.page_size)
+        return -(-len(self._lookup(url)[1]) // self.page_size)
 
     def _handle(self, handler: BaseHTTPRequestHandler) -> None:
         with self._lock:
@@ -168,11 +168,7 @@ class MockCdxServer:
         url = params.get("url", [""])[0]
         if not url:
             return 400, b"missing url parameter\n"
-        records = self.records_for(url)
-        try:
-            key = surt_text_for_url(url)
-        except SurtError:
-            key = url
+        key, records = self._lookup(url)
 
         if params.get("showNumPages", [""])[0] == "true":
             kind = "numpages"
@@ -191,7 +187,7 @@ class MockCdxServer:
             return fault, b"injected fault\n"
 
         if kind == "numpages":
-            return 200, f"{self.page_count_for(url)}\n".encode()
+            return 200, f"{-(-len(records) // self.page_size)}\n".encode()
         if kind == "limit":
             limit = int(params.get("limit", ["1"])[0])
             lines = records[:limit]

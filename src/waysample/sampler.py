@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
 from .surt import CanonicalUrl, domain_key
@@ -172,14 +173,16 @@ class ReintegrationResult:
 def reintegrate_popular(
     domain: str,
     candidate_urls: Iterable[CanonicalUrl],
-    first_capture_lookup: Callable[[CanonicalUrl], Timestamp14 | None],
+    first_captures: Callable[[list[CanonicalUrl]], Generator[Timestamp14 | None, None, None]],
     years: list[int],
     per_year_min: int,
     seed: int,
 ) -> ReintegrationResult:
     """Randomly draw candidates without replacement until every requested
     year has at least per_year_min URLs, resolving each draw's first-capture
-    year through the lookup.
+    year through ``first_captures``. It maps the draws to their first
+    captures (None where there is none) in draw order; it may look ahead of
+    the draw being read, and it is closed once the quotas are met.
 
     If the pool runs out first, the partial result names the unmet years.
     """
@@ -190,14 +193,13 @@ def reintegrate_popular(
     rng.shuffle(pool)
     wanted = set(years)
     per_year: dict[int, list[CanonicalUrl]] = {y: [] for y in years}
-    for url in pool:
-        if all(len(per_year[y]) >= per_year_min for y in years):
-            break
-        first = first_capture_lookup(url)
-        if first is None:
-            continue
-        if first.year in wanted:
-            per_year[first.year].append(url)
+    with closing(first_captures(pool)) as firsts:
+        for url in pool:
+            if all(len(per_year[y]) >= per_year_min for y in years):
+                break
+            first = next(firsts)
+            if first is not None and first.year in wanted:
+                per_year[first.year].append(url)
     unmet = sorted(y for y in years if len(per_year[y]) < per_year_min)
     return ReintegrationResult(per_year, unmet)
 

@@ -3,13 +3,15 @@ import json
 import os
 import random
 import sys
+import threading
 
 import pytest
 
+from waysample import sampler
 from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
 from waysample.mockserver import MockCdxServer
-from waysample.surt import surt_text_for_url
+from waysample.surt import parse_url, surt_text_for_url
 
 from conftest import make_history, make_record
 
@@ -153,6 +155,23 @@ class TestFetchFirst:
         with pytest.raises(SystemExit, match="configuration error"):
             main(["fetch-first", str(inp), "-o", str(out), "--endpoint", "localhost:1"])
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flags, config", [(["--politeness", "0"], {}),
+                                               ([], {"retry_cap": 0})])
+    def test_unusable_concurrency_or_retry_is_configuration_error(
+            self, tmp_path, archive, flags, config):
+        server, _ = archive
+        inp = tmp_path / "urls.txt"
+        out = tmp_path / "first.tsv"
+        config_path = tmp_path / "config.json"
+        write_lines(inp, ["http://a.com/"])
+        config_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match="configuration error"):
+            main(["fetch-first", str(inp), "-o", str(out), "--endpoint", server.endpoint,
+                  "--config", str(config_path), *flags])
+        assert not out.exists()
+        assert server.request_count == 0
 
 
 class TestSample:
@@ -374,6 +393,185 @@ class TestStats:
         # identical pre/post lists correlate perfectly
         (header, row) = read_lines(out_dir / "rank_correlation.csv")
         assert float(row) == pytest.approx(1.0)
+
+
+class TestFanOut:
+    """The network stages run their per-URL work on politeness_limit threads;
+    what they write must not depend on that number."""
+
+    YEARS, PER_YEAR_MIN, SEED = (2016, 2017), 4, 5
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        """A corpus, the stage inputs in input order, and a fault script with
+        transient 503s, permanent 404s and a page that fails every attempt."""
+        seeded = random.Random(0xFA11)
+        corpus, histories = [], {}
+        for i in range(8):
+            for suffix in ("", "a.html", "deep/p.php"):
+                url = f"http://host{i}.com/{suffix}"
+                histories[url] = make_history(url, seeded.randint(3, 12), seeded,
+                                              start_year=1998 + i)
+        for i in range(3):  # hosts the input reaches only through a deep link
+            for suffix in ("", "deep/p.php"):
+                url = f"http://deep{i}.com/{suffix}"
+                histories[url] = make_history(url, 6, seeded, start_year=2003 + i)
+        candidates = []
+        for i in range(40):
+            url = f"http://big.com/item{i}.html"
+            histories[url] = make_history(url, 5, seeded, start_year=self.YEARS[0] + i % 2)
+            candidates.append(url)
+        for history in histories.values():
+            corpus += history
+        urls = [u for u in histories if not u.startswith(("http://deep", "http://big"))
+                or u.endswith("deep/p.php")]
+        urls += ["http://never-crawled.example/", "https://*/robots.txt"]
+        key = surt_text_for_url
+        faults = [(key("http://host1.com/a.html"), "limit", [404]),
+                  (key("http://deep1.com/"), "limit", [404]),
+                  (key("http://host2.com/"), "numpages", [404]),
+                  (key("http://host3.com/"), 1, [503] * 5),
+                  (key("http://big.com/item3.html"), "limit", [404])]
+        for url in urls[::3] + candidates[::4]:
+            for kind in ("limit", "numpages", 0):
+                faults.append((key(url), kind, [503]))
+        truth = {url: h[0].timestamp for url, h in histories.items()}
+        return corpus, urls, candidates, faults, truth
+
+    def _run(self, tmp_path, world, politeness, order):
+        """fetch-first, sample --endpoint, reintegrate and fetch in a fresh
+        directory against a fresh archive; returns every output's text, each
+        manifest's counts, the candidate order and the archive's peak
+        concurrency."""
+        corpus, urls, candidates, faults, _ = world
+        run = tmp_path / f"p{politeness}-{order}"
+        run.mkdir()
+        shuffled = random.Random(order)
+        urls, candidates = list(urls), list(candidates)
+        if order is not None:
+            shuffled.shuffle(urls)
+            shuffled.shuffle(candidates)
+        write_lines(run / "urls.txt", urls)
+        write_lines(run / "candidates.txt", candidates)
+        (run / "config.json").write_text(json.dumps(
+            {"politeness_limit": politeness, "backoff_base": 0.001}))
+        with MockCdxServer(corpus, page_size=4) as server:
+            for urlkey, kind, statuses in faults:
+                server.schedule_faults(urlkey, kind, statuses)
+            common = ["--endpoint", server.endpoint, "--config", str(run / "config.json")]
+            stages = {
+                "fetch-first": [str(run / "urls.txt"), "-o", str(run / "first.tsv")],
+                "sample": ["--first-captures", str(run / "first.tsv"),
+                           "--out-dir", str(run / "sample"), "--target", "30",
+                           "--seed", str(self.SEED)],
+                "reintegrate": [str(run / "candidates.txt"), "--domain", "big.com",
+                                "-o", str(run / "quota.tsv"),
+                                "--years", "-".join(map(str, self.YEARS)),
+                                "--per-year-min", str(self.PER_YEAR_MIN),
+                                "--seed", str(self.SEED)],
+                "fetch": [str(run / "urls.txt"), "--out-dir", str(run / "timemaps")],
+            }
+            counts = {}
+            for name, argv in stages.items():
+                manifest = run / f"{name}.json"
+                assert main([name, *argv, *common, "--manifest", str(manifest)]) == 0
+                counts[name] = json.loads(manifest.read_text())["counts"]
+            peak = server.max_concurrency
+        outputs = {}
+        for path in sorted(run.rglob("*")):
+            if path.is_file() and path.suffix != ".json" and path.parent != run:
+                outputs[str(path.relative_to(run))] = path.read_text()
+        outputs["first.tsv"] = (run / "first.tsv").read_text()
+        outputs["quota.tsv"] = (run / "quota.tsv").read_text()
+        return outputs, counts, candidates, peak
+
+    @pytest.mark.parametrize("order", [None, 11, 12])
+    def test_outputs_independent_of_politeness(self, tmp_path, world, order):
+        truth = world[-1]
+        runs = {p: self._run(tmp_path, world, p, order) for p in (1, 2, 4)}
+        base, base_counts, candidates, peak = runs[1]
+        assert peak == 1
+        # what a one-at-a-time reintegrate reads before its quotas are met
+        draws = []
+
+        def firsts(pool):
+            for url in pool:
+                draws.append(url)
+                yield None if url.text.endswith("item3.html") else truth[url.text]
+
+        sampler.reintegrate_popular("big.com", [parse_url(u) for u in candidates], firsts,
+                                    list(self.YEARS), self.PER_YEAR_MIN, self.SEED)
+        for politeness, (outputs, counts, _, _) in runs.items():
+            lookups = counts["reintegrate"].pop("lookups")
+            assert len(draws) <= lookups <= len(draws) + 4 * politeness - 1
+            assert outputs == base
+            assert counts == base_counts
+            for stage in ("fetch-first", "fetch"):
+                assert counts_adding_up(tmp_path / f"p{politeness}-{order}" / f"{stage}.json")
+        assert base_counts["fetch-first"]["error"] == 1
+        assert base_counts["fetch"]["error"] == 2
+        assert base_counts["sample"]["roots_added"] == 2
+        assert base_counts["reintegrate"]["unmet_years"] == []
+        if order is not None:  # reordered by input, per-URL rows match the input-order run
+            unshuffled, _, _, _ = self._run(tmp_path, world, 1, None)
+            for name in ("first.tsv", "timemaps/fetch_report.tsv"):
+                assert sorted(base[name].splitlines()) == sorted(unshuffled[name].splitlines())
+
+    @pytest.mark.parametrize("limit", [2, 4])
+    def test_fetch_fills_the_politeness_limit(self, tmp_path, archive, limit):
+        server, histories = archive
+        server.schedule_delay(None, None, 0.02)
+        inp = tmp_path / "urls.txt"
+        write_lines(inp, sorted(histories))
+        assert main(["fetch", str(inp), "--out-dir", str(tmp_path / "timemaps"),
+                     "--endpoint", server.endpoint, "--politeness", str(limit)]) == 0
+        assert server.max_concurrency == limit
+
+    def test_timemap_aliases_fetch_once_in_input_order(self, tmp_path, archive):
+        server, histories = archive
+        server.schedule_delay(None, None, 0.02)
+        aliases = ["https://www.site0.com/", "http://site0.com/"]
+        assert timemap_filename(aliases[0]) == timemap_filename(aliases[1])
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        write_lines(inp, aliases)
+        assert main(["fetch", str(inp), "--out-dir", str(out_dir),
+                     "--endpoint", server.endpoint, "--politeness", "4"]) == 0
+        assert read_lines(out_dir / "fetch_report.tsv") == [
+            f"{aliases[0]}\tok", f"{aliases[1]}\tresumed"]
+        assert server.request_count == 1 + server.page_count_for(aliases[0])
+
+    def test_interrupt_in_a_worker_leaves_only_whole_timemaps(
+            self, tmp_path, archive, monkeypatch):
+        server, histories = archive
+        urls = sorted(histories)
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        write_lines(inp, urls)
+        args = ["fetch", str(inp), "--out-dir", str(out_dir),
+                "--endpoint", server.endpoint, "--politeness", "2"]
+        to_text, lock, calls = TimeMap.to_text, threading.Lock(), []
+
+        def interrupted_third(tm):
+            with lock:
+                calls.append(tm)
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+            return to_text(tm)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TimeMap, "to_text", interrupted_third)
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        written = sorted(name for name in os.listdir(out_dir) if name.endswith(".cdx"))
+        assert sorted(os.listdir(out_dir)) == sorted(written + ["fetch_report.tsv"])
+        assert len(written) < len(urls) - 1
+        assert main(args) == 0
+        report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
+        for url in urls:
+            done = timemap_filename(url) in written
+            assert report[url] == ("resumed" if done else "ok")
+            assert len(read_lines(out_dir / timemap_filename(url))) == len(histories[url])
 
 
 @pytest.mark.parametrize("argv", [

@@ -153,6 +153,31 @@ class TestPoliteness:
         assert server.max_concurrency <= 3
         assert server.request_count == 24
 
+    def test_request_delay_is_one_gap_for_all_threads(self, server):
+        client = ArchiveClient(server.endpoint, retry=FAST_RETRY, politeness_limit=4,
+                               request_delay=0.05)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            start = time.monotonic()
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(client.fetch_first_record, URL_A)
+                               for _ in range(10)]:
+                    future.result(timeout=10)
+            # ten starts, each at least 0.05 s after the one before
+            assert time.monotonic() - start >= 0.45
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+
+    def test_zero_politeness_limit_is_rejected(self, server):
+        with pytest.raises(ValueError, match="politeness limit"):
+            ArchiveClient(server.endpoint, politeness_limit=0)
+
+    def test_zero_retry_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="retry cap"):
+            RetryPolicy(max_attempts=0)
+
 
 class TestQueryValidation:
     def test_numpages_excludes_page(self):

@@ -166,6 +166,11 @@ class TestMissingRoots:
         assert all(r.is_root for r in roots)
 
 
+def in_draw_order(lookup):
+    """reintegrate_popular's first_captures over a dict of first captures."""
+    return lambda draws: (lookup.get(url) for url in draws)
+
+
 class TestReintegration:
     def _pool(self, rng, years, per_year):
         pool, lookup = [], {}
@@ -179,7 +184,7 @@ class TestReintegration:
     def test_quotas_met_with_ample_pool(self, rng):
         years = list(range(2016, 2022))
         pool, lookup = self._pool(rng, years, 60)
-        result = reintegrate_popular("big.com", pool, lookup.get, years, 20, seed=7)
+        result = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 20, seed=7)
         assert not result.exhausted
         for year in years:
             assert len(result.per_year[year]) >= 20
@@ -187,21 +192,21 @@ class TestReintegration:
     def test_exhaustion_names_missing_year(self, rng):
         years = [2018, 2019]
         pool, lookup = self._pool(rng, [2018], 30)
-        result = reintegrate_popular("big.com", pool, lookup.get, years, 20, seed=7)
+        result = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 20, seed=7)
         assert result.unmet_years == [2019]
         assert len(result.per_year[2018]) >= 20
 
     def test_deterministic_under_seed(self, rng):
         years = [2016, 2017]
         pool, lookup = self._pool(rng, years, 40)
-        a = reintegrate_popular("big.com", pool, lookup.get, years, 5, seed=42)
-        b = reintegrate_popular("big.com", pool, lookup.get, years, 5, seed=42)
+        a = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 5, seed=42)
+        b = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 5, seed=42)
         assert a.per_year == b.per_year
 
     def test_draws_without_replacement(self, rng):
         years = [2016]
         pool, lookup = self._pool(rng, years, 50)
-        result = reintegrate_popular("big.com", pool, lookup.get, years, 30, seed=1)
+        result = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 30, seed=1)
         selected = result.per_year[2016]
         assert len(selected) == len(set(u.text for u in selected))
 
