@@ -32,10 +32,6 @@ class MixedKeyError(ValueError):
     """Records with differing urlkeys where a single key is required."""
 
 
-class EmptyTimeMapError(ValueError):
-    """An operation that needs at least one record got an empty TimeMap."""
-
-
 def _calendar_datetime(raw: str) -> datetime:
     """The datetime of 14 digits; ValueError if it is no calendar date."""
     return datetime(int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
@@ -174,13 +170,6 @@ class TimeMap:
         if len(keys) > 1:
             raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
         self.records = sorted(self.records, key=lambda r: r.timestamp.raw)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def urlkey(self) -> str | None:
-        return self.records[0].urlkey if self.records else None
 
     def to_text(self) -> str:
         return "".join(r.to_line() + "\n" for r in self.records)

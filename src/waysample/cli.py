@@ -31,6 +31,7 @@ from . import sampler, stats, timemaps, urlfilter
 from .cdx import (
     CdxParseError,
     Timestamp14,
+    atomic_open,
     parse_timestamp,
     read_timemap,
     write_timemap,
@@ -44,7 +45,8 @@ class Stage:
     It loads the config file, overridden by every parsed flag whose dest
     names a config field; keeps the outcome counts; opens ``-`` as stdin or
     stdout without closing it; builds the CDX client on first use; and,
-    once the subcommand returns, writes the ``--log`` TSV and the manifest.
+    once the subcommand returns or fails, writes the ``--log`` TSV and the
+    manifest.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -132,33 +134,41 @@ class Stage:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def finish(self) -> None:
+    def finish(self, status: str) -> None:
+        """Write the ``--log`` TSV, if a client was built, and the manifest."""
+        # not the client property: after a configuration error it would raise again
         if self._client is not None:
             self._client.close()
-        log = getattr(self.args, "log", None)
-        if log:
-            with open(log, "w", encoding="utf-8") as fh:
-                fh.writelines(entry.to_tsv_line() + "\n" for entry in self.client.logs)
+            if getattr(self.args, "log", None):
+                with open(self.args.log, "w", encoding="utf-8") as fh:
+                    fh.writelines(entry.to_tsv_line() + "\n" for entry in self._client.logs)
         if self.manifest:
             manifest = {
                 "stage": self.args.command,
+                "status": status,
                 "params": self.params,
                 "counts": self.counts,
                 "elapsed_seconds": round(time.monotonic() - self._started, 3),
             }
-            with open(self.manifest, "w", encoding="utf-8") as fh:
+            with atomic_open(self.manifest) as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
 
 def _parse_urls(stage: Stage, path: str) -> Iterator[CanonicalUrl]:
-    """The URLs of ``path`` that parse; other lines are skipped, uncounted."""
+    """The URLs of ``path`` that parse; the other non-blank lines count as
+    ``unparseable``."""
+    counts = stage.counts
+    counts.setdefault("unparseable", 0)
     with stage.open(path) as fh:
         for line in fh:
-            try:
-                yield parse_url(line.strip())
-            except SurtError:
+            text = line.strip()
+            if not text:
                 continue
+            try:
+                yield parse_url(text)
+            except SurtError:
+                counts["unparseable"] += 1
 
 
 def timemap_filename(url: str) -> str:
@@ -201,7 +211,7 @@ def cmd_fetch_first(stage: Stage, args) -> None:
     counts = stage.counts
     counts.update(archived=0, empty=0, skipped=0, error=0)
 
-    def first_capture(url: str) -> tuple[str, str]:
+    def first_capture_row(url: str) -> tuple[str, str]:
         if not _fetchable(url):
             return "skipped", "-\t-\tskipped"
         record = cdx_client.fetch_first_record(url)
@@ -210,13 +220,18 @@ def cmd_fetch_first(stage: Stage, args) -> None:
         return "archived", f"{record.timestamp.raw}\t{record.mime}\tok"
 
     with stage.open(args.output, "w") as fout:
-        for url, row, _ in stage.map_urls(first_capture, stage.urls(args.input)):
+        for url, row, _ in stage.map_urls(first_capture_row, stage.urls(args.input)):
             outcome, columns = row or ("error", "-\t-\terror")
             counts[outcome] += 1
             fout.write(f"{url}\t{columns}\n")
 
 
 def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
+    """The archived rows of a fetch-first TSV; rows without a capture count
+    as ``no_capture``, rows whose URL does not parse as ``unparseable``."""
+    counts = stage.counts
+    counts.setdefault("no_capture", 0)
+    counts.setdefault("unparseable", 0)
     with stage.open(path) as fh:
         for i, line in enumerate(fh):
             line = line.rstrip("\n")
@@ -227,16 +242,19 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl
                 raise CdxParseError("expected at least url<TAB>timestamp", i + 1)
             url_text, ts = fields[0], fields[1]
             if ts == "-":
+                counts["no_capture"] += 1
                 continue
             try:
                 entry = parse_url(url_text), parse_timestamp(ts)
             except SurtError:
+                counts["unparseable"] += 1
                 continue
             yield entry
 
 
 def cmd_sample(stage: Stage, args) -> None:
     cfg, counts = stage.cfg, stage.counts
+    os.makedirs(args.out_dir, exist_ok=True)
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
     entries = list(_read_first_captures(stage, args.first_captures))
     counts["input"] = len(entries)
@@ -256,9 +274,8 @@ def cmd_sample(stage: Stage, args) -> None:
     result = sampler.bucket_by_first_year(entries)
     counts["dropped_pre_1996"] = result.dropped_pre_1996
 
-    os.makedirs(args.out_dir, exist_ok=True)
     params = sampler.DownsampleParams(
-        c=cfg.c, target=cfg.target,
+        c=cfg.c,
         tail_threshold=cfg.tail_threshold,
         tail_keep_fraction=cfg.tail_keep_fraction,
         seed=cfg.seed,
@@ -272,7 +289,7 @@ def cmd_sample(stage: Stage, args) -> None:
         selected = 0
         out_path = os.path.join(args.out_dir, f"bucket_{bucket.label}.txt")
         with open(out_path, "w", encoding="utf-8") as fh:
-            for domain in sorted(reduced.domains, key=lambda d: d.domain):
+            for domain in reduced.domains:  # in domain-key order
                 k = sampler.downsample_count(domain.n_urls, run_params)
                 for url in sampler.select_urls(domain, k, cfg.seed):
                     fh.write(url.text + "\n")
@@ -529,8 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stage = Stage(args)
-    args.func(stage, args)
-    stage.finish()
+    status = "failed"
+    try:
+        args.func(stage, args)
+        status = "ok"
+    finally:
+        stage.finish(status)
     return 0
 
 

@@ -279,6 +279,6 @@ class ArchiveClient:
                 pages.append(parse_timemap_text(url, body).records)
             if missing:
                 raise PartialFetchError(url, missing)
-            return merge_pages(pages) if any(pages) else TimeMap(url, [])
+            return merge_pages(pages, url)
         except ValueError as exc:  # CdxParseError, or MixedKeyError within or across pages
             raise self._unparseable(url, body) from exc

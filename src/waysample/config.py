@@ -26,6 +26,14 @@ class PipelineConfig:
     request_delay: float = 0.0
     storage_dir: str | None = None
 
+    def __post_init__(self):
+        for name, ok, rule in (("c", self.c >= 1, ">= 1"),
+                               ("tail_keep_fraction", 0 < self.tail_keep_fraction <= 1, "in (0, 1]"),
+                               ("cache_capacity", self.cache_capacity >= 1, ">= 1"),
+                               ("per_year_min", self.per_year_min >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"config key {name} must be {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "PipelineConfig":
         values: dict = {}

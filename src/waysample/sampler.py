@@ -34,7 +34,6 @@ class DownsampleParams:
 
     k: float = 1.0
     c: int = 1
-    target: int = 1_000_000
     tail_threshold: int = 900_000
     tail_keep_fraction: float = 0.10
     seed: int = 0
@@ -119,7 +118,9 @@ def bucket_by_first_year(
     entries: Iterable[tuple[CanonicalUrl, Timestamp14]],
 ) -> BucketingResult:
     """Group URLs by first-capture year: pre-1996 dropped and counted,
-    1996-2000 merged into one bucket, each later year on its own."""
+    1996-2000 merged into one bucket, each later year on its own. Buckets
+    are in label order, their domains in domain-key order, and the URLs of a
+    domain in first-occurrence order."""
     by_label: dict[str, dict[str, DomainCount]] = {}
     # a URL's domain key is a function of the URL, so seen in the bucket
     # means seen in its domain
@@ -223,8 +224,9 @@ def reduce_long_tail(bucket: YearBucket, params: DownsampleParams,
     return YearBucket(bucket.label, domains)
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
+def _reduced_count(n: int, k: float, c: int) -> int:
+    # K * ln(n) + C > 0 (K > 0, n >= 1, C >= 1): half up is half away from zero
+    return min(n, math.floor(k * math.log(n) + c + 0.5))
 
 
 def downsample_count(n: int, params: DownsampleParams) -> int:
@@ -232,7 +234,7 @@ def downsample_count(n: int, params: DownsampleParams) -> int:
     min(n, round(K * ln(n) + C)), rounding half away from zero."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return min(n, _round_half_away(params.k * math.log(n) + params.c))
+    return _reduced_count(n, params.k, params.c)
 
 
 @dataclass
@@ -258,8 +260,7 @@ def calibrate_k(bucket: YearBucket, c: int, target: int) -> CalibrationResult:
 
     def total(k: int) -> int:
         # downsample_count summed over the domains, m domains of size n at a time
-        return sum(m * min(n, _round_half_away(k * math.log(n) + c))
-                   for n, m in sizes.items())
+        return sum(m * _reduced_count(n, k, c) for n, m in sizes.items())
 
     t1 = total(1)
     if t1 > target:

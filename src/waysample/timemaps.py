@@ -1,7 +1,6 @@
 """TimeMap post-processing.
 
-Revisit rehydration with a bounded LRU digest cache, page merging,
-first-capture extraction, index-alias first-capture comparison, and
+Revisit rehydration with a bounded LRU digest cache, page merging and
 revisit-distance measurement. One TimeMap is processed by one worker;
 the LRU pass is inherently sequential.
 """
@@ -11,14 +10,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from .cdx import (
-    REVISIT_MIME,
-    CdxRecord,
-    EmptyTimeMapError,
-    MixedKeyError,
-    TimeMap,
-    Timestamp14,
-)
+from .cdx import REVISIT_MIME, CdxRecord, TimeMap
 
 DEFAULT_CACHE_CAPACITY = 1000
 
@@ -119,56 +111,8 @@ def max_revisit_distance(tm: TimeMap) -> int:
     return max((g.distance for g in gaps), default=0)
 
 
-def merge_pages(pages: list[list[CdxRecord]]) -> TimeMap:
-    """Concatenate paginated record lists into one timestamp-sorted TimeMap
-    with exact-duplicate lines removed."""
-    keys = {r.urlkey for page in pages for r in page}
-    if len(keys) > 1:
-        raise MixedKeyError(f"pages mix urlkeys: {sorted(keys)}")
-    seen: set[str] = set()
-    records: list[CdxRecord] = []
-    for page in pages:
-        for record in page:
-            line = record.to_line()
-            if line not in seen:
-                seen.add(line)
-                records.append(record)
-    uri_r = records[0].original if records else ""
-    return TimeMap(uri_r, records)
-
-
-def first_capture(tm: TimeMap) -> tuple[Timestamp14, str]:
-    """Timestamp and MIME of the earliest record."""
-    if not tm.records:
-        raise EmptyTimeMapError(f"no capture history for {tm.uri_r!r}")
-    earliest = tm.records[0]
-    return earliest.timestamp, earliest.mime
-
-
-@dataclass(frozen=True)
-class AliasComparison:
-    alias_uri: str
-    alias_year: int | None
-    root_year: int
-    alias_earlier: bool
-    skipped: bool
-
-
-def compare_alias_first_capture(
-    root: TimeMap, aliases: list[TimeMap]
-) -> list[AliasComparison]:
-    """Per index alias, report whether its first capture year precedes the
-    root URL's first capture year. Empty alias histories are skipped."""
-    root_ts, _ = first_capture(root)
-    report = []
-    for alias in aliases:
-        if not alias.records:
-            report.append(AliasComparison(alias.uri_r, None, root_ts.year,
-                                          alias_earlier=False, skipped=True))
-            continue
-        alias_ts, _ = first_capture(alias)
-        report.append(AliasComparison(
-            alias.uri_r, alias_ts.year, root_ts.year,
-            alias_earlier=alias_ts.year < root_ts.year, skipped=False,
-        ))
-    return report
+def merge_pages(pages: list[list[CdxRecord]], uri_r: str = "") -> TimeMap:
+    """Concatenate paginated record lists into one TimeMap with exact
+    duplicates removed; the TimeMap rejects mixed urlkeys and sorts by
+    timestamp."""
+    return TimeMap(uri_r, list(dict.fromkeys(r for page in pages for r in page)))

@@ -144,9 +144,14 @@ class TestFetchFirst:
 
     def test_missing_endpoint_is_configuration_error(self, tmp_path):
         inp = tmp_path / "urls.txt"
+        manifest = tmp_path / "manifest.json"
         write_lines(inp, ["http://a.com/"])
         with pytest.raises(SystemExit, match="no CDX endpoint"):
-            main(["fetch-first", str(inp), "-o", "-"])
+            main(["fetch-first", str(inp), "-o", "-", "--manifest", str(manifest),
+                  "--log", str(tmp_path / "log.tsv")])
+        # no client was built, so there is no fetch log, but the failure is recorded
+        assert json.loads(manifest.read_text())["status"] == "failed"
+        assert not (tmp_path / "log.tsv").exists()
 
     def test_malformed_endpoint_is_configuration_error(self, tmp_path):
         inp = tmp_path / "urls.txt"
@@ -227,6 +232,20 @@ class TestSample:
             selected += read_lines(out_dir / f"bucket_{bucket['label']}.txt")
         assert sum(1 for line in selected if line.endswith(".com/")) == 4
 
+    def test_dropped_rows_are_counted(self, tmp_path, archive):
+        first = self._first_captures(tmp_path, archive)
+        rows = read_lines(first) + ["http://unarchived.com/\t-\t-\tempty",
+                                    "http://failed.com/\t-\t-\terror",
+                                    "ftp://files.com/\t20050101000000\ttext/html\tok",
+                                    "\t20050101000000\ttext/html\tok"]
+        write_lines(first, ["", *rows, ""])
+        out_dir = tmp_path / "sample"
+        assert main(["sample", "--first-captures", str(first),
+                     "--out-dir", str(out_dir), "--target", "100"]) == 0
+        counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+        assert (counts["no_capture"], counts["unparseable"]) == (2, 2)
+        assert counts["input"] + counts["no_capture"] + counts["unparseable"] == len(rows)
+
 
 class TestReintegrate:
     def test_per_year_quotas(self, tmp_path):
@@ -251,6 +270,18 @@ class TestReintegrate:
         per_year = Counter(r[0] for r in rows)
         assert per_year["2016"] >= 5 and per_year["2017"] >= 5
         assert len(rows) == len({r[1] for r in rows})
+
+    def test_unparseable_candidates_are_counted(self, tmp_path):
+        candidates = ["http://big.com/a", "ftp://big.com/b", "http://big.com/c", "big.com/d"]
+        inp = tmp_path / "candidates.txt"
+        manifest = tmp_path / "manifest.json"
+        write_lines(inp, ["", *candidates, "  "])
+        with MockCdxServer([], page_size=10) as server:
+            assert main(["reintegrate", str(inp), "--domain", "big.com",
+                         "-o", str(tmp_path / "quota.tsv"), "--endpoint", server.endpoint,
+                         "--manifest", str(manifest)]) == 0
+        counts = json.loads(manifest.read_text())["counts"]
+        assert (counts["candidates"], counts["unparseable"]) == (2, 2)
 
 
 class TestFetchAndRehydrate:
@@ -547,9 +578,11 @@ class TestFanOut:
         urls = sorted(histories)
         inp = tmp_path / "urls.txt"
         out_dir = tmp_path / "timemaps"
+        manifest, log = tmp_path / "manifest.json", tmp_path / "fetch_log.tsv"
         write_lines(inp, urls)
         args = ["fetch", str(inp), "--out-dir", str(out_dir),
-                "--endpoint", server.endpoint, "--politeness", "2"]
+                "--endpoint", server.endpoint, "--politeness", "2",
+                "--manifest", str(manifest), "--log", str(log)]
         to_text, lock, calls = TimeMap.to_text, threading.Lock(), []
 
         def interrupted_third(tm):
@@ -563,10 +596,14 @@ class TestFanOut:
             patch.setattr(TimeMap, "to_text", interrupted_third)
             with pytest.raises(KeyboardInterrupt):
                 main(args)
+        # the stage failed, and its manifest and fetch log say so
+        assert json.loads(manifest.read_text())["status"] == "failed"
+        assert len(read_lines(log)) == server.request_count > 0
         written = sorted(name for name in os.listdir(out_dir) if name.endswith(".cdx"))
         assert sorted(os.listdir(out_dir)) == sorted(written + ["fetch_report.tsv"])
         assert len(written) < len(urls) - 1
         assert main(args) == 0
+        assert json.loads(manifest.read_text())["status"] == "ok"
         report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
         for url in urls:
             done = timemap_filename(url) in written
@@ -590,3 +627,28 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
     with pytest.raises(ValueError, match="unknown config keys"):
         main([paths.get(a, a) for a in argv] + ["--config", str(config)])
     assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR", "--c", "0"], {}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"tail_keep_fraction": 0}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR", "--tail-keep", "1.5"], {}),
+    (["rehydrate", "--in-dir", "IN_DIR", "--out-dir", "DIR", "--capacity", "0"], {}),
+    (["reintegrate", "IN", "--domain", "a.com", "-o", "OUT",
+      "--endpoint", "http://127.0.0.1:9/cdx"], {"per_year_min": 0}),
+    (["reintegrate", "IN", "--domain", "a.com", "-o", "OUT",
+      "--endpoint", "http://127.0.0.1:9/cdx", "--per-year-min", "-1"], {}),
+])
+def test_out_of_range_config_fails_before_any_output(tmp_path, argv, config):
+    inp = tmp_path / "in.tsv"
+    write_lines(inp, ["http://a.com/\t20050101000000"])
+    (tmp_path / "in_dir").mkdir()
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    before = sorted(os.listdir(tmp_path))
+    paths = {"IN": str(inp), "IN_DIR": str(tmp_path / "in_dir"),
+             "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path / "out")}
+    with pytest.raises(ValueError, match="config key"):
+        main([paths.get(a, a) for a in argv]
+             + ["--config", str(config_path), "--manifest", str(tmp_path / "m.json")])
+    assert sorted(os.listdir(tmp_path)) == before

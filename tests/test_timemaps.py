@@ -1,18 +1,12 @@
 import datetime
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from waysample.cdx import (
-    CdxRecord,
-    EmptyTimeMapError,
-    MixedKeyError,
-    TimeMap,
-    Timestamp14,
-)
+from waysample.cdx import CdxRecord, MixedKeyError, TimeMap, Timestamp14
 from waysample.timemaps import (
     LruDigestCache,
-    compare_alias_first_capture,
-    first_capture,
     max_revisit_distance,
     merge_pages,
     rehydrate,
@@ -47,7 +41,6 @@ def oracle_rehydrate(tm):
                 unresolved.append(i)
                 out.append(record)
             else:
-                from dataclasses import replace
                 out.append(replace(record, status=source.status,
                                    mime=f"warc/revisit;orig={source.mime}"))
         else:
@@ -212,56 +205,66 @@ class TestMergePages:
         shuffled = pages[::-1]
         assert merge_pages(pages).records == merge_pages(shuffled).records
 
-    def test_first_capture_is_global_minimum(self, rng):
-        pages = self._pages(rng)
-        ts, _ = first_capture(merge_pages(pages))
-        assert ts.raw == min(r.timestamp.raw for page in pages for r in page)
+
+def line_keyed_merge(pages):
+    """merge_pages as it was when it checked the keys itself and removed
+    duplicates by their CDX line: the oracle for the record-keyed one."""
+    keys = {r.urlkey for page in pages for r in page}
+    if len(keys) > 1:
+        raise MixedKeyError(f"pages mix urlkeys: {sorted(keys)}")
+    seen = set()
+    records = []
+    for page in pages:
+        for record in page:
+            line = record.to_line()
+            if line not in seen:
+                seen.add(line)
+                records.append(record)
+    uri_r = records[0].original if records else ""
+    return TimeMap(uri_r, records)
 
 
-class TestFirstCapture:
-    def test_golden_example(self):
-        tm = TimeMap(URL, [full("20020120142510", "A"), full("20020328012821", "B")])
-        ts, mime = first_capture(tm)
-        assert ts.raw == "20020120142510"
-        assert mime == "text/html"
-
-    def test_single_record(self):
-        tm = TimeMap(URL, [full("20100101000000", "A")])
-        assert first_capture(tm)[0].raw == "20100101000000"
-
-    def test_shuffled_matches_min_scan(self, rng):
-        records = make_history(URL, 40, rng)
-        shuffled = records[:]
-        rng.shuffle(shuffled)
-        ts, _ = first_capture(TimeMap(URL, shuffled))
-        assert ts.raw == min(r.timestamp.raw for r in records)
-
-    def test_empty_history_error(self):
-        with pytest.raises(EmptyTimeMapError):
-            first_capture(TimeMap(URL, []))
+# few distinct values, so equal timestamps and exact duplicates are common;
+# no field holds a space, as in every record parsed from a CDX line
+RECORDS = st.builds(
+    CdxRecord,
+    urlkey=st.just(KEY),
+    timestamp=st.sampled_from(["20000101000000", "20000101000001", "20050607080910"])
+    .map(Timestamp14),
+    original=st.sampled_from([URL, "https://www.example.com/"]),
+    mime=st.sampled_from(["text/html", "warc/revisit"]),
+    status=st.sampled_from(["200", "-"]),
+    digest=st.sampled_from(["A", "B"]),
+    length=st.integers(0, 2),
+)
 
 
-class TestAliasComparison:
-    def _tm(self, uri, year):
-        key = "com,example)/index.htm" if "index" in uri else KEY
-        return TimeMap(uri, [CdxRecord(key, Timestamp14(f"{year}0601000000"),
-                                       uri, "text/html", "200", "D", 100)])
+@st.composite
+def paginated(draw, min_size=0):
+    """One history cut into pages, each page after the first optionally
+    opening with the previous page's last record, the pages optionally in
+    reverse order."""
+    history = draw(st.lists(RECORDS, min_size=min_size, max_size=30))
+    cuts = sorted(draw(st.lists(st.integers(0, len(history)), max_size=5)))
+    bounds = [0, *cuts, len(history)]
+    pages = [history[a:b] for a, b in zip(bounds, bounds[1:])]
+    for i in range(1, len(pages)):
+        if pages[i - 1] and draw(st.booleans()):
+            pages[i] = [pages[i - 1][-1], *pages[i]]
+    return pages[::-1] if draw(st.booleans()) else pages
 
-    def test_alias_earlier(self):
-        root = self._tm(URL, 2000)
-        alias = self._tm("http://example.com/index.htm", 1999)
-        (row,) = compare_alias_first_capture(root, [alias])
-        assert row.alias_earlier
-        assert (row.alias_year, row.root_year) == (1999, 2000)
 
-    def test_empty_alias_skipped(self):
-        root = self._tm(URL, 2000)
-        (row,) = compare_alias_first_capture(root, [TimeMap("http://example.com/index.htm", [])])
-        assert row.skipped
-        assert not row.alias_earlier
+class TestMergePagesOracle:
+    @given(paginated())
+    def test_equal_records_in_equal_order(self, pages):
+        assert merge_pages(pages).records == line_keyed_merge(pages).records
 
-    def test_same_year_not_earlier(self):
-        root = TimeMap(URL, [full("20000101000000", "A")])
-        alias = self._tm("http://example.com/index.htm", 2000)
-        (row,) = compare_alias_first_capture(root, [alias])
-        assert not row.alias_earlier
+    @given(paginated(min_size=1), st.data())
+    def test_mixed_keys_still_rejected(self, pages, data):
+        page = data.draw(st.sampled_from(pages))
+        foreign = replace(data.draw(RECORDS), urlkey="com,other)/")
+        page.insert(data.draw(st.integers(0, len(page))), foreign)
+        with pytest.raises(MixedKeyError):
+            line_keyed_merge(pages)
+        with pytest.raises(MixedKeyError):
+            merge_pages(pages)
