@@ -228,7 +228,8 @@ def cmd_fetch_first(stage: Stage, args) -> None:
 
 def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
     """The archived rows of a fetch-first TSV; rows without a capture count
-    as ``no_capture``, rows whose URL does not parse as ``unparseable``."""
+    as ``no_capture``, rows whose URL or timestamp does not parse as
+    ``unparseable``."""
     counts = stage.counts
     counts.setdefault("no_capture", 0)
     counts.setdefault("unparseable", 0)
@@ -246,7 +247,7 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl
                 continue
             try:
                 entry = parse_url(url_text), parse_timestamp(ts)
-            except SurtError:
+            except (SurtError, CdxParseError):
                 counts["unparseable"] += 1
                 continue
             yield entry
@@ -256,22 +257,26 @@ def cmd_sample(stage: Stage, args) -> None:
     cfg, counts = stage.cfg, stage.counts
     os.makedirs(args.out_dir, exist_ok=True)
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    entries = list(_read_first_captures(stage, args.first_captures))
-    counts["input"] = len(entries)
+    counts.update(input=0, roots_added=0)
+    missing = sampler.MissingRoots()
 
-    # upsample: add roots for hosts seen only through deep links
-    roots = sampler.extract_missing_roots(url for url, _ in entries)
-    counts["missing_roots"] = len(roots)
-    counts["roots_added"] = 0
-    if roots and cfg.endpoint:
-        cdx_client = stage.client
-        for root, record, _ in stage.map_urls(
-                lambda root: cdx_client.fetch_first_record(root.text), roots):
-            if record is not None:
-                entries.append((root, record.timestamp))
-                counts["roots_added"] += 1
+    def rows() -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
+        for url, first_capture in _read_first_captures(stage, args.first_captures):
+            counts["input"] += 1
+            missing.add(url)
+            yield url, first_capture
+        # upsample: add roots for hosts seen only through deep links
+        roots = list(missing.roots.values())
+        counts["missing_roots"] = len(roots)
+        if roots and cfg.endpoint:
+            cdx_client = stage.client
+            for root, record, _ in stage.map_urls(
+                    lambda root: cdx_client.fetch_first_record(root.text), roots):
+                if record is not None:
+                    counts["roots_added"] += 1
+                    yield root, record.timestamp
 
-    result = sampler.bucket_by_first_year(entries)
+    result = sampler.bucket_by_first_year(rows())
     counts["dropped_pre_1996"] = result.dropped_pre_1996
 
     params = sampler.DownsampleParams(
@@ -292,7 +297,7 @@ def cmd_sample(stage: Stage, args) -> None:
             for domain in reduced.domains:  # in domain-key order
                 k = sampler.downsample_count(domain.n_urls, run_params)
                 for url in sampler.select_urls(domain, k, cfg.seed):
-                    fh.write(url.text + "\n")
+                    fh.write(url + "\n")
                 selected += k
         counts["selected_total"] += selected
         bucket_reports.append({

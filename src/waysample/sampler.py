@@ -47,21 +47,17 @@ class DownsampleParams:
             raise ValueError("tail_keep_fraction must be in (0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainCount:
+    """A domain's distinct URL texts in first-occurrence order; the first root's text."""
+
     domain: str
-    urls: list[CanonicalUrl] = field(default_factory=list)
+    urls: list[str] = field(default_factory=list)
+    root: str | None = None
 
     @property
     def n_urls(self) -> int:
         return len(self.urls)
-
-    @property
-    def root(self) -> CanonicalUrl | None:
-        for url in self.urls:
-            if url.is_root:
-                return url
-        return None
 
 
 @dataclass
@@ -120,27 +116,33 @@ def bucket_by_first_year(
     """Group URLs by first-capture year: pre-1996 dropped and counted,
     1996-2000 merged into one bucket, each later year on its own. Buckets
     are in label order, their domains in domain-key order, and the URLs of a
-    domain in first-occurrence order."""
+    domain in first-occurrence order. ``entries`` is read once, and a URL is
+    kept as its text, which determines it (the host holds no ``/`` or ``?``,
+    the path no ``?``, a query is never ``""``), so duplicate texts are
+    exactly duplicate URLs."""
     by_label: dict[str, dict[str, DomainCount]] = {}
     # a URL's domain key is a function of the URL, so seen in the bucket
     # means seen in its domain
-    seen_by_label: dict[str, set[CanonicalUrl]] = {}
+    seen_by_label: dict[str, set[str]] = {}
     dropped = 0
     for url, first_capture in entries:
         label = year_bucket_label(first_capture.year)
         if label is None:
             dropped += 1
             continue
+        text = url.text
         seen = seen_by_label.setdefault(label, set())
-        if url in seen:
+        if text in seen:
             continue
-        seen.add(url)
+        seen.add(text)
         domains = by_label.setdefault(label, {})
         key = domain_key(url.host)
         dc = domains.get(key)
         if dc is None:
             dc = domains[key] = DomainCount(key)
-        dc.urls.append(url)
+        dc.urls.append(text)
+        if dc.root is None and url.is_root:
+            dc.root = text
     buckets = [
         YearBucket(label, [domains[k] for k in sorted(domains)])
         for label, domains in sorted(by_label.items())
@@ -148,17 +150,28 @@ def bucket_by_first_year(
     return BucketingResult(buckets, dropped)
 
 
+class MissingRoots:
+    """One root URL per host seen only through deep links, in the order of
+    each host's first deep link; ``add`` takes one URL at a time."""
+
+    def __init__(self):
+        self.hosts_with_root: set[str] = set()
+        self.roots: dict[str, CanonicalUrl] = {}
+
+    def add(self, url: CanonicalUrl) -> None:
+        if url.is_root:
+            self.hosts_with_root.add(url.host)
+            self.roots.pop(url.host, None)
+        elif url.host not in self.hosts_with_root and url.host not in self.roots:
+            self.roots[url.host] = trim_to_root(url)
+
+
 def extract_missing_roots(urls: Iterable[CanonicalUrl]) -> list[CanonicalUrl]:
     """One root URL per host that appears only via deep links."""
-    hosts_with_root: set[str] = set()
-    roots_by_host: dict[str, CanonicalUrl] = {}
+    missing = MissingRoots()
     for url in urls:
-        if url.is_root:
-            hosts_with_root.add(url.host)
-            roots_by_host.pop(url.host, None)
-        elif url.host not in hosts_with_root and url.host not in roots_by_host:
-            roots_by_host[url.host] = trim_to_root(url)
-    return list(roots_by_host.values())
+        missing.add(url)
+    return list(missing.roots.values())
 
 
 @dataclass
@@ -286,7 +299,7 @@ def calibrate_k(bucket: YearBucket, c: int, target: int) -> CalibrationResult:
     return CalibrationResult(hi, best_total, overshoot=False)
 
 
-def select_urls(domain: DomainCount, k: int, seed: int) -> list[CanonicalUrl]:
+def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
     """Pick k URLs from a domain: the root URL always included when present,
     the rest chosen by single-pass reservoir selection.
 
@@ -296,17 +309,20 @@ def select_urls(domain: DomainCount, k: int, seed: int) -> list[CanonicalUrl]:
         raise ValueError("k must be >= 1 (C >= 1 forbids zero selections)")
     if k > domain.n_urls:
         raise ValueError(f"k={k} exceeds domain URL count {domain.n_urls}")
-    rng = random.Random(f"{seed}|select|{domain.domain}")
     root = domain.root
-    selected: list[CanonicalUrl] = []
+    if k == domain.n_urls:
+        # the reservoir takes every URL in order and never draws
+        return ([] if root is None else [root]) + [u for u in domain.urls if u != root]
+    rng = random.Random(f"{seed}|select|{domain.domain}")
+    selected: list[str] = []
     remaining = k
     if root is not None:
         selected.append(root)
         remaining -= 1
-    reservoir: list[CanonicalUrl] = []
+    reservoir: list[str] = []
     seen = 0
     for url in domain.urls:
-        if root is not None and url is root:
+        if root is not None and url == root:
             continue
         if seen < remaining:
             reservoir.append(url)

@@ -53,6 +53,12 @@ _SESSION_PATTERNS = [
     re.compile(r"^(.*)(?:ASPSESSIONID[a-zA-Z]{8}=[a-zA-Z]{24})(?:&(.*))?$", re.I),
     re.compile(r"^(.*)(?:cfid=[^&]+&cftoken=[^&]+)(?:&(.*))?$", re.I),
 ]
+# each session pattern matches only where this does, so one search rules all
+# five out without their backtracking over the whole URL; the lookahead lets
+# the search skip to the positions where a token can start
+_SESSION_TOKEN_RE = re.compile(
+    r"(?=[jsac])(?:(?:jsessionid|sid)=[0-9a-z]{32}|aspsessionid[a-z]{8}=[a-z]{24}"
+    r"|cfid=[^&]+&cftoken=)", re.I)
 
 _INDEX_ALIAS_RE = re.compile(r"^index\.[a-zA-Z]+$")
 
@@ -108,6 +114,8 @@ def detect_session_alias(url: str) -> tuple[bool, str]:
     Returns (matched, stripped) where stripped removes the token and any
     dangling ``?``/``&``/``;`` separators; idempotent by construction.
     """
+    if not _SESSION_TOKEN_RE.search(url):
+        return False, url
     for pattern in _SESSION_PATTERNS:
         m = pattern.match(url)
         if m:

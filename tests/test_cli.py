@@ -4,6 +4,7 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -245,6 +246,88 @@ class TestSample:
         counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
         assert (counts["no_capture"], counts["unparseable"]) == (2, 2)
         assert counts["input"] + counts["no_capture"] + counts["unparseable"] == len(rows)
+
+    def test_malformed_timestamp_is_unparseable(self, tmp_path):
+        first = tmp_path / "first.tsv"
+        write_lines(first, ["http://a.com/\t2005", "http://b.com/\t20050101000000"])
+        out_dir = tmp_path / "sample"
+        assert main(["sample", "--first-captures", str(first),
+                     "--out-dir", str(out_dir), "--target", "10"]) == 0
+        counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+        assert (counts["input"], counts["no_capture"], counts["unparseable"]) == (1, 0, 1)
+        assert read_lines(out_dir / "bucket_2005.txt") == ["http://b.com/"]
+        stats_manifest = tmp_path / "stats.json"
+        assert main(["stats", "--first-captures", str(first), "--out-dir", str(tmp_path / "stats"),
+                     "--manifest", str(stats_manifest)]) == 0
+        counts = json.loads(stats_manifest.read_text())["counts"]
+        assert (counts["first_capture_years"], counts["unparseable"]) == (1, 1)
+
+    def test_first_captures_from_stdin(self, tmp_path, archive, monkeypatch):
+        first = self._first_captures(tmp_path, archive)
+        outputs = []
+        for run, source in (("file", str(first)), ("stdin", "-")):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(first.read_text()))
+            out_dir = tmp_path / run
+            assert main(["sample", "--first-captures", source, "--out-dir", str(out_dir),
+                         "--target", "100", "--seed", "3"]) == 0
+            counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+            outputs.append((counts, {name: read_lines(out_dir / name)
+                                     for name in os.listdir(out_dir)
+                                     if name.startswith("bucket_")}))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["input"] == len(read_lines(first))
+
+
+def _synthetic_first_captures(path, n_rows, seed=5):
+    """A fetch-first TSV of n_rows shaped like a web index: Pareto domain
+    sizes, some www hosts, a root for most domains, some queries, first
+    captures from 1994 on that cluster after each domain's first year, 3% of
+    rows without a capture and 1% repeated rows."""
+    rng = random.Random(seed)
+    lines = []
+    d = 0
+    while len(lines) < n_rows:
+        d += 1
+        host = f"{rng.choice(['', '', 'www.'])}host{d}.example.com"
+        start = rng.randint(1994, 2020)
+        paths = ["/"] if rng.random() < 0.95 else []
+        paths += [f"/dir{j % 7}/page{j}.html" + (f"?id={j}" if rng.random() < 0.1 else "")
+                  for j in range(int(rng.paretovariate(1.4)))]
+        for path_part in paths:
+            if rng.random() < 0.03:
+                lines.append(f"http://{host}{path_part}\t-\t-\tempty")
+                continue
+            year = min(2021, start + int(rng.expovariate(0.7)))
+            lines.append(f"http://{host}{path_part}\t{year}0615120000\ttext/html\tok")
+            if rng.random() < 0.01:
+                lines.append(lines[-1])
+    write_lines(path, lines[:n_rows])
+
+
+# Peak traced bytes that `sample` adds per first-capture row between the two
+# sizes below (Python 3.11): 593 when the stage held every row as a
+# (CanonicalUrl, Timestamp14) tuple and each kept URL as a CanonicalUrl, 309
+# with one canonical text per kept URL. The bound allows 60% of the former.
+LIST_BASED_BYTES_PER_ROW = 593
+
+
+def test_sample_memory_per_row_is_bounded(tmp_path):
+    sizes = (10_000, 40_000)
+    peaks = []
+    for n_rows in sizes:
+        _synthetic_first_captures(tmp_path / f"first{n_rows}.tsv", n_rows)
+    tracemalloc.start()
+    try:
+        for n_rows in sizes:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["sample", "--first-captures", str(tmp_path / f"first{n_rows}.tsv"),
+                         "--out-dir", str(tmp_path / f"out{n_rows}"), "--target", "500"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    bytes_per_row = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    assert bytes_per_row <= 0.6 * LIST_BASED_BYTES_PER_ROW, bytes_per_row
 
 
 class TestReintegrate:

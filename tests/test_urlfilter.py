@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waysample.surt import parse_url
 from waysample.urlfilter import (
@@ -126,6 +127,67 @@ class TestSessionAlias:
             _, once = detect_session_alias(url)
             _, twice = detect_session_alias(once)
             assert twice == once
+
+
+# detect_session_alias before its one-search guard: the oracle for the guarded version
+_ORACLE_SESSION_PATTERNS = [
+    re.compile(r"^(.*)(?:jsessionid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
+    re.compile(r"^(.*)(?:phpsessid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
+    re.compile(r"^(.*)(?:sid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
+    re.compile(r"^(.*)(?:ASPSESSIONID[a-zA-Z]{8}=[a-zA-Z]{24})(?:&(.*))?$", re.I),
+    re.compile(r"^(.*)(?:cfid=[^&]+&cftoken=[^&]+)(?:&(.*))?$", re.I),
+]
+
+
+def _oracle_session_alias(url: str) -> tuple[bool, str]:
+    for pattern in _ORACLE_SESSION_PATTERNS:
+        m = pattern.match(url)
+        if m:
+            before, after = m.group(1), m.group(2)
+            if after:
+                stripped = before + after
+            else:
+                stripped = before.rstrip("&;?")
+            return True, stripped
+    return False, url
+
+
+# a prefix, a session token and a suffix; the tokens in mixed case,
+# with values of the right length and of lengths one off, drawn with the
+# characters that re.I folds onto ASCII letters: U+017F (long s) onto s and
+# U+212A (Kelvin sign) onto k
+def _session_value(alphabet, *lengths):
+    return st.sampled_from(lengths).flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+
+
+def _session_token(names, *parts):
+    return st.tuples(st.sampled_from(names), *parts).map("".join)
+
+
+_LETTERS = "aZsKk\u017f\u212a"
+_SESSION_TOKENS = st.one_of(
+    _session_token(["jsessionid=", "JSessionID=", "phpsessid=", "PHPSESSID=", "sid=", "SiD=",
+                    "\u017fid="], _session_value(_LETTERS + "09", 32, 31, 33)),
+    _session_token(["aspsessionid", "ASPSessionID", "a\u017fp\u017fe\u017f\u017fionid"],
+                   _session_value(_LETTERS, 8, 7), st.sampled_from(["=", ""]),
+                   _session_value(_LETTERS, 24, 23)),
+    _session_token(["cfid=", "CFID="], _session_value(_LETTERS + "0", 1, 0, 3),
+                   st.sampled_from(["&cftoken=", "&CFTO\u212aEN=", "&cftoken", "&"]),
+                   _session_value(_LETTERS + "0", 1, 0, 3)),
+)
+_SESSION_URLS = st.tuples(
+    st.lists(st.sampled_from(["https://a.com/p", "?", "&", ";", "\n", "\u017f"]),
+             max_size=3).map("".join),
+    _SESSION_TOKENS,
+    st.sampled_from(["", "&", "&keep=1", ";"]),
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_SESSION_URLS)
+def test_session_alias_matches_five_pattern_oracle(url):
+    assert detect_session_alias(url) == _oracle_session_alias(url)
 
 
 class TestIndexAlias:
