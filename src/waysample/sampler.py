@@ -310,10 +310,8 @@ def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
     if k > domain.n_urls:
         raise ValueError(f"k={k} exceeds domain URL count {domain.n_urls}")
     root = domain.root
-    if k == domain.n_urls:
-        # the reservoir takes every URL in order and never draws
-        return ([] if root is None else [root]) + [u for u in domain.urls if u != root]
-    rng = random.Random(f"{seed}|select|{domain.domain}")
+    # when every URL is kept the reservoir takes them in order and never draws
+    rng = random.Random(f"{seed}|select|{domain.domain}") if k < domain.n_urls else None
     selected: list[str] = []
     remaining = k
     if root is not None:

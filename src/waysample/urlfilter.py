@@ -44,21 +44,23 @@ _EXTENSION_PATTERNS: list[tuple[Heuristic, re.Pattern]] = [
     (Heuristic.Htm, re.compile(r"\.htm$", re.I)),
 ]
 
-# session-ID shapes, matched case-insensitively against the full URL text
+# session-ID tokens, matched case-insensitively against the full URL text
 # so both query-string and path-parameter placements are caught
-_SESSION_PATTERNS = [
-    re.compile(r"^(.*)(?:jsessionid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
-    re.compile(r"^(.*)(?:phpsessid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
-    re.compile(r"^(.*)(?:sid=[0-9a-zA-Z]{32})(?:&(.*))?$", re.I),
-    re.compile(r"^(.*)(?:ASPSESSIONID[a-zA-Z]{8}=[a-zA-Z]{24})(?:&(.*))?$", re.I),
-    re.compile(r"^(.*)(?:cfid=[^&]+&cftoken=[^&]+)(?:&(.*))?$", re.I),
+_SESSION_TOKENS = [
+    r"jsessionid=[0-9a-zA-Z]{32}",
+    r"phpsessid=[0-9a-zA-Z]{32}",
+    r"sid=[0-9a-zA-Z]{32}",
+    r"ASPSESSIONID[a-zA-Z]{8}=[a-zA-Z]{24}",
+    r"cfid=[^&]+&cftoken=[^&]+",
 ]
-# each session pattern matches only where this does, so one search rules all
-# five out without their backtracking over the whole URL; the lookahead lets
-# the search skip to the positions where a token can start
+_SESSION_PATTERNS = [re.compile(rf"^(.*)(?:{t})(?:&(.*))?$", re.I) for t in _SESSION_TOKENS]
+# a session pattern matches only where its token occurs, so one search for any
+# token rules all of them out without their backtracking over the whole URL;
+# every token starts with a letter, and the lookahead on those first letters
+# lets the search skip the positions where none can start
 _SESSION_TOKEN_RE = re.compile(
-    r"(?=[jsac])(?:(?:jsessionid|sid)=[0-9a-z]{32}|aspsessionid[a-z]{8}=[a-z]{24}"
-    r"|cfid=[^&]+&cftoken=)", re.I)
+    "(?=[%s])(?:%s)" % ("".join(t[0] for t in _SESSION_TOKENS), "|".join(_SESSION_TOKENS)),
+    re.I)
 
 _INDEX_ALIAS_RE = re.compile(r"^index\.[a-zA-Z]+$")
 
