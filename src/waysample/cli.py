@@ -43,10 +43,12 @@ class Stage:
     """The plumbing every subcommand shares.
 
     It loads the config file, overridden by every parsed flag whose dest
-    names a config field; keeps the outcome counts; opens ``-`` as stdin or
-    stdout without closing it; builds the CDX client on first use; and,
-    once the subcommand returns or fails, writes the ``--log`` TSV and the
-    manifest.
+    names a config field; builds the CDX client of a subcommand that takes
+    ``--endpoint``, when an endpoint is configured; keeps the outcome counts;
+    opens ``-`` as stdin or stdout without closing it; and, once the
+    subcommand returns or fails, writes the ``--log`` TSV and the manifest.
+    A config or client setting that is unusable raises ``ValueError`` here,
+    before the subcommand opens any file.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -57,24 +59,21 @@ class Stage:
         self.counts: dict = {}
         self.manifest = args.manifest
         self._client: client_mod.ArchiveClient | None = None
+        if hasattr(args, "endpoint") and self.cfg.endpoint:
+            self._client = client_mod.ArchiveClient(
+                base_url=self.cfg.endpoint,
+                retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
+                                             backoff_base=self.cfg.backoff_base),
+                politeness_limit=self.cfg.politeness_limit,
+                request_delay=self.cfg.request_delay,
+                storage_dir=self.cfg.storage_dir,
+            )
         self._started = time.monotonic()
 
     @property
     def client(self) -> client_mod.ArchiveClient:
         if self._client is None:
-            if not self.cfg.endpoint:
-                raise SystemExit("configuration error: no CDX endpoint configured")
-            try:
-                self._client = client_mod.ArchiveClient(
-                    base_url=self.cfg.endpoint,
-                    retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
-                                                 backoff_base=self.cfg.backoff_base),
-                    politeness_limit=self.cfg.politeness_limit,
-                    request_delay=self.cfg.request_delay,
-                    storage_dir=self.cfg.storage_dir,
-                )
-            except ValueError as exc:
-                raise SystemExit(f"configuration error: {exc}") from None
+            raise SystemExit("configuration error: no CDX endpoint configured")
         return self._client
 
     @contextmanager
@@ -136,7 +135,6 @@ class Stage:
 
     def finish(self, status: str) -> None:
         """Write the ``--log`` TSV, if a client was built, and the manifest."""
-        # not the client property: after a configuration error it would raise again
         if self._client is not None:
             self._client.close()
             if getattr(self.args, "log", None):
@@ -354,8 +352,11 @@ def cmd_fetch(stage: Stage, args) -> None:
 
     def targets() -> Iterator[tuple[str, str | None]]:
         for url in stage.urls(args.input):
-            yield url, (os.path.join(args.out_dir, timemap_filename(url))
-                        if _fetchable(url) else None)
+            try:
+                name = None if urlfilter.detect_wildcard(url) else timemap_filename(url)
+            except SurtError:  # no SURT key, e.g. an empty host label, which filter passes
+                name = None
+            yield url, name and os.path.join(args.out_dir, name)
 
     def fetch(target: tuple[str, str | None]) -> str:
         url, path = target
@@ -550,7 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stage = Stage(args)
+    try:
+        stage = Stage(args)
+    except ValueError as exc:
+        raise SystemExit(f"configuration error: {exc}") from None
     status = "failed"
     try:
         args.func(stage, args)

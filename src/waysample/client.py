@@ -3,8 +3,8 @@ fetches, retries with exponential backoff, a politeness ceiling on
 concurrent requests, and content-addressed raw-response persistence.
 
 Safe for concurrent use; per-URL fetches are independent tasks coordinated
-only by the politeness semaphore and the request pacing, and each thread
-keeps its own connection.
+only by a pool of ``politeness_limit`` keep-alive connections, which every
+request attempt holds one of, and by the request pacing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import random
 import socket
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from urllib.parse import urlencode, urlsplit
@@ -118,6 +117,7 @@ class ArchiveClient:
     timeout: float = 30.0
 
     def __post_init__(self):
+        import queue  # imported here: the offline stages build no client and do without it
         parts = urlsplit(self.base_url)
         if (parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc
                 or parts.query or parts.fragment or not self.base_url.isascii()):
@@ -125,14 +125,16 @@ class ArchiveClient:
                              f"without userinfo or query, got {self.base_url!r}")
         if self.politeness_limit < 1:
             raise ValueError(f"politeness limit must be at least 1, got {self.politeness_limit}")
-        self._new_connection = partial(http.client.HTTPSConnection if parts.scheme == "https"
-                                       else http.client.HTTPConnection,
-                                       parts.hostname, parts.port, timeout=self.timeout)
+        new_connection = partial(http.client.HTTPSConnection if parts.scheme == "https"
+                                 else http.client.HTTPConnection,
+                                 parts.hostname, parts.port, timeout=self.timeout)
         self._path = parts.path or "/"
-        self._local = threading.local()
-        self._connections = weakref.WeakSet()  # a thread's connection goes with the thread
+        # the politeness ceiling; none opens a socket before its first request, and
+        # last in, first out keeps a lone caller on one warm connection
+        self._pool: queue.LifoQueue = queue.LifoQueue()
+        for _ in range(self.politeness_limit):
+            self._pool.put(new_connection())
         self._answered = False  # some request got an HTTP response
-        self._semaphore = threading.BoundedSemaphore(self.politeness_limit)
         self._lock = threading.Lock()
         self._next_start = 0.0  # monotonic time before which no request may start
         self._logs: list[FetchLog] = []
@@ -144,9 +146,9 @@ class ArchiveClient:
             return list(self._logs)
 
     def close(self) -> None:
-        """Close every thread's connection; a later request opens a new one."""
-        with self._lock:
-            for conn in self._connections:
+        """Close the idle connections; each reopens on its next request."""
+        with self._pool.mutex:
+            for conn in self._pool.queue:
                 conn.close()
 
     def _store_body(self, body: bytes) -> str | None:
@@ -173,15 +175,10 @@ class ArchiveClient:
             self._next_start = start + self.request_delay
         time.sleep(start - now)
 
-    def _exchange(self, target: str) -> tuple[int, bytes, str | None]:
-        """Status, body and Location of a GET on this thread's keep-alive connection;
-        a reused one that the server closed while idle is replaced, once."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._new_connection()
-            with self._lock:
-                self._connections.add(conn)
-            weakref.finalize(threading.current_thread(), conn.close)  # closed once its thread is gone
+    def _exchange(self, conn: http.client.HTTPConnection,
+                  target: str) -> tuple[int, bytes, str | None]:
+        """Status, body and Location of a GET on a keep-alive connection; on a
+        reused one that the server closed while idle, the GET is sent again, once."""
         resend = conn.sock is not None
         while True:
             try:
@@ -202,13 +199,14 @@ class ArchiveClient:
         target = f"{self._path}?{urlencode(params)}"
         last_status: int | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
-            with self._semaphore:
+            conn = self._pool.get()
+            try:
                 if self.request_delay:
                     self._pace()
                 start = time.monotonic()
                 status, body, location, unreachable = 0, b"", None, False
                 try:
-                    status, body, location = self._exchange(target)
+                    status, body, location = self._exchange(conn, target)
                     self._answered = True
                 except (ConnectionRefusedError, socket.gaierror):
                     unreachable = not self._answered
@@ -217,6 +215,8 @@ class ArchiveClient:
                 duration = time.monotonic() - start
                 stored_at = self._store_body(body) if body else None
                 self._log(FetchLog(query, status, attempt, duration, stored_at))
+            finally:
+                self._pool.put(conn)
             if 200 <= status < 300:
                 return body.decode("utf-8")
             last_status = status

@@ -218,14 +218,12 @@ def reintegrate_popular(
     return ReintegrationResult(per_year, unmet)
 
 
-def reduce_long_tail(bucket: YearBucket, params: DownsampleParams,
-                     rng: random.Random | None = None) -> YearBucket:
+def reduce_long_tail(bucket: YearBucket, params: DownsampleParams) -> YearBucket:
     """When a bucket holds more distinct domains than the tail threshold,
     uniformly retain tail_keep_fraction of its single-URL domains."""
     if bucket.n_domains <= params.tail_threshold:
         return bucket
-    if rng is None:
-        rng = random.Random(f"{params.seed}|tail|{bucket.label}")
+    rng = random.Random(f"{params.seed}|tail|{bucket.label}")
     singles = [d for d in bucket.domains if d.n_urls == 1]
     if not singles:
         return bucket

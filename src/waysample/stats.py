@@ -30,18 +30,12 @@ def domain_counts(urls: Iterable[CanonicalUrl]) -> Counter:
 def ccdf_points(counts: Iterable[int]) -> list[tuple[int, float]]:
     """CCDF of a count distribution: for each observed x, the percentage of
     items whose count is >= x. Nonincreasing; 100% at the minimum count."""
-    values = sorted(counts)
-    total = len(values)
-    if total == 0:
-        return []
+    tally = Counter(counts)
+    total = n_ge = sum(tally.values())
     points = []
-    n_ge = total
-    i = 0
-    for x in sorted(set(values)):
-        while i < total and values[i] < x:
-            i += 1
-            n_ge -= 1
+    for x in sorted(tally):
         points.append((x, 100.0 * n_ge / total))
+        n_ge -= tally[x]
     return points
 
 

@@ -233,6 +233,26 @@ class TestSample:
             selected += read_lines(out_dir / f"bucket_{bucket['label']}.txt")
         assert sum(1 for line in selected if line.endswith(".com/")) == 4
 
+    @pytest.mark.parametrize("suffix, flags, config", [
+        ("", ["--endpoint", "ftp://bad/cdx"], {}),
+        ("deep/p.php", ["--endpoint", "ftp://bad/cdx"], {}),
+        ("deep/p.php", ["--endpoint", "http://127.0.0.1:9/cdx"], {"politeness_limit": 0}),
+    ])
+    def test_unusable_client_fails_before_any_output(self, tmp_path, archive,
+                                                      suffix, flags, config):
+        # root rows leave no root to look up; deep links alone leave one missing per host
+        _, histories = archive
+        first = tmp_path / "first.tsv"
+        write_lines(first, [f"{url}\t{history[0].timestamp.raw}"
+                            for url, history in sorted(histories.items()) if url.endswith(suffix)])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "sample"
+        with pytest.raises(SystemExit, match="configuration error"):
+            main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir),
+                  "--config", str(config_path), *flags])
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "first.tsv"]  # no out-dir, no manifest
+
     def test_dropped_rows_are_counted(self, tmp_path, archive):
         first = self._first_captures(tmp_path, archive)
         rows = read_lines(first) + ["http://unarchived.com/\t-\t-\tempty",
@@ -396,6 +416,21 @@ class TestFetchAndRehydrate:
         assert set(report.values()) == {"resumed"}
         assert server.request_count == before
         assert counts_adding_up(manifest)["resumed"] == len(urls)
+
+    def test_url_without_surt_key_is_skipped(self, tmp_path, archive):
+        server, histories = archive
+        good = sorted(histories)[:2]
+        urls = [good[0], "http://a..com/", "http://a,b.com/x", good[1]]  # filter passes both
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        manifest = tmp_path / "manifest.json"
+        write_lines(inp, urls)
+        assert main(["fetch", str(inp), "--out-dir", str(out_dir),
+                     "--endpoint", server.endpoint, "--manifest", str(manifest)]) == 0
+        report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
+        assert [report[u] for u in urls] == ["ok", "skipped", "skipped", "ok"]
+        counts = counts_adding_up(manifest)
+        assert (counts["fetched"], counts["skipped"]) == (2, 2)
 
     @pytest.mark.parametrize("kind", ["numpages", 1])
     def test_malformed_response_is_an_error_row(self, tmp_path, archive, kind):
@@ -712,7 +747,7 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
     inp = tmp_path / "urls.txt"
     write_lines(inp, INDEX_SAMPLE)
     paths = {"IN": str(inp), "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path)}
-    with pytest.raises(ValueError, match="unknown config keys"):
+    with pytest.raises(SystemExit, match="unknown config keys"):
         main([paths.get(a, a) for a in argv] + ["--config", str(config)])
     assert not (tmp_path / "out.tsv").exists()
 
@@ -736,7 +771,7 @@ def test_out_of_range_config_fails_before_any_output(tmp_path, argv, config):
     before = sorted(os.listdir(tmp_path))
     paths = {"IN": str(inp), "IN_DIR": str(tmp_path / "in_dir"),
              "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path / "out")}
-    with pytest.raises(ValueError, match="config key"):
+    with pytest.raises(SystemExit, match="config key"):
         main([paths.get(a, a) for a in argv]
              + ["--config", str(config_path), "--manifest", str(tmp_path / "m.json")])
     assert sorted(os.listdir(tmp_path)) == before

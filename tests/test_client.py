@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import time
+from contextlib import closing
 
 import pytest
 
@@ -89,7 +90,8 @@ class TestPageCount:
 
     def test_exact_boundary(self, corpus):
         with MockCdxServer(corpus[URL_A], page_size=5) as srv:
-            assert ArchiveClient(srv.endpoint, retry=FAST_RETRY).fetch_page_count(URL_A) == 5
+            with closing(ArchiveClient(srv.endpoint, retry=FAST_RETRY)) as client:
+                assert client.fetch_page_count(URL_A) == 5
 
     def test_unarchived_is_zero(self, client):
         assert client.fetch_page_count("http://never-crawled.example/") == 0
@@ -146,12 +148,14 @@ class TestPoliteness:
     def test_concurrency_never_exceeds_limit(self, server):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY, politeness_limit=3)
         server.schedule_delay(None, None, 0.02)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
+        with closing(client), concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
             futures = [pool.submit(client.fetch_first_record, URL_A) for _ in range(24)]
             for future in futures:
                 future.result()
         assert server.max_concurrency <= 3
         assert server.request_count == 24
+        # the limit bounds the connections too, not only the requests in flight
+        assert server.connection_count <= 3
 
     def test_request_delay_is_one_gap_for_all_threads(self, server):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY, politeness_limit=4,
@@ -197,8 +201,9 @@ class TestBodyStorage:
     def test_content_addressed_and_deduplicated(self, server, tmp_path):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY,
                                storage_dir=str(tmp_path))
-        client.fetch_first_record(URL_A)
-        client.fetch_first_record(URL_A)
+        with closing(client):
+            client.fetch_first_record(URL_A)
+            client.fetch_first_record(URL_A)
         paths = {log.stored_at for log in client.logs}
         assert len(paths) == 1
         (path,) = paths
@@ -291,7 +296,7 @@ class TestMalformedResponses:
     def test_malformed_page_is_a_response_error(self, server, tmp_path):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY, storage_dir=str(tmp_path))
         server.schedule_faults(KEY_A, 1, [200])
-        with pytest.raises(CdxResponseError) as exc:
+        with closing(client), pytest.raises(CdxResponseError) as exc:
             client.fetch_timemap(URL_A)
         with open(exc.value.stored_at, "rb") as fh:
             assert fh.read() == b"injected fault\n"
@@ -311,5 +316,8 @@ def test_cli_import_loads_no_http_dependency():
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             check=True, env=env).stdout.split()
     assert "waysample.client" in loaded
+    # logging, concurrent and queue come with the thread pool and the client's
+    # connection pool, which only the network stages build
     assert not {name.split(".")[0] for name in loaded} & {
-        "requests", "urllib3", "idna", "charset_normalizer", "certifi"}
+        "requests", "urllib3", "idna", "charset_normalizer", "certifi",
+        "logging", "concurrent", "queue"}
