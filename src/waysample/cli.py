@@ -18,11 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from collections import deque
 from contextlib import closing, contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, Iterable, Iterator
 from urllib.parse import quote
 
@@ -201,6 +202,7 @@ def cmd_classify(stage: Stage, args) -> None:
 
 
 def _fetchable(url: str) -> bool:
+    """The URLs fetch-first and fetch query: with a SURT key, no trailing wildcard."""
     return urlfilter.is_valid_url(url) and not urlfilter.detect_wildcard(url)
 
 
@@ -277,23 +279,18 @@ def cmd_sample(stage: Stage, args) -> None:
     result = sampler.bucket_by_first_year(rows())
     counts["dropped_pre_1996"] = result.dropped_pre_1996
 
-    params = sampler.DownsampleParams(
-        c=cfg.c,
-        tail_threshold=cfg.tail_threshold,
-        tail_keep_fraction=cfg.tail_keep_fraction,
-        seed=cfg.seed,
-    )
     bucket_reports = counts["buckets"] = []
     counts["selected_total"] = 0
     for bucket in result.buckets:
-        reduced = sampler.reduce_long_tail(bucket, params)
+        reduced = sampler.reduce_long_tail(
+            bucket, cfg.tail_threshold, cfg.tail_keep_fraction, cfg.seed)
         calibration = sampler.calibrate_k(reduced, cfg.c, cfg.target)
-        run_params = replace(params, k=calibration.k)
+        params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
         selected = 0
         out_path = os.path.join(args.out_dir, f"bucket_{bucket.label}.txt")
         with open(out_path, "w", encoding="utf-8") as fh:
             for domain in reduced.domains:  # in domain-key order
-                k = sampler.downsample_count(domain.n_urls, run_params)
+                k = sampler.downsample_count(domain.n_urls, params)
                 for url in sampler.select_urls(domain, k, cfg.seed):
                     fh.write(url + "\n")
                 selected += k
@@ -312,7 +309,7 @@ def cmd_sample(stage: Stage, args) -> None:
 
 def cmd_reintegrate(stage: Stage, args) -> None:
     cfg, cdx_client = stage.cfg, stage.client
-    first, last = (int(part) for part in args.years.split("-"))
+    first, last = args.years
     years = list(range(first, last + 1))
     candidates = list(_parse_urls(stage, args.input))
     lookups = []  # one entry per lookup started, look-ahead included; append is atomic
@@ -352,11 +349,8 @@ def cmd_fetch(stage: Stage, args) -> None:
 
     def targets() -> Iterator[tuple[str, str | None]]:
         for url in stage.urls(args.input):
-            try:
-                name = None if urlfilter.detect_wildcard(url) else timemap_filename(url)
-            except SurtError:  # no SURT key, e.g. an empty host label, which filter passes
-                name = None
-            yield url, name and os.path.join(args.out_dir, name)
+            yield url, (os.path.join(args.out_dir, timemap_filename(url))
+                        if _fetchable(url) else None)
 
     def fetch(target: tuple[str, str | None]) -> str:
         url, path = target
@@ -459,6 +453,20 @@ def cmd_stats(stage: Stage, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _year_range(text: str) -> tuple[int, int]:
+    """``YYYY-YYYY``, first year no later than the last, as ``(first, last)``."""
+    m = re.fullmatch(r"([0-9]{4})-([0-9]{4})", text)
+    if m is None or m[1] > m[2]:  # four digits each, so text order is number order
+        raise argparse.ArgumentTypeError(f"expected YYYY-YYYY, first <= last: {text!r}")
+    return int(m[1]), int(m[2])
+
+
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waysample",
@@ -510,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--endpoint")
-    p.add_argument("--years", default="2016-2021")
+    p.add_argument("--years", type=_year_range, default="2016-2021")
     p.add_argument("--per-year-min", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--log")
@@ -542,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampled", help="post-downsampling URL list")
     p.add_argument("--timemap-dir")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--top-n", type=int, default=20)
+    p.add_argument("--top-n", type=_positive_int, default=20)
     add_common(p)
     p.set_defaults(func=cmd_stats)
 

@@ -10,6 +10,11 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 
+# a key takes a value of its default's kind; no key takes a boolean
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          type(None): ((str, type(None)), "a string or null")}
+
+
 @dataclass
 class PipelineConfig:
     target: int = 1_000_000
@@ -27,10 +32,17 @@ class PipelineConfig:
     storage_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, rule = _KINDS[type(f.default)]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config key {f.name} must be {rule}, got {value!r}")
         for name, ok, rule in (("c", self.c >= 1, ">= 1"),
                                ("tail_keep_fraction", 0 < self.tail_keep_fraction <= 1, "in (0, 1]"),
                                ("cache_capacity", self.cache_capacity >= 1, ">= 1"),
-                               ("per_year_min", self.per_year_min >= 1, ">= 1")):
+                               ("per_year_min", self.per_year_min >= 1, ">= 1"),
+                               ("backoff_base", self.backoff_base >= 0, ">= 0"),
+                               ("request_delay", self.request_delay >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"config key {name} must be {rule}, got {getattr(self, name)!r}")
 

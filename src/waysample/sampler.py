@@ -30,21 +30,16 @@ EARLY_BUCKET_LABEL = "1996-2000"
 
 @dataclass(frozen=True)
 class DownsampleParams:
-    """Knobs of the per-bucket downsampling equation and tail reduction."""
+    """K and C of the per-bucket downsampling equation."""
 
     k: float = 1.0
     c: int = 1
-    tail_threshold: int = 900_000
-    tail_keep_fraction: float = 0.10
-    seed: int = 0
 
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("C must be >= 1")
         if self.k <= 0:
             raise ValueError("K must be positive")
-        if not (0 < self.tail_keep_fraction <= 1):
-            raise ValueError("tail_keep_fraction must be in (0, 1]")
 
 
 @dataclass(slots=True)
@@ -218,16 +213,17 @@ def reintegrate_popular(
     return ReintegrationResult(per_year, unmet)
 
 
-def reduce_long_tail(bucket: YearBucket, params: DownsampleParams) -> YearBucket:
-    """When a bucket holds more distinct domains than the tail threshold,
-    uniformly retain tail_keep_fraction of its single-URL domains."""
-    if bucket.n_domains <= params.tail_threshold:
+def reduce_long_tail(bucket: YearBucket, threshold: int, keep_fraction: float,
+                     seed: int) -> YearBucket:
+    """When a bucket holds more distinct domains than ``threshold``,
+    uniformly retain ``keep_fraction`` of its single-URL domains."""
+    if bucket.n_domains <= threshold:
         return bucket
-    rng = random.Random(f"{params.seed}|tail|{bucket.label}")
+    rng = random.Random(f"{seed}|tail|{bucket.label}")
     singles = [d for d in bucket.domains if d.n_urls == 1]
     if not singles:
         return bucket
-    keep_n = round(len(singles) * params.tail_keep_fraction)
+    keep_n = round(len(singles) * keep_fraction)
     kept = set(
         d.domain for d in rng.sample(sorted(singles, key=lambda d: d.domain), keep_n)
     )

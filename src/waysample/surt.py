@@ -21,6 +21,8 @@ SCHEMES = ("http", "https")
 _WWW_PREFIX_RE = re.compile(r"^www\d*\.")
 # host labels may not be empty or contain SURT structural characters
 _BAD_LABEL_RE = re.compile(r"[,)\s]")
+# a host with a SURT key: dot-separated labels, none empty, none with , ) * or whitespace
+_HOST_RE = re.compile(r"[^.,)*\s]+(?:\.[^.,)*\s]+)*")
 # A lowercase http(s) URL in printable ASCII whose netloc is a non-empty
 # host, then optionally ':' and a port part, with no '@', '[', ']' or '%'.
 # Groups: scheme, host, and the rest from the first '/', '?' or '#' on.
@@ -44,7 +46,7 @@ class UrlConversionError(SurtError):
 
 @dataclass(frozen=True, slots=True)
 class CanonicalUrl:
-    """A canonicalized http(s) URL: lowercase host, no port, no fragment."""
+    """A canonicalized http(s) URL: lowercase host with a SURT key, no port, no fragment."""
 
     scheme: str
     host: str
@@ -54,7 +56,7 @@ class CanonicalUrl:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise UrlConversionError(f"unsupported scheme: {self.scheme!r}")
-        if not self.host or "*" in self.host:
+        if not _HOST_RE.fullmatch(self.host):
             raise UrlConversionError(f"invalid host: {self.host!r}")
         if not self.path.startswith("/"):
             raise UrlConversionError(f"path must start with '/': {self.path!r}")
@@ -131,13 +133,8 @@ def _parse_url_split(url: str) -> CanonicalUrl:
         host = parts.hostname
     except ValueError as exc:
         raise UrlConversionError(f"unparseable URL: {url!r}") from exc
-    scheme = parts.scheme.lower()
-    if scheme not in SCHEMES:
-        raise UrlConversionError(f"unsupported scheme in {url!r}")
-    if not host:
-        raise UrlConversionError(f"missing host in {url!r}")
     query = parts.query if parts.query else None
-    return CanonicalUrl(scheme, host.lower(), parts.path or "/", query)
+    return CanonicalUrl(parts.scheme.lower(), (host or "").lower(), parts.path or "/", query)
 
 
 def strip_www_prefix(host: str) -> str:
@@ -172,9 +169,6 @@ def url_to_surt(url: CanonicalUrl) -> SurtKey:
     result.
     """
     labels = domain_key(url.host).split(".")
-    for label in labels:
-        if not label or _BAD_LABEL_RE.search(label):
-            raise UrlConversionError(f"malformed host label {label!r} in {url.host!r}")
     return SurtKey(tuple(reversed(labels)), url.path, url.query)
 
 

@@ -86,7 +86,9 @@ class FilterVerdict:
 
 
 def is_valid_url(url: str) -> bool:
-    """False for URLs with an empty or wildcard host, or that fail to parse."""
+    """True iff the URL parses, which is iff it has a SURT key: an http(s)
+    URL whose host is dot-separated labels, none empty and none holding
+    ``,``, ``)``, ``*`` or whitespace."""
     try:
         parse_url(url)
     except SurtError:

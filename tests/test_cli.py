@@ -420,7 +420,7 @@ class TestFetchAndRehydrate:
     def test_url_without_surt_key_is_skipped(self, tmp_path, archive):
         server, histories = archive
         good = sorted(histories)[:2]
-        urls = [good[0], "http://a..com/", "http://a,b.com/x", good[1]]  # filter passes both
+        urls = [good[0], "http://a..com/", "http://a,b.com/x", good[1]]  # both invalid to filter
         inp = tmp_path / "urls.txt"
         out_dir = tmp_path / "timemaps"
         manifest = tmp_path / "manifest.json"
@@ -547,6 +547,56 @@ class TestStats:
         # identical pre/post lists correlate perfectly
         (header, row) = read_lines(out_dir / "rank_correlation.csv")
         assert float(row) == pytest.approx(1.0)
+
+
+def test_url_without_surt_key_is_dropped_by_every_stage(tmp_path, archive):
+    server, histories = archive
+    deep = sorted(url for url in histories if url.endswith("deep/p.php"))[:3]
+    # an empty label, a ',' in a label and an empty last label: no SURT key
+    urls = [deep[0], "http://a..com/x", "http://a,b.com/", deep[1], "http://c.com./y", deep[2]]
+    keyless = [url not in histories for url in urls]
+    inp = tmp_path / "urls.txt"
+    write_lines(inp, urls)
+
+    def run(*argv):
+        manifest = tmp_path / f"{argv[0]}.json"
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        return manifest
+
+    def column(path, i):
+        return [line.split("\t")[i] for line in read_lines(path)]
+
+    manifest = run("filter", str(inp), "-o", str(tmp_path / "filter.tsv"))
+    assert column(tmp_path / "filter.tsv", 1) == ["0" if bad else "1" for bad in keyless]
+    assert counts_adding_up(manifest)["invalid"] == 3
+
+    manifest = run("classify", str(inp), "-o", str(tmp_path / "classify.tsv"))
+    assert [h == "-" for h in column(tmp_path / "classify.tsv", 1)] == keyless
+    assert counts_adding_up(manifest)["other"] == 3
+
+    log = tmp_path / "fetch_first.log"
+    manifest = run("fetch-first", str(inp), "-o", str(tmp_path / "first.tsv"),
+                   "--endpoint", server.endpoint, "--log", str(log))
+    assert column(tmp_path / "first.tsv", 3) == ["skipped" if bad else "ok" for bad in keyless]
+    assert counts_adding_up(manifest)["skipped"] == 3
+    assert sorted(column(log, 0)) == deep and server.request_count == 3
+
+    # a capture for every row, so the keyless ones reach the URL parse
+    first = tmp_path / "captures.tsv"
+    write_lines(first, [url + "\t" + (histories[url][0].timestamp.raw if url in histories
+                                      else "20050101000000") for url in urls])
+    out_dir = tmp_path / "sample"
+    run("sample", "--first-captures", str(first), "--out-dir", str(out_dir),
+        "--endpoint", server.endpoint)
+    counts = json.loads((tmp_path / "sample.json").read_text())["counts"]
+    assert (counts["input"], counts["unparseable"], counts["no_capture"]) == (3, 3, 0)
+    # one root lookup for each host with a key, and none for the others
+    assert (counts["missing_roots"], counts["roots_added"]) == (3, 3)
+    assert server.request_count == 3 + 3
+
+    manifest = run("stats", "--urls", str(inp), "--out-dir", str(tmp_path / "stats"))
+    counts = json.loads(manifest.read_text())["counts"]
+    assert (counts["unparseable"], counts["domains_pre"]) == (3, 3)
 
 
 class TestFanOut:
@@ -761,6 +811,20 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
       "--endpoint", "http://127.0.0.1:9/cdx"], {"per_year_min": 0}),
     (["reintegrate", "IN", "--domain", "a.com", "-o", "OUT",
       "--endpoint", "http://127.0.0.1:9/cdx", "--per-year-min", "-1"], {}),
+    (["filter", "IN", "-o", "OUT"], {"c": "x"}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"target": "300"}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"tail_keep_fraction": "0.5"}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"seed": True}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"target": 300.0}),
+    (["fetch-first", "IN", "-o", "OUT", "--endpoint", "http://127.0.0.1:9/cdx"],
+     {"backoff_base": -1}),
+    (["fetch-first", "IN", "-o", "OUT", "--endpoint", "http://127.0.0.1:9/cdx"],
+     {"request_delay": -0.5}),
+    (["fetch-first", "IN", "-o", "OUT", "--endpoint", "http://127.0.0.1:9/cdx"],
+     {"politeness_limit": "2"}),
+    (["fetch-first", "IN", "-o", "OUT"], {"endpoint": 5}),
+    (["fetch", "IN", "--out-dir", "DIR", "--endpoint", "http://127.0.0.1:9/cdx"],
+     {"storage_dir": ["x"]}),
 ])
 def test_out_of_range_config_fails_before_any_output(tmp_path, argv, config):
     inp = tmp_path / "in.tsv"
@@ -774,4 +838,24 @@ def test_out_of_range_config_fails_before_any_output(tmp_path, argv, config):
     with pytest.raises(SystemExit, match="config key"):
         main([paths.get(a, a) for a in argv]
              + ["--config", str(config_path), "--manifest", str(tmp_path / "m.json")])
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["reintegrate", "IN", "--domain", "a.com", "-o", "OUT", "--years", "2016"],
+    ["reintegrate", "IN", "--domain", "a.com", "-o", "OUT", "--years", "20x6-2017"],
+    ["reintegrate", "IN", "--domain", "a.com", "-o", "OUT", "--years", "2021-2016"],
+    ["stats", "--urls", "IN", "--out-dir", "DIR", "--top-n", "-1"],
+    ["stats", "--urls", "IN", "--out-dir", "DIR", "--top-n", "0"],
+    ["stats", "--urls", "IN", "--out-dir", "DIR", "--top-n", "x"],
+])
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv):
+    inp = tmp_path / "in.txt"
+    write_lines(inp, ["http://a.com/", "http://b.com/"])
+    before = sorted(os.listdir(tmp_path))
+    paths = {"IN": str(inp), "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv] + ["--manifest", str(tmp_path / "m.json")])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == before

@@ -224,13 +224,11 @@ def _bucket(domain_sizes, label="2016"):
 class TestLongTail:
     def test_below_threshold_unchanged(self):
         bucket = _bucket([1] * 50 + [5] * 10)
-        params = DownsampleParams(tail_threshold=100, seed=3)
-        assert reduce_long_tail(bucket, params) is bucket
+        assert reduce_long_tail(bucket, 100, 0.10, 3) is bucket
 
     def test_above_threshold_cuts_singletons(self):
         bucket = _bucket([1] * 700 + [5] * 300)
-        params = DownsampleParams(tail_threshold=900, tail_keep_fraction=0.10, seed=3)
-        reduced = reduce_long_tail(bucket, params)
+        reduced = reduce_long_tail(bucket, 900, 0.10, 3)
         singles = [d for d in reduced.domains if d.n_urls == 1]
         multis = [d for d in reduced.domains if d.n_urls > 1]
         assert len(singles) == 70
@@ -238,15 +236,13 @@ class TestLongTail:
 
     def test_no_singletons_unchanged(self):
         bucket = _bucket([5] * 1000)
-        params = DownsampleParams(tail_threshold=900, seed=3)
-        reduced = reduce_long_tail(bucket, params)
+        reduced = reduce_long_tail(bucket, 900, 0.10, 3)
         assert reduced.n_domains == 1000
 
     def test_deterministic(self):
         bucket = _bucket([1] * 500 + [3] * 100)
-        params = DownsampleParams(tail_threshold=400, seed=9)
-        a = reduce_long_tail(bucket, params)
-        b = reduce_long_tail(bucket, params)
+        a = reduce_long_tail(bucket, 400, 0.10, 9)
+        b = reduce_long_tail(bucket, 400, 0.10, 9)
         assert [d.domain for d in a.domains] == [d.domain for d in b.domains]
 
 

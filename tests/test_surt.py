@@ -109,6 +109,30 @@ class TestParseUrl:
         assert outcome(parse_url, url) == outcome(_parse_url_split, url)
 
 
+class TestHostRule:
+    @settings(max_examples=1000)
+    @given(st.sampled_from(["http://", "https://"]),
+           st.lists(st.one_of(st.text("ab9,)* \u00a0", max_size=3),
+                              st.sampled_from(["www", "www2", "com"])),
+                    min_size=1, max_size=4).map(".".join),
+           st.sampled_from(["", "/", "/x", ":80/y", "?q", "#f"]))
+    def test_parses_exactly_when_it_has_a_surt_key(self, scheme, host, rest):
+        def ok(fn, url):
+            try:
+                fn(url)
+            except SurtError:
+                return False
+            return True
+        url = scheme + host + rest
+        assert ok(parse_url, url) == ok(surt_text_for_url, url)
+
+    @pytest.mark.parametrize("host", ["a..com", "a,b.com", "c.com.", ".c.com", "a)b.com",
+                                      "a*.com", "a b.com", "a\u00a0b.com"])
+    def test_host_without_surt_key_rejected(self, host):
+        with pytest.raises(UrlConversionError, match="invalid host"):
+            parse_url(f"http://{host}/x")
+
+
 class TestProperties:
     def test_round_trip(self, rng):
         for _ in range(2000):
