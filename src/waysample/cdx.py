@@ -12,7 +12,9 @@ number.
 from __future__ import annotations
 
 import os
+import re
 import threading
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -38,25 +40,33 @@ def _calendar_datetime(raw: str) -> datetime:
                     int(raw[8:10]), int(raw[10:12]), int(raw[12:14]))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Timestamp14:
+# 14 digits that are a calendar datetime whatever the month's length: year
+# not 0000, month 01-12, day 01-28, hour 00-23, minute and second 00-59
+_COMMON_TIMESTAMP_RE = re.compile(r"(?!0000)[0-9]{4}(?:0[1-9]|1[0-2])(?:0[1-9]|1[0-9]|2[0-8])"
+                                  r"(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]")
+
+
+class Timestamp14(namedtuple("Timestamp14", "raw")):
     """A 14-digit archive timestamp (YYYYMMDDhhmmss).
 
     Only the ASCII digits 0-9 are accepted, so string comparison order
-    equals chronological order, and ordering is defined directly on the
-    raw digits.
+    equals chronological order. It is an immutable 1-tuple of the raw
+    digits, so it orders, compares and hashes by them. The common timestamp is
+    accepted by one regex match; only the others are checked by ``datetime``.
     """
 
-    raw: str
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        r = self.raw
-        if len(r) != 14 or not r.isascii() or not r.isdigit():
-            raise CdxParseError(f"timestamp is not 14 digits: {r!r}")
-        try:
-            _calendar_datetime(r)
-        except ValueError as exc:
-            raise CdxParseError(f"invalid calendar datetime: {r!r}") from exc
+    def __new__(cls, raw: str):
+        if _COMMON_TIMESTAMP_RE.fullmatch(raw) is None:
+            if len(raw) != 14 or not raw.isascii() or not raw.isdigit():
+                raise CdxParseError(f"timestamp is not 14 digits: {raw!r}")
+            try:
+                _calendar_datetime(raw)
+            except ValueError as exc:
+                raise CdxParseError(f"invalid calendar datetime: {raw!r}") from exc
+        return tuple.__new__(cls, (raw,))
 
     @property
     def datetime(self) -> datetime:

@@ -24,10 +24,9 @@ import time
 from collections import deque
 from contextlib import closing, contextmanager
 from dataclasses import fields
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
-from . import client as client_mod
 from . import sampler, stats, timemaps, urlfilter
 from .cdx import (
     CdxParseError,
@@ -39,6 +38,10 @@ from .cdx import (
 )
 from .config import PipelineConfig
 from .surt import CanonicalUrl, SurtError, parse_url, surt_text_for_url
+
+if TYPE_CHECKING:
+    from .client import ArchiveClient
+
 
 class Stage:
     """The plumbing every subcommand shares.
@@ -59,8 +62,10 @@ class Stage:
         self.params = self.cfg.to_dict()
         self.counts: dict = {}
         self.manifest = args.manifest
-        self._client: client_mod.ArchiveClient | None = None
+        self._client: ArchiveClient | None = None
         if hasattr(args, "endpoint") and self.cfg.endpoint:
+            # imported here: it loads http.client, ssl and email, which offline stages do without
+            from . import client as client_mod
             self._client = client_mod.ArchiveClient(
                 base_url=self.cfg.endpoint,
                 retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
@@ -72,7 +77,7 @@ class Stage:
         self._started = time.monotonic()
 
     @property
-    def client(self) -> client_mod.ArchiveClient:
+    def client(self) -> ArchiveClient:
         if self._client is None:
             raise SystemExit("configuration error: no CDX endpoint configured")
         return self._client
@@ -105,8 +110,10 @@ class Stage:
         Any other exception from ``fn``, or closing the generator, cancels the
         items not yet started and waits for the running ones to end.
         """
-        # imported here: it loads logging, 0.6 MB that the offline stages do without
+        # imported here: they load logging and http.client, which the offline stages do without
         from concurrent.futures import ThreadPoolExecutor
+
+        from . import client as client_mod
 
         window: deque = deque()  # (item, key, future or None), in input order
         pool = ThreadPoolExecutor(self.cfg.politeness_limit)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .surt import CanonicalUrl, SurtError, parse_url
 
@@ -30,19 +30,18 @@ class Heuristic(enum.Enum):
     Htm = ".htm"
 
 
-# explicit extensions first; trailing-slash/no-extension is the fallback row
-_EXTENSION_PATTERNS: list[tuple[Heuristic, re.Pattern]] = [
-    (Heuristic.Do, re.compile(r"\.do$", re.I)),
-    (Heuristic.PhpN, re.compile(r"\.php[0-9]?$", re.I)),
-    (Heuristic.Aspx, re.compile(r"\.aspx$", re.I)),
-    (Heuristic.Cgi, re.compile(r"\.cgi$", re.I)),
-    (Heuristic.Pl, re.compile(r"\.pl$", re.I)),
-    (Heuristic.Asp, re.compile(r"\.asp$", re.I)),
-    (Heuristic.Jsp, re.compile(r"\.jsp$", re.I)),
-    (Heuristic.Cfm, re.compile(r"\.cfm$", re.I)),
-    (Heuristic.XHtmlFamily, re.compile(r"\.[a-z]?html$", re.I)),
-    (Heuristic.Htm, re.compile(r"\.htm$", re.I)),
+# explicit extensions first; trailing-slash/no-extension is the fallback row.
+# Each is anchored at the end and holds no dot, so only the segment's last
+# dot can start a match and no segment matches two of them: one search of
+# their alternation finds the one that matches, its group naming it.
+_EXTENSIONS: list[tuple[Heuristic, str]] = [
+    (Heuristic.Do, r"do"), (Heuristic.PhpN, r"php[0-9]?"), (Heuristic.Aspx, r"aspx"),
+    (Heuristic.Cgi, r"cgi"), (Heuristic.Pl, r"pl"), (Heuristic.Asp, r"asp"),
+    (Heuristic.Jsp, r"jsp"), (Heuristic.Cfm, r"cfm"), (Heuristic.XHtmlFamily, r"[a-z]?html"),
+    (Heuristic.Htm, r"htm"),
 ]
+_EXTENSION_RE = re.compile(
+    r"\.(?:%s)$" % "|".join(f"({pattern})" for _, pattern in _EXTENSIONS), re.I)
 
 # session-ID tokens, matched case-insensitively against the full URL text
 # so both query-string and path-parameter placements are caught
@@ -65,8 +64,7 @@ _SESSION_TOKEN_RE = re.compile(
 _INDEX_ALIAS_RE = re.compile(r"^index\.[a-zA-Z]+$")
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     url: str
     valid: bool
     likely_html: Heuristic | None
@@ -76,12 +74,8 @@ class FilterVerdict:
 
     def to_tsv_line(self) -> str:
         heuristic = self.likely_html.value if self.likely_html else "-"
-        flags = "".join(
-            flag if cond else "-"
-            for flag, cond in (("s", self.session_alias),
-                               ("i", self.index_alias),
-                               ("w", self.wildcard))
-        )
+        flags = (("s" if self.session_alias else "-") + ("i" if self.index_alias else "-")
+                 + ("w" if self.wildcard else "-"))
         return f"{self.url}\t{int(self.valid)}\t{heuristic}\t{flags}"
 
 
@@ -106,10 +100,8 @@ def classify_likely_html(url: CanonicalUrl) -> Heuristic | None:
     segment = _last_path_segment(url)
     if segment == "" or "." not in segment:
         return Heuristic.TrailingSlashNoExt
-    for heuristic, pattern in _EXTENSION_PATTERNS:
-        if pattern.search(segment):
-            return heuristic
-    return None
+    m = _EXTENSION_RE.search(segment)
+    return _EXTENSIONS[m.lastindex - 1][0] if m else None
 
 
 def detect_session_alias(url: str) -> tuple[bool, str]:

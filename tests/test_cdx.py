@@ -25,6 +25,15 @@ FIG2_LINE = ("asia,cityrental)/ 20130804002034\tpart-a-00001"
              "\t3239987800\t278249\t999989")
 
 
+def _strptime_oracle(raw: str) -> datetime | None:
+    # 14 digits parsed by strptime; strptime's %d also takes " 1", which the
+    # digit check refuses
+    try:
+        return datetime.strptime(raw, "%Y%m%d%H%M%S") if raw.isdigit() else None
+    except ValueError:
+        return None
+
+
 class TestTimestamp:
     def test_golden(self):
         ts = parse_timestamp("20020120142510")
@@ -42,6 +51,10 @@ class TestTimestamp:
         with pytest.raises(CdxParseError):
             parse_timestamp("2021")
 
+    def test_replace_validates(self):
+        with pytest.raises(CdxParseError):
+            parse_timestamp("20020120142510")._replace(raw="20020230142510")
+
     @given(st.tuples(st.integers(1996, 2021), st.integers(1, 12), st.integers(1, 28),
                      st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
            st.tuples(st.integers(1996, 2021), st.integers(1, 12), st.integers(1, 28),
@@ -58,6 +71,22 @@ class TestTimestamp:
         with pytest.raises(CdxParseError):
             parse_timestamp("\u0662\u0660\u0660\u06600101000000")
 
+    @pytest.mark.parametrize("raw,valid", [
+        ("20000229000000", True), ("20240229235959", True), ("20230131000000", True),
+        ("20231231235959", True), ("00010101000000", True), ("99991231235959", True),
+        ("19000229000000", False), ("21000229000000", False), ("20230229000000", False),
+        ("20230431000000", False), ("20230100000000", False), ("00000101000000", False),
+        ("20200101240000", False), ("20200101006000", False), ("20200101000060", False),
+    ])
+    def test_calendar_edge_cases(self, raw, valid):
+        expected = _strptime_oracle(raw)
+        assert (expected is not None) == valid
+        if valid:
+            assert parse_timestamp(raw).datetime == expected
+        else:
+            with pytest.raises(CdxParseError):
+                parse_timestamp(raw)
+
     @settings(max_examples=500)
     @given(st.one_of(
         st.builds("{:04d}{:02d}{:02d}{:02d}{:02d}{:02d}".format,
@@ -65,12 +94,7 @@ class TestTimestamp:
                   st.integers(0, 25), st.integers(0, 61), st.integers(0, 61)),
         st.text(alphabet="0123456789 -:Tx", min_size=14, max_size=14)))
     def test_matches_strptime_oracle(self, raw):
-        # oracle: 14 digits parsed by strptime; strptime's %d also takes
-        # " 1", which the digit check refuses
-        try:
-            expected = datetime.strptime(raw, "%Y%m%d%H%M%S") if raw.isdigit() else None
-        except ValueError:
-            expected = None
+        expected = _strptime_oracle(raw)
         if expected is None:
             with pytest.raises(CdxParseError):
                 parse_timestamp(raw)

@@ -307,17 +307,26 @@ class TestMalformedResponses:
             client.fetch_timemap(URL_A)
 
 
-def test_cli_import_loads_no_http_dependency():
+def _modules_loaded_by(module: str) -> set[str]:
     # compared with the modules loaded before the import, since site hooks
     # of the interpreter may load some of these packages themselves
-    probe = ("import sys; before = set(sys.modules); import waysample.cli; "
+    probe = (f"import sys; before = set(sys.modules); import {module}; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env=env).stdout.split()
-    assert "waysample.client" in loaded
-    # logging, concurrent and queue come with the thread pool and the client's
-    # connection pool, which only the network stages build
+    return set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env=env).stdout.split())
+
+
+def test_cli_import_loads_no_http_dependency():
+    third_party = {"requests", "urllib3", "idna", "charset_normalizer", "certifi"}
+    loaded = _modules_loaded_by("waysample.cli")
+    # the client and its HTTP stack load only where a network stage builds a
+    # client or runs map_urls; logging, concurrent and queue come with the
+    # thread pool and the client's connection pool
+    assert not loaded & {"waysample.client", "http.client", "ssl"}
     assert not {name.split(".")[0] for name in loaded} & {
-        "requests", "urllib3", "idna", "charset_normalizer", "certifi",
-        "logging", "concurrent", "queue"}
+        *third_party, "logging", "concurrent", "queue"}
+    # the client itself is on the stdlib
+    loaded = _modules_loaded_by("waysample.client")
+    assert "waysample.client" in loaded
+    assert not {name.split(".")[0] for name in loaded} & third_party

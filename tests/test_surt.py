@@ -1,9 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from waysample.surt import (
+    _HOST_RE,
+    _PLAIN_URL_RE,
     CanonicalUrl,
     MalformedSurtError,
     SurtError,
@@ -18,6 +21,18 @@ from waysample.surt import (
 )
 
 from conftest import random_url
+
+# a URL prefix and a rest over an alphabet of the characters urlsplit treats specially
+URL_PREFIXES = st.sampled_from(["http://", "https://", "http://www."] * 2
+                               + ["HTTPS://", "Http://", " http://", "ftp://", "http:/", ""])
+URL_RESTS = st.lists(st.one_of(st.text("abcXYZ.09", min_size=1, max_size=5),
+                               st.sampled_from(list(":/?#@[]%* \t\n\x00\x7f\u00e9\uff21"))),
+                     max_size=8).map("".join)
+# a host over an alphabet of the characters the host rule refuses, and what may follow it
+HOSTS = st.lists(st.one_of(st.text("ab9,)* \u00a0", max_size=3),
+                           st.sampled_from(["www", "www2", "com"])),
+                 min_size=1, max_size=4).map(".".join)
+HOST_RESTS = st.sampled_from(["", "/", "/x", ":80/y", "?q", "#f"])
 
 
 class TestGoldenConversions:
@@ -94,11 +109,7 @@ class TestParseUrl:
         assert parse_url("https://example.com/a#frag").text == "https://example.com/a"
 
     @settings(max_examples=1000)
-    @given(st.sampled_from(["http://", "https://", "http://www."] * 2
-                           + ["HTTPS://", "Http://", " http://", "ftp://", "http:/", ""]),
-           st.lists(st.one_of(st.text("abcXYZ.09", min_size=1, max_size=5),
-                              st.sampled_from(list(":/?#@[]%* \t\n\x00\x7f\u00e9\uff21"))),
-                    max_size=8).map("".join))
+    @given(URL_PREFIXES, URL_RESTS)
     def test_matches_urlsplit_path(self, prefix, rest):
         def outcome(parse, url):
             try:
@@ -109,13 +120,45 @@ class TestParseUrl:
         assert outcome(parse_url, url) == outcome(_parse_url_split, url)
 
 
+class TestFastPath:
+    # the plain-URL pattern before its classes were written as positive ASCII
+    # ranges and its host as labels; with _HOST_RE on its host, the oracle
+    OLD_PLAIN_URL_RE = re.compile(
+        r"(https?)://([^\x00-\x1f\x7f-\U0010ffff/?#@\[\]%:]+)"
+        r"(?::[^\x00-\x1f\x7f-\U0010ffff/?#@\[\]%]*)?"
+        r"((?:[/?#][^\x00-\x1f\x7f-\U0010ffff]*)?)")
+
+    def test_regex_matches_old_pattern_with_host_rule(self):
+        for cp in [*range(0x300), 0xfeff, 0x1f600, 0xe0041, 0x10ffff]:
+            c = chr(cp)
+            for url in (f"http://a{c}b.com/", f"https://{c}.com", f"http://a.com:8{c}0/x",
+                        f"http://a.com/p{c}q", f"http://a.com?{c}#{c}"):
+                old = self.OLD_PLAIN_URL_RE.fullmatch(url)
+                expected = old.groups() if old and _HOST_RE.fullmatch(old[2]) else None
+                new = _PLAIN_URL_RE.fullmatch(url)
+                assert (new.groups() if new else None) == expected, (hex(cp), url)
+
+    @settings(max_examples=1000)
+    @given(st.one_of(st.builds(str.__add__, URL_PREFIXES, URL_RESTS),
+                     st.builds("{}{}{}".format, st.sampled_from(["http://", "https://"]),
+                               HOSTS, HOST_RESTS)))
+    def test_trusted_construction_equals_validated(self, url):
+        try:
+            parsed = parse_url(url)
+        except SurtError:
+            return
+        validated = CanonicalUrl(parsed.scheme, parsed.host, parsed.path, parsed.query)
+        assert type(parsed) is CanonicalUrl
+        assert parsed == validated and hash(parsed) == hash(validated)
+        with pytest.raises(AttributeError):
+            parsed.host = "example.com"
+        with pytest.raises(AttributeError):
+            parsed.port = 80
+
+
 class TestHostRule:
     @settings(max_examples=1000)
-    @given(st.sampled_from(["http://", "https://"]),
-           st.lists(st.one_of(st.text("ab9,)* \u00a0", max_size=3),
-                              st.sampled_from(["www", "www2", "com"])),
-                    min_size=1, max_size=4).map(".".join),
-           st.sampled_from(["", "/", "/x", ":80/y", "?q", "#f"]))
+    @given(st.sampled_from(["http://", "https://"]), HOSTS, HOST_RESTS)
     def test_parses_exactly_when_it_has_a_surt_key(self, scheme, host, rest):
         def ok(fn, url):
             try:
@@ -169,6 +212,12 @@ class TestValidation:
     def test_canonical_url_requires_leading_slash(self):
         with pytest.raises(UrlConversionError):
             CanonicalUrl("https", "example.com", "page")
+
+    def test_replace_validates(self):
+        url = parse_url("http://example.com/")
+        assert url._replace(path="/x") == CanonicalUrl("http", "example.com", "/x")
+        with pytest.raises(UrlConversionError, match="invalid host"):
+            url._replace(host="a..com")
 
     def test_bad_surt_label(self):
         with pytest.raises(MalformedSurtError):

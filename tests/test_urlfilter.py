@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waysample.surt import parse_url
+from waysample.surt import CanonicalUrl, parse_url
 from waysample.urlfilter import (
     Heuristic,
     classify_likely_html,
@@ -81,6 +81,40 @@ class TestLikelyHtml:
 
     def test_no_extension_counts_as_page(self):
         assert classify_likely_html(parse_url("https://a.com/about")) is Heuristic.TrailingSlashNoExt
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.one_of(
+        st.sampled_from([".HTML", ".sHTML", ".php5", ".aspx", ".asp", ".htm", ".html", ".do",
+                         ".pl", ".cgi", ".jsp", ".cfm", ".\u212aHTML", "\u212a", "\u017f", "\n"]),
+        st.text("aphstmlx.K\u212a/", max_size=3)), max_size=6).map("".join))
+    def test_matches_ten_pattern_oracle(self, tail):
+        url = CanonicalUrl("http", "a.com", "/" + tail)
+        assert classify_likely_html(url) is _oracle_likely_html(url)
+
+
+# the ten patterns searched one after another, in heuristic-table order
+_ORACLE_EXTENSION_PATTERNS = [
+    (Heuristic.Do, re.compile(r"\.do$", re.I)),
+    (Heuristic.PhpN, re.compile(r"\.php[0-9]?$", re.I)),
+    (Heuristic.Aspx, re.compile(r"\.aspx$", re.I)),
+    (Heuristic.Cgi, re.compile(r"\.cgi$", re.I)),
+    (Heuristic.Pl, re.compile(r"\.pl$", re.I)),
+    (Heuristic.Asp, re.compile(r"\.asp$", re.I)),
+    (Heuristic.Jsp, re.compile(r"\.jsp$", re.I)),
+    (Heuristic.Cfm, re.compile(r"\.cfm$", re.I)),
+    (Heuristic.XHtmlFamily, re.compile(r"\.[a-z]?html$", re.I)),
+    (Heuristic.Htm, re.compile(r"\.htm$", re.I)),
+]
+
+
+def _oracle_likely_html(url: CanonicalUrl) -> Heuristic | None:
+    segment = url.path.rsplit("/", 1)[-1]
+    if segment == "" or "." not in segment:
+        return Heuristic.TrailingSlashNoExt
+    for heuristic, pattern in _ORACLE_EXTENSION_PATTERNS:
+        if pattern.search(segment):
+            return heuristic
+    return None
 
 
 class TestSessionAlias:
