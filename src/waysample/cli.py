@@ -264,7 +264,7 @@ def cmd_sample(stage: Stage, args) -> None:
     cfg, counts = stage.cfg, stage.counts
     os.makedirs(args.out_dir, exist_ok=True)
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    counts.update(input=0, roots_added=0)
+    counts.update(input=0, roots_added=0, roots_unarchived=0, root_errors=0)
     missing = sampler.MissingRoots()
 
     def rows() -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
@@ -277,10 +277,11 @@ def cmd_sample(stage: Stage, args) -> None:
         counts["missing_roots"] = len(roots)
         if roots and cfg.endpoint:
             cdx_client = stage.client
-            for root, record, _ in stage.map_urls(
+            for root, record, error in stage.map_urls(
                     lambda root: cdx_client.fetch_first_record(root.text), roots):
+                counts["roots_added" if record else
+                       "root_errors" if error else "roots_unarchived"] += 1
                 if record is not None:
-                    counts["roots_added"] += 1
                     yield root, record.timestamp
 
     result = sampler.bucket_by_first_year(rows())
@@ -319,6 +320,7 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     first, last = args.years
     years = list(range(first, last + 1))
     candidates = list(_parse_urls(stage, args.input))
+    stage.counts["lookup_errors"] = 0  # draws whose lookup failed, read as no capture
     lookups = []  # one entry per lookup started, look-ahead included; append is atomic
 
     def lookup(url: CanonicalUrl) -> Timestamp14 | None:
@@ -328,7 +330,8 @@ def cmd_reintegrate(stage: Stage, args) -> None:
 
     def first_captures(draws: list[CanonicalUrl]):
         with closing(stage.map_urls(lookup, draws)) as results:
-            for _, first, _ in results:
+            for _, first, error in results:
+                stage.counts["lookup_errors"] += error is not None
                 yield first
 
     result = sampler.reintegrate_popular(

@@ -55,10 +55,45 @@ class DomainCount:
         return len(self.urls)
 
 
+class PackedDomain:
+    """DomainCount's fields, with the texts packed in one bytearray, each one
+    ending in a newline: len(text) + 1 bytes a URL, where a str in a list
+    takes 57 more. ``add`` takes a text without a newline, maybe a repeat;
+    repeats go once the buffer has doubled since it held none, and at ``dedup``."""
+
+    __slots__ = ("domain", "packed", "n_urls", "_clean")
+
+    def __init__(self, domain: str, text: str):
+        self.domain, self.n_urls = domain, 1
+        self.packed = bytearray((text + "\n").encode("utf-8", "surrogatepass"))
+        self._clean = len(self.packed)  # the buffer's length when it last held no repeat
+
+    def add(self, text: str) -> None:
+        self.packed += (text + "\n").encode("utf-8", "surrogatepass")
+        if len(self.packed) > 2 * self._clean:
+            self.dedup()
+
+    def dedup(self) -> PackedDomain:
+        """Drop the repeats, keeping first occurrences in order; set n_urls."""
+        if len(self.packed) != self._clean:
+            texts = dict.fromkeys(bytes(self.packed).split(b"\n"))  # b"" last
+            self.packed = bytearray(b"\n").join(texts)
+            self.n_urls, self._clean = len(texts) - 1, len(self.packed)
+        return self
+
+    @property
+    def urls(self) -> list[str]:
+        return self.packed.decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+    @property
+    def root(self) -> str | None:  # a root's text is scheme://host/; a host holds no "/"
+        return next((url for url in self.urls if url[-1] == "/" and url.count("/") == 3), None)
+
+
 @dataclass
 class YearBucket:
     label: str
-    domains: list[DomainCount] = field(default_factory=list)
+    domains: list[DomainCount | PackedDomain] = field(default_factory=list)
 
     @property
     def n_domains(self) -> int:
@@ -114,32 +149,23 @@ def bucket_by_first_year(
     domain in first-occurrence order. ``entries`` is read once, and a URL is
     kept as its text, which determines it (the host holds no ``/`` or ``?``,
     the path no ``?``, a query is never ``""``), so duplicate texts are
-    exactly duplicate URLs."""
-    by_label: dict[str, dict[str, DomainCount]] = {}
-    # a URL's domain key is a function of the URL, so seen in the bucket
-    # means seen in its domain
-    seen_by_label: dict[str, set[str]] = {}
+    exactly duplicate URLs; a URL's domain is a function of it, so its domain drops them."""
+    by_label: dict[str, dict[str, PackedDomain]] = {}
     dropped = 0
     for url, first_capture in entries:
         label = year_bucket_label(first_capture.year)
         if label is None:
             dropped += 1
             continue
-        text = url.text
-        seen = seen_by_label.setdefault(label, set())
-        if text in seen:
-            continue
-        seen.add(text)
         domains = by_label.setdefault(label, {})
         key = domain_key(url.host)
         dc = domains.get(key)
         if dc is None:
-            dc = domains[key] = DomainCount(key)
-        dc.urls.append(text)
-        if dc.root is None and url.is_root:
-            dc.root = text
+            domains[key] = PackedDomain(key, url.text)
+        else:
+            dc.add(url.text)
     buckets = [
-        YearBucket(label, [domains[k] for k in sorted(domains)])
+        YearBucket(label, [domains[k].dedup() for k in sorted(domains)])
         for label, domains in sorted(by_label.items())
     ]
     return BucketingResult(buckets, dropped)
@@ -293,7 +319,7 @@ def calibrate_k(bucket: YearBucket, c: int, target: int) -> CalibrationResult:
     return CalibrationResult(hi, best_total, overshoot=False)
 
 
-def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
+def select_urls(domain: DomainCount | PackedDomain, k: int, seed: int) -> list[str]:
     """Pick k URLs from a domain: the root URL always included when present,
     the rest chosen by single-pass reservoir selection.
 

@@ -4,6 +4,7 @@ between pre- and post-downsampling domain rankings."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from typing import Iterable
@@ -40,29 +41,24 @@ def ccdf_points(counts: Iterable[int]) -> list[tuple[int, float]]:
 
 
 def top_domains(counts: Counter, n: int) -> list[tuple[str, int]]:
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    """The n domains with the most URLs, ties in domain order."""
+    return heapq.nsmallest(n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _average_ranks(counts: dict[str, int], domains: list[str]) -> list[float]:
-    # rank 1 = highest count; ties share their average rank
-    ordered = sorted(domains, key=lambda d: (-counts[d], d))
-    ranks: dict[str, float] = {}
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and counts[ordered[j]] == counts[ordered[i]]:
-            j += 1
-        avg = (i + 1 + j) / 2
-        for d in ordered[i:j]:
-            ranks[d] = avg
-        i = j
-    return [ranks[d] for d in domains]
+    # rank 1 = highest count; ties share their average rank, so a rank depends only on its count
+    tally = Counter(counts[d] for d in domains)
+    by_count, above = {}, 0
+    for count in sorted(tally, reverse=True):
+        by_count[count] = (2 * above + 1 + tally[count]) / 2  # ranks above + 1 to above + tally
+        above += tally[count]
+    return [by_count[counts[d]] for d in domains]
 
 
 def rank_correlation(pre: Counter, post: Counter) -> float:
     """Pearson correlation of domain ranks before and after downsampling,
     over domains present in both rankings."""
-    common = sorted(set(pre) & set(post))
+    common = sorted(d for d in pre if d in post)
     if len(common) < 2:
         return 1.0
     xs = _average_ranks(pre, common)

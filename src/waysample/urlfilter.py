@@ -97,7 +97,10 @@ def _last_path_segment(url: CanonicalUrl) -> str:
 def classify_likely_html(url: CanonicalUrl) -> Heuristic | None:
     """Match the last path segment (query ignored) against the extension
     heuristics; None for any other extension (.jpg, .js, .gif, ...)."""
-    segment = _last_path_segment(url)
+    return _likely_html(_last_path_segment(url))
+
+
+def _likely_html(segment: str) -> Heuristic | None:
     if segment == "" or "." not in segment:
         return Heuristic.TrailingSlashNoExt
     m = _EXTENSION_RE.search(segment)
@@ -147,11 +150,12 @@ def verdict(url: str) -> FilterVerdict:
         canonical = parse_url(url)
     except SurtError:
         return FilterVerdict(url, False, None, session_alias, False, wildcard)
+    segment = _last_path_segment(canonical)
     return FilterVerdict(
         url=url,
         valid=True,
-        likely_html=classify_likely_html(canonical),
+        likely_html=_likely_html(segment),
         session_alias=session_alias,
-        index_alias=detect_index_alias(canonical),
+        index_alias=bool(_INDEX_ALIAS_RE.match(segment)),
         wildcard=wildcard,
     )

@@ -11,6 +11,7 @@ from waysample.cdx import Timestamp14
 from waysample.sampler import (
     DomainCount,
     DownsampleParams,
+    PackedDomain,
     YearBucket,
     bucket_by_first_year,
     calibrate_k,
@@ -135,6 +136,33 @@ class TestBucketing:
         (domain,) = bucket.domains
         assert domain.urls == texts
         assert elapsed < 1.0
+
+
+# canonical texts: roots, a path or query holding "/" or "://", non-ASCII, a
+# lone surrogate (as stdin can give one) and one long enough to double a buffer
+_PACKED_TEXTS = [
+    "http://a.com/", "https://a.com/", "http://a.com/p", "http://a.com/p/", "http://a.com/?q=/",
+    "http://a.com/p?u=http://b.com/", "http://www.a.com/", "http://a.com/p/q",
+    "http://a.com/\u00e9t\u00e9", "http://a.com/\udc80", "http://a.com/" + "x" * 300,
+]
+
+
+class TestPackedDomain:
+    @given(st.lists(st.sampled_from(_PACKED_TEXTS), min_size=1, max_size=300))
+    def test_matches_a_list_without_repeats(self, texts):
+        domain = PackedDomain("a.com", texts[0])
+        distinct = {texts[0]: None}
+        for text in texts[1:]:
+            domain.add(text)
+            distinct[text] = None
+            # within twice the bytes of its distinct texts, at every step
+            assert len(domain.packed) <= 2 * sum(
+                len(t.encode("utf-8", "surrogatepass")) + 1 for t in distinct)
+        assert domain.dedup() is domain
+        want = list(distinct)
+        assert (domain.urls, domain.n_urls) == (want, len(want))
+        assert all(parse_url(t).text == t for t in want)
+        assert domain.root == next((t for t in want if parse_url(t).is_root), None)
 
 
 class TestDomainKey:

@@ -1,6 +1,12 @@
+import math
+import random
+import tracemalloc
+from collections import Counter
+
+import pytest
 from hypothesis import given, strategies as st
 
-from waysample.stats import ccdf_points
+from waysample.stats import _average_ranks, ccdf_points, rank_correlation, top_domains
 
 
 def sorted_scan_ccdf(counts):
@@ -28,3 +34,99 @@ COUNTS = st.lists(st.integers(0, 12) | st.integers(0, 10**9), max_size=300)
 @given(COUNTS, st.sampled_from([list, iter, lambda c: dict(enumerate(c)).values()]))
 def test_ccdf_points_match_the_sorted_scan(counts, as_input):
     assert ccdf_points(as_input(counts)) == sorted_scan_ccdf(counts)
+
+
+# top_domains, _average_ranks and rank_correlation as they were when they
+# sorted every domain by (-count, domain) and kept a rank per domain: the
+# oracles for the heap-based top_domains and the count-of-counts ranks
+def sorted_top_domains(counts, n):
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
+
+def sorted_average_ranks(counts, domains):
+    ordered = sorted(domains, key=lambda d: (-counts[d], d))
+    ranks = {}
+    i = 0
+    while i < len(ordered):
+        j = i
+        while j < len(ordered) and counts[ordered[j]] == counts[ordered[i]]:
+            j += 1
+        avg = (i + 1 + j) / 2
+        for d in ordered[i:j]:
+            ranks[d] = avg
+        i = j
+    return [ranks[d] for d in domains]
+
+
+def sorted_rank_correlation(pre, post):
+    common = sorted(set(pre) & set(post))
+    if len(common) < 2:
+        return 1.0
+    xs = sorted_average_ranks(pre, common)
+    ys = sorted_average_ranks(post, common)
+    n = len(common)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = sum((x - mx) ** 2 for x in xs)
+    vy = sum((y - my) ** 2 for y in ys)
+    if vx == 0 or vy == 0:
+        return 1.0
+    return cov / math.sqrt(vx * vy)
+
+
+DOMAINS = st.sampled_from([f"d{i}.com" for i in range(40)] + ["a.org", "z.net", "é.de"])
+# few distinct counts, so ties are common; now and then a large one
+DOMAIN_COUNTS = st.dictionaries(DOMAINS, st.integers(1, 4) | st.integers(1, 10**6),
+                                max_size=43).map(Counter)
+
+
+@given(DOMAIN_COUNTS, DOMAIN_COUNTS)
+def test_rank_correlation_matches_the_sorted_ranks(pre, post):
+    common = sorted(set(pre) & set(post))
+    for counts in (pre, post):
+        assert _average_ranks(counts, common) == sorted_average_ranks(counts, common)
+    assert rank_correlation(pre, post) == sorted_rank_correlation(pre, post)
+
+
+@pytest.mark.parametrize("pre, post", [
+    (Counter(), Counter()),
+    (Counter({"a.com": 3}), Counter({"a.com": 1, "b.com": 2})),  # one common domain
+    (Counter({"a.com": 3, "b.com": 1}), Counter({"c.com": 1, "d.com": 2})),  # none
+    (Counter({"a.com": 2, "b.com": 2, "c.com": 2}), Counter({"a.com": 1, "b.com": 5, "c.com": 3})),
+    (Counter({"a.com": 1, "b.com": 5, "c.com": 3}), Counter({"a.com": 4, "b.com": 4, "c.com": 4})),
+    (Counter({"a.com": 1, "b.com": 5, "c.com": 3}), Counter({"a.com": 2, "b.com": 7, "c.com": 7})),
+], ids=["empty", "one-common", "none-common", "pre-constant", "post-constant", "tied"])
+def test_rank_correlation_edge_cases(pre, post):
+    assert rank_correlation(pre, post) == sorted_rank_correlation(pre, post)
+
+
+@given(DOMAIN_COUNTS, st.integers(1, 50))
+def test_top_domains_match_the_sorted_ranking(counts, n):
+    assert top_domains(counts, n) == sorted_top_domains(counts, n)
+
+
+# Traced bytes that rank_correlation and top_domains allocate above what they
+# return, per common domain, on 20,000 Pareto-sized domains of which 18,000 are
+# common, measured on CPython 3.11.7 (x86-64 Linux). Sorting every domain by
+# (-count, domain), with two key sets and a rank per domain, took 182 and 149;
+# ranking by count takes 26 (the sorted common domains and their two rank
+# lists) and the heap under 1.
+@pytest.mark.parametrize("fn, bound", [
+    (rank_correlation, 34),
+    (lambda pre, post: top_domains(pre, 20), 1),
+], ids=["rank_correlation", "top_domains"])
+def test_transient_memory_per_domain_is_bounded(fn, bound):
+    rng = random.Random(7)
+    pre = Counter({f"host{i}.example.com": int(rng.paretovariate(1.2)) for i in range(20_000)})
+    post = Counter({d: min(c, 1 + int(c ** 0.5)) for d, c in pre.items()})
+    for d in list(pre)[::10]:
+        del post[d]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(pre, post)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / 18_000 <= bound, peak

@@ -1,8 +1,10 @@
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from waysample import urlfilter
 from waysample.surt import CanonicalUrl, parse_url
 from waysample.urlfilter import (
     Heuristic,
@@ -299,3 +301,15 @@ class TestVerdict:
         assert fields[1] == "1"
         assert fields[2] == Heuristic.Asp.value
         assert fields[3] == "-i-"
+
+    def test_columns_match_the_predicates_with_one_path_split(self, rng):
+        split = mock.Mock(wraps=urlfilter._last_path_segment)
+        with mock.patch.object(urlfilter, "_last_path_segment", split):
+            for _ in range(500):
+                url = random_url(rng)
+                split.reset_mock()
+                v = verdict(url)
+                assert split.call_count == 1
+                canonical = parse_url(url)
+                assert (v.likely_html, v.index_alias) == (
+                    classify_likely_html(canonical), detect_index_alias(canonical))
