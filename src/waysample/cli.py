@@ -22,7 +22,7 @@ import re
 import sys
 import time
 from collections import deque
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
@@ -48,11 +48,12 @@ class Stage:
 
     It loads the config file, overridden by every parsed flag whose dest
     names a config field; builds the CDX client of a subcommand that takes
-    ``--endpoint``, when an endpoint is configured; keeps the outcome counts;
-    opens ``-`` as stdin or stdout without closing it; and, once the
-    subcommand returns or fails, writes the ``--log`` TSV and the manifest.
-    A config or client setting that is unusable raises ``ValueError`` here,
-    before the subcommand opens any file.
+    ``--endpoint``, when an endpoint is configured, and streams its attempts
+    to ``--log``; keeps the outcome counts; opens ``-`` as stdin or stdout
+    without closing it; and, once the subcommand returns or fails, writes the
+    manifest. Before the subcommand opens any file, it raises ``ValueError``
+    for an unusable config or client setting and ``OSError`` for a
+    ``--config`` or ``--log`` that cannot be opened.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -63,6 +64,7 @@ class Stage:
         self.counts: dict = {}
         self.manifest = args.manifest
         self._client: ArchiveClient | None = None
+        self._resources = ExitStack()  # the client and its log, closed by finish
         if hasattr(args, "endpoint") and self.cfg.endpoint:
             # imported here: it loads http.client, ssl and email, which offline stages do without
             from . import client as client_mod
@@ -74,6 +76,11 @@ class Stage:
                 request_delay=self.cfg.request_delay,
                 storage_dir=self.cfg.storage_dir,
             )
+            self._resources.callback(self._client.close)
+            if getattr(args, "log", None):  # line-buffered: a killed stage keeps each line
+                log = self._resources.enter_context(
+                    open(args.log, "w", encoding="utf-8", buffering=1))
+                self._client.log = lambda entry: log.write(entry.to_tsv_line() + "\n")
         self._started = time.monotonic()
 
     @property
@@ -142,12 +149,8 @@ class Stage:
             pool.shutdown(cancel_futures=True)
 
     def finish(self, status: str) -> None:
-        """Write the ``--log`` TSV, if a client was built, and the manifest."""
-        if self._client is not None:
-            self._client.close()
-            if getattr(self.args, "log", None):
-                with open(self.args.log, "w", encoding="utf-8") as fh:
-                    fh.writelines(entry.to_tsv_line() + "\n" for entry in self._client.logs)
+        """Close the client and its ``--log``, if a client was built, and write the manifest."""
+        self._resources.close()
         if self.manifest:
             manifest = {
                 "stage": self.args.command,
@@ -178,8 +181,15 @@ def _parse_urls(stage: Stage, path: str) -> Iterator[CanonicalUrl]:
 
 
 def timemap_filename(url: str) -> str:
-    """Filesystem-safe TimeMap filename derived from the URL's SURT key."""
-    return quote(surt_text_for_url(url), safe="") + ".cdx"
+    """Filesystem-safe TimeMap filename: the URL's quoted SURT key. A name over
+    200 bytes becomes its first 131, ``+`` (which quoting never gives), the
+    SHA-256 hex digest of the key and ``.cdx``: 200 bytes, so the temporary
+    suffix that ``atomic_open`` adds still fits in a 255-byte name."""
+    name = quote(surt_text_for_url(url), safe="") + ".cdx"
+    if len(name) <= 200:
+        return name
+    import hashlib  # imported here: it adds 3.4 MB to every stage's RSS, and few names need it
+    return f"{name[:131]}+{hashlib.sha256(name[:-4].encode()).hexdigest()}.cdx"
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +243,10 @@ def cmd_fetch_first(stage: Stage, args) -> None:
             fout.write(f"{url}\t{columns}\n")
 
 
-def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
-    """The archived rows of a fetch-first TSV; rows without a capture count
-    as ``no_capture``, rows whose URL or timestamp does not parse as
-    ``unparseable``."""
+def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timestamp14]]:
+    """The URL text and first capture of each archived row of a fetch-first
+    TSV; rows without a capture count as ``no_capture``, rows whose timestamp
+    does not parse as ``unparseable``. The URL is left to the caller to parse."""
     counts = stage.counts
     counts.setdefault("no_capture", 0)
     counts.setdefault("unparseable", 0)
@@ -253,11 +263,11 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[CanonicalUrl
                 counts["no_capture"] += 1
                 continue
             try:
-                entry = parse_url(url_text), parse_timestamp(ts)
-            except (SurtError, CdxParseError):
+                first_capture = parse_timestamp(ts)
+            except CdxParseError:
                 counts["unparseable"] += 1
                 continue
-            yield entry
+            yield url_text, first_capture
 
 
 def cmd_sample(stage: Stage, args) -> None:
@@ -268,7 +278,12 @@ def cmd_sample(stage: Stage, args) -> None:
     missing = sampler.MissingRoots()
 
     def rows() -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
-        for url, first_capture in _read_first_captures(stage, args.first_captures):
+        for url_text, first_capture in _read_first_captures(stage, args.first_captures):
+            try:
+                url = parse_url(url_text)
+            except SurtError:
+                counts["unparseable"] += 1
+                continue
             counts["input"] += 1
             missing.add(url)
             yield url, first_capture
@@ -403,48 +418,40 @@ def cmd_rehydrate(stage: Stage, args) -> None:
                 unresolved_out.write(f"{record.urlkey}\t{pos}\t{record.digest}\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 def cmd_stats(stage: Stage, args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
     stage.params["top_n"] = args.top_n
 
+    def write_csv(name: str, header: str, rows) -> None:
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
+
     if args.first_captures:
         histogram = stats.year_histogram(_read_first_captures(stage, args.first_captures))
-        _write_csv(os.path.join(args.out_dir, "first_capture_years.csv"),
-                   ["year", "count"], histogram.items())
+        write_csv("first_capture_years.csv", "year,count", histogram.items())
         counts["first_capture_years"] = sum(histogram.values())
 
     pre_counts = post_counts = None
     if args.urls:
         pre_counts = stats.domain_counts(_parse_urls(stage, args.urls))
-        _write_csv(os.path.join(args.out_dir, "urls_per_domain_ccdf.csv"),
-                   ["urls_per_domain", "percent_of_domains"],
-                   stats.ccdf_points(pre_counts.values()))
+        write_csv("urls_per_domain_ccdf.csv", "urls_per_domain,percent_of_domains",
+                  stats.ccdf_points(pre_counts.values()))
         counts["domains_pre"] = len(pre_counts)
     if args.sampled:
         post_counts = stats.domain_counts(_parse_urls(stage, args.sampled))
-        _write_csv(os.path.join(args.out_dir, "urls_per_domain_ccdf_sampled.csv"),
-                   ["urls_per_domain", "percent_of_domains"],
-                   stats.ccdf_points(post_counts.values()))
+        write_csv("urls_per_domain_ccdf_sampled.csv", "urls_per_domain,percent_of_domains",
+                  stats.ccdf_points(post_counts.values()))
         counts["domains_post"] = len(post_counts)
 
     if pre_counts is not None and post_counts is not None:
-        rows = []
         top_pre = stats.top_domains(pre_counts, args.top_n)
-        for rank, (domain, n) in enumerate(top_pre, 1):
-            rows.append((rank, domain, n, post_counts.get(domain, 0)))
-        _write_csv(os.path.join(args.out_dir, "top_domains.csv"),
-                   ["rank", "domain", "urls_pre", "urls_post"], rows)
+        write_csv("top_domains.csv", "rank,domain,urls_pre,urls_post",
+                  ((rank, domain, n, post_counts.get(domain, 0))
+                   for rank, (domain, n) in enumerate(top_pre, 1)))
         r = stats.rank_correlation(pre_counts, post_counts)
-        _write_csv(os.path.join(args.out_dir, "rank_correlation.csv"),
-                   ["pearson_r_of_ranks"], [(f"{r:.6f}",)])
+        write_csv("rank_correlation.csv", "pearson_r_of_ranks", [(f"{r:.6f}",)])
         counts["rank_correlation"] = round(r, 6)
 
     if args.timemap_dir:
@@ -454,9 +461,8 @@ def cmd_stats(stage: Stage, args) -> None:
                 tm = read_timemap(os.path.join(args.timemap_dir, name))
                 if tm.records:
                     memento_counts.append(len(tm.records))
-        _write_csv(os.path.join(args.out_dir, "mementos_per_url_ccdf.csv"),
-                   ["mementos_per_url", "percent_of_urls"],
-                   stats.ccdf_points(memento_counts))
+        write_csv("mementos_per_url_ccdf.csv", "mementos_per_url,percent_of_urls",
+                  stats.ccdf_points(memento_counts))
         counts["timemaps"] = len(memento_counts)
 
 
@@ -571,7 +577,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         stage = Stage(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"configuration error: {exc}") from None
     status = "failed"
     try:

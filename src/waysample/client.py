@@ -18,6 +18,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 from urllib.parse import urlencode, urlsplit
 
 from . import __version__
@@ -115,6 +116,7 @@ class ArchiveClient:
     request_delay: float = 0.0
     storage_dir: str | None = None
     timeout: float = 30.0
+    log: Callable[[FetchLog], None] | None = None  # gets each attempt, one call at a time
 
     def __post_init__(self):
         import queue  # imported here: the offline stages build no client and do without it
@@ -137,13 +139,7 @@ class ArchiveClient:
         self._answered = False  # some request got an HTTP response
         self._lock = threading.Lock()
         self._next_start = 0.0  # monotonic time before which no request may start
-        self._logs: list[FetchLog] = []
         self._rng = random.Random()
-
-    @property
-    def logs(self) -> list[FetchLog]:
-        with self._lock:
-            return list(self._logs)
 
     def close(self) -> None:
         """Close the idle connections; each reopens on its next request."""
@@ -162,10 +158,6 @@ class ArchiveClient:
             with atomic_open(path, "wb") as fh:
                 fh.write(body)
         return path
-
-    def _log(self, entry: FetchLog) -> None:
-        with self._lock:
-            self._logs.append(entry)
 
     def _pace(self) -> None:
         """Wait until request_delay has passed since any thread's last request start."""
@@ -214,7 +206,9 @@ class ArchiveClient:
                     pass
                 duration = time.monotonic() - start
                 stored_at = self._store_body(body) if body else None
-                self._log(FetchLog(query, status, attempt, duration, stored_at))
+                if self.log is not None:
+                    with self._lock:
+                        self.log(FetchLog(query, status, attempt, duration, stored_at))
             finally:
                 self._pool.put(conn)
             if 200 <= status < 300:

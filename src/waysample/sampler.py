@@ -44,11 +44,10 @@ class DownsampleParams:
 
 @dataclass(slots=True)
 class DomainCount:
-    """A domain's distinct URL texts in first-occurrence order; the first root's text."""
+    """A domain's distinct URL texts in first-occurrence order."""
 
     domain: str
     urls: list[str] = field(default_factory=list)
-    root: str | None = None
 
     @property
     def n_urls(self) -> int:
@@ -85,9 +84,11 @@ class PackedDomain:
     def urls(self) -> list[str]:
         return self.packed.decode("utf-8", "surrogatepass").split("\n")[:-1]
 
-    @property
-    def root(self) -> str | None:  # a root's text is scheme://host/; a host holds no "/"
-        return next((url for url in self.urls if url[-1] == "/" and url.count("/") == 3), None)
+
+def first_root(texts: list[str]) -> str | None:
+    """The first root URL among canonical URL texts: a root's text is
+    scheme://host/, and a host holds no "/"."""
+    return next((text for text in texts if text[-1] == "/" and text.count("/") == 3), None)
 
 
 @dataclass
@@ -329,18 +330,16 @@ def select_urls(domain: DomainCount | PackedDomain, k: int, seed: int) -> list[s
         raise ValueError("k must be >= 1 (C >= 1 forbids zero selections)")
     if k > domain.n_urls:
         raise ValueError(f"k={k} exceeds domain URL count {domain.n_urls}")
-    root = domain.root
+    urls = domain.urls
+    root = first_root(urls)
     # when every URL is kept the reservoir takes them in order and never draws
     rng = random.Random(f"{seed}|select|{domain.domain}") if k < domain.n_urls else None
-    selected: list[str] = []
-    remaining = k
-    if root is not None:
-        selected.append(root)
-        remaining -= 1
+    selected = [] if root is None else [root]
+    remaining = k - len(selected)
     reservoir: list[str] = []
     seen = 0
-    for url in domain.urls:
-        if root is not None and url == root:
+    for url in urls:
+        if url == root:
             continue
         if seen < remaining:
             reservoir.append(url)

@@ -10,11 +10,11 @@ from collections import Counter
 from typing import Iterable
 
 from .cdx import Timestamp14
-from .sampler import domain_key
-from .surt import CanonicalUrl
+from .surt import CanonicalUrl, domain_key
 
 
-def year_histogram(entries: Iterable[tuple[CanonicalUrl, Timestamp14]]) -> dict[int, int]:
+def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]:
+    """Counts by year of the first captures of (URL text, first capture) pairs."""
     counts: Counter[int] = Counter()
     for _, ts in entries:
         counts[ts.year] += 1

@@ -2,9 +2,12 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from urllib.parse import quote
 
 import pytest
 
@@ -162,6 +165,20 @@ class TestFetchFirst:
             main(["fetch-first", str(inp), "-o", str(out), "--endpoint", "localhost:1"])
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--log", "--config"])
+    def test_unopenable_log_or_config_fails_before_any_request(self, tmp_path, archive, flag):
+        server, histories = archive
+        inp = tmp_path / "urls.txt"
+        write_lines(inp, sorted(histories))
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch-first", str(inp), "-o", str(tmp_path / "first.tsv"),
+                  "--endpoint", server.endpoint, "--manifest", str(tmp_path / "manifest.json"),
+                  flag, str(tmp_path / "missing" / "file")])
+        message = str(exc.value.code)
+        assert message.startswith("configuration error: ") and "\n" not in message
+        assert "missing/file" in message
+        assert server.request_count == 0
+        assert os.listdir(tmp_path) == ["urls.txt"]  # no output, no manifest
 
     @pytest.mark.parametrize("flags, config", [(["--politeness", "0"], {}),
                                                ([], {"retry_cap": 0})])
@@ -300,6 +317,25 @@ class TestSample:
                      "--manifest", str(stats_manifest)]) == 0
         counts = json.loads(stats_manifest.read_text())["counts"]
         assert (counts["first_capture_years"], counts["unparseable"]) == (1, 1)
+
+    def test_stats_counts_every_first_capture_whose_timestamp_parses(self, tmp_path):
+        # stats reads only the timestamp; sample must parse the URL as well
+        first = tmp_path / "first.tsv"
+        write_lines(first, ["ftp://files.com/\t20050101000000", "http://b.com/\t20060101000000",
+                            "http://c.com/\t2006"])
+        stats_manifest = tmp_path / "stats.json"
+        assert main(["stats", "--first-captures", str(first), "--out-dir", str(tmp_path / "stats"),
+                     "--manifest", str(stats_manifest)]) == 0
+        counts = json.loads(stats_manifest.read_text())["counts"]
+        assert (counts["first_capture_years"], counts["unparseable"]) == (2, 1)
+        assert read_lines(tmp_path / "stats" / "first_capture_years.csv") == [
+            "year,count", "2005,1", "2006,1"]
+        out_dir = tmp_path / "sample"
+        assert main(["sample", "--first-captures", str(first),
+                     "--out-dir", str(out_dir), "--target", "10"]) == 0
+        counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+        assert (counts["input"], counts["unparseable"]) == (1, 2)
+        assert read_lines(out_dir / "bucket_2006.txt") == ["http://b.com/"]
 
     def test_first_captures_from_stdin(self, tmp_path, archive, monkeypatch):
         first = self._first_captures(tmp_path, archive)
@@ -517,6 +553,69 @@ class TestFetchAndRehydrate:
         report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
         assert report == {url: "ok"}
         assert len(read_lines(out_dir / timemap_filename(url))) == len(histories[url])
+
+    def test_long_urls_get_short_distinct_names(self, tmp_path):
+        seeded = random.Random(0x10A6)
+        prefix = "http://long.com/" + "/".join(f"segment{i:02d}" for i in range(40))
+        long_urls = [prefix + "/a.html", prefix + "/b.html"]
+        short = "http://long.com/"
+        assert len(os.path.commonprefix(long_urls)) >= 300
+        histories = {url: make_history(url, 6, seeded)
+                     for url in [long_urls[0], short, long_urls[1]]}
+        names = {url: timemap_filename(url) for url in histories}
+        assert names[short] == quote(surt_text_for_url(short), safe="") + ".cdx"
+        assert len(set(names.values())) == 3
+        assert all(len(name) <= 200 for name in names.values())
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        write_lines(inp, histories)
+        args = ["fetch", str(inp), "--out-dir", str(out_dir)]
+        with MockCdxServer([r for h in histories.values() for r in h], page_size=4) as server:
+            for outcome in ("ok", "resumed"):
+                assert main([*args, "--endpoint", server.endpoint]) == 0
+                report = read_lines(out_dir / "fetch_report.tsv")
+                assert report == [f"{url}\t{outcome}" for url in histories]
+        for url, history in histories.items():
+            assert read_lines(out_dir / names[url]) == [r.to_line() for r in history]
+
+        def counts(*argv):
+            assert main([*argv, "--manifest", str(tmp_path / "m.json")]) == 0
+            return json.loads((tmp_path / "m.json").read_text())["counts"]
+
+        assert counts("rehydrate", "--in-dir", str(out_dir),
+                      "--out-dir", str(tmp_path / "hydrated"))["timemaps"] == 3
+        assert sorted(os.listdir(tmp_path / "hydrated")) == sorted(
+            [*names.values(), "unresolved.tsv"])
+        assert counts("stats", "--timemap-dir", str(out_dir),
+                      "--out-dir", str(tmp_path / "stats"))["timemaps"] == 3
+
+    def test_log_is_on_disk_as_attempts_end(self, tmp_path, archive):
+        """A fetch killed mid-run leaves whole --log lines for all but the
+        attempts in flight, at most one per connection."""
+        server, histories = archive
+        server.schedule_delay(None, None, 0.1)
+        inp, log = tmp_path / "urls.txt", tmp_path / "fetch_log.tsv"
+        write_lines(inp, sorted(histories))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "waysample.cli", "fetch", str(inp),
+             "--out-dir", str(tmp_path / "timemaps"), "--endpoint", server.endpoint,
+             "--politeness", "2", "--log", str(log)], env=env)
+        try:
+            deadline = time.monotonic() + 30
+            while not (log.exists() and log.read_text().count("\n") >= 3):
+                assert proc.poll() is None and time.monotonic() < deadline, "no log lines"
+                time.sleep(0.01)
+        finally:
+            proc.kill()  # SIGKILL: the stage runs no clean-up
+            proc.wait()
+        # killed mid-run: some of the requests the stage would send were never sent
+        assert server.request_count < sum(1 + server.page_count_for(url) for url in histories)
+        text = log.read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert all(len(line.split("\t")) == 7 for line in lines)
+        assert len(lines) >= server.request_count - 2
 
     @staticmethod
     def _revisit_dir(tmp_path):

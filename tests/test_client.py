@@ -1,10 +1,12 @@
 import concurrent.futures
+import gc
 import os
 import random
 import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import closing
 
 import pytest
@@ -45,8 +47,14 @@ def server(corpus):
 
 
 @pytest.fixture
-def client(server):
-    client = ArchiveClient(server.endpoint, retry=FAST_RETRY)
+def logs():
+    """The attempts of the client fixture, in the order it logged them."""
+    return []
+
+
+@pytest.fixture
+def client(server, logs):
+    client = ArchiveClient(server.endpoint, retry=FAST_RETRY, log=logs.append)
     yield client
     client.close()
 
@@ -59,28 +67,28 @@ class TestFirstRecord:
     def test_unarchived_url_is_none(self, client):
         assert client.fetch_first_record("http://never-crawled.example/") is None
 
-    def test_retry_after_transient_failure(self, server, client, corpus):
+    def test_retry_after_transient_failure(self, server, client, logs, corpus):
         server.schedule_faults(KEY_A, "limit", [503])
         record = client.fetch_first_record(URL_A)
         assert record == corpus[URL_A][0]
-        statuses = [log.http_status for log in client.logs]
-        attempts = [log.attempt for log in client.logs]
+        statuses = [log.http_status for log in logs]
+        attempts = [log.attempt for log in logs]
         assert statuses == [503, 200]
         assert attempts == [1, 2]
 
-    def test_permanent_4xx_not_retried(self, server, client):
+    def test_permanent_4xx_not_retried(self, server, client, logs):
         server.schedule_faults(KEY_A, "limit", [404])
         with pytest.raises(TransportError) as exc:
             client.fetch_first_record(URL_A)
         assert exc.value.last_status == 404
-        assert len(client.logs) == 1
+        assert len(logs) == 1
 
-    def test_gives_up_after_cap(self, server, client):
+    def test_gives_up_after_cap(self, server, client, logs):
         server.schedule_faults(KEY_A, "limit", [503] * 10)
         with pytest.raises(TransportError) as exc:
             client.fetch_first_record(URL_A)
         assert exc.value.last_status == 503
-        assert len(client.logs) == FAST_RETRY.max_attempts
+        assert len(logs) == FAST_RETRY.max_attempts
 
 
 class TestPageCount:
@@ -98,21 +106,21 @@ class TestPageCount:
 
 
 class TestFetchTimemap:
-    def test_all_pages_merged(self, client, corpus):
+    def test_all_pages_merged(self, client, logs, corpus):
         tm = client.fetch_timemap(URL_A)
         assert tm.records == corpus[URL_A]
-        kinds = [log.to_tsv_line().split("\t")[1] for log in client.logs]
+        kinds = [log.to_tsv_line().split("\t")[1] for log in logs]
         assert kinds == ["numpages", "page", "page", "page"]
 
     def test_unarchived_url_empty_timemap(self, client):
         tm = client.fetch_timemap("http://never-crawled.example/")
         assert tm.records == []
 
-    def test_recovers_from_transient_page_faults(self, server, client, corpus):
+    def test_recovers_from_transient_page_faults(self, server, client, logs, corpus):
         server.schedule_faults(KEY_A, 1, [503, 503])
         tm = client.fetch_timemap(URL_A)
         assert tm.records == corpus[URL_A]
-        assert len(client.logs) == 6  # numpages + pages 0..2 + two retries of page 1
+        assert len(logs) == 6  # numpages + pages 0..2 + two retries of page 1
 
     def test_persistent_page_failure_names_page(self, server, client):
         server.schedule_faults(KEY_A, 2, [500] * 10)
@@ -123,21 +131,21 @@ class TestFetchTimemap:
 
 
 class TestFetchLogs:
-    def test_log_invariants(self, server, client):
+    def test_log_invariants(self, server, client, logs):
         server.schedule_faults(KEY_A, 0, [502])
         client.fetch_timemap(URL_A)
         client.fetch_first_record(URL_B)
         by_query = {}
-        for log in client.logs:
+        for log in logs:
             assert log.duration >= 0
             by_query.setdefault((log.query.url, log.query.page,
                                  log.query.show_num_pages), []).append(log.attempt)
         for attempts in by_query.values():
             assert attempts == list(range(1, len(attempts) + 1))
 
-    def test_tsv_shape(self, client):
+    def test_tsv_shape(self, client, logs):
         client.fetch_first_record(URL_A)
-        (line,) = [log.to_tsv_line() for log in client.logs]
+        (line,) = [log.to_tsv_line() for log in logs]
         fields = line.split("\t")
         assert fields[0] == URL_A
         assert fields[1] == "limit"
@@ -198,13 +206,13 @@ class TestQueryValidation:
 
 
 class TestBodyStorage:
-    def test_content_addressed_and_deduplicated(self, server, tmp_path):
+    def test_content_addressed_and_deduplicated(self, server, tmp_path, logs):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY,
-                               storage_dir=str(tmp_path))
+                               storage_dir=str(tmp_path), log=logs.append)
         with closing(client):
             client.fetch_first_record(URL_A)
             client.fetch_first_record(URL_A)
-        paths = {log.stored_at for log in client.logs}
+        paths = {log.stored_at for log in logs}
         assert len(paths) == 1
         (path,) = paths
         digest = os.path.basename(path)
@@ -214,8 +222,8 @@ class TestBodyStorage:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
-def attempts(client):
-    return [(log.http_status, log.attempt) for log in client.logs]
+def attempts(logs):
+    return [(log.http_status, log.attempt) for log in logs]
 
 
 class TestKeepAlive:
@@ -232,41 +240,41 @@ class TestKeepAlive:
             client.fetch_first_record(URL_A)
         assert time.monotonic() - start < 1.0
 
-    def test_drop_on_fresh_connection_is_an_attempt(self, server, client, corpus):
+    def test_drop_on_fresh_connection_is_an_attempt(self, server, client, logs, corpus):
         server.schedule_faults(KEY_A, "limit", [0])
         assert client.fetch_first_record(URL_A) == corpus[URL_A][0]
-        assert attempts(client) == [(0, 1), (200, 2)]
+        assert attempts(logs) == [(0, 1), (200, 2)]
 
-    def test_drop_on_reused_connection_is_resent(self, server, client, corpus):
+    def test_drop_on_reused_connection_is_resent(self, server, client, logs, corpus):
         client.fetch_page_count(URL_A)
         server.schedule_faults(KEY_A, "limit", [0])
         assert client.fetch_first_record(URL_A) == corpus[URL_A][0]
-        assert attempts(client) == [(200, 1), (200, 1)]
+        assert attempts(logs) == [(200, 1), (200, 1)]
         assert server.connection_count == 2
 
-    def test_redirect_is_permanent(self, server, client):
+    def test_redirect_is_permanent(self, server, client, logs):
         server.schedule_faults(KEY_A, "limit", [301])
         with pytest.raises(TransportError) as exc:
             client.fetch_first_record(URL_A)
         assert exc.value.last_status == 301
-        assert attempts(client) == [(301, 1)]
+        assert attempts(logs) == [(301, 1)]
 
-    def test_stopped_server_answers_nothing(self, server, client):
+    def test_stopped_server_answers_nothing(self, server, client, logs):
         client.fetch_first_record(URL_A)
         server.stop()
         with pytest.raises(TransportError) as exc:
             client.fetch_first_record(URL_A)
         assert exc.value.last_status == 0
-        assert attempts(client) == [(200, 1)] + [
+        assert attempts(logs) == [(200, 1)] + [
             (0, n) for n in range(1, FAST_RETRY.max_attempts + 1)]
         assert server.request_count == 1
 
-    def test_close_then_reconnect(self, server, client):
+    def test_close_then_reconnect(self, server, client, logs):
         client.fetch_first_record(URL_A)
         client.close()
         client.fetch_first_record(URL_A)
         assert server.connection_count == 2
-        assert attempts(client) == [(200, 1), (200, 1)]
+        assert attempts(logs) == [(200, 1), (200, 1)]
 
 
 class TestEndpoint:
@@ -279,17 +287,18 @@ class TestEndpoint:
         with pytest.raises(ValueError):
             ArchiveClient(base_url)
 
-    def test_refused_before_any_answer_fails_at_once(self):
+    def test_refused_before_any_answer_fails_at_once(self, logs):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        client = ArchiveClient(f"http://127.0.0.1:{port}/cdx")  # default RetryPolicy
+        # the default RetryPolicy
+        client = ArchiveClient(f"http://127.0.0.1:{port}/cdx", log=logs.append)
         start = time.monotonic()
         with pytest.raises(TransportError) as exc:
             client.fetch_first_record(URL_A)
         assert time.monotonic() - start < 1.0
         assert exc.value.last_status == 0
-        assert attempts(client) == [(0, 1)]
+        assert attempts(logs) == [(0, 1)]
 
 
 class TestMalformedResponses:
@@ -330,3 +339,40 @@ def test_cli_import_loads_no_http_dependency():
     loaded = _modules_loaded_by("waysample.client")
     assert "waysample.client" in loaded
     assert not {name.split(".")[0] for name in loaded} & third_party
+
+
+# a mock CDX server holding one capture of URL_A, run in a child process so
+# that this process allocates only for the client; it stops when stdin closes
+_SERVE = f"""
+import sys
+from waysample.cdx import CdxRecord, Timestamp14
+from waysample.mockserver import MockCdxServer
+record = CdxRecord({KEY_A!r}, Timestamp14("19960101000000"), {URL_A!r}, "text/html", "200",
+                   "A" * 32, 1024)
+with MockCdxServer([record], page_size=10) as server:
+    print(server.endpoint, flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_client_keeps_nothing_per_request():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", _SERVE], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=env) as server:
+        client = ArchiveClient(server.stdout.readline().strip(), retry=FAST_RETRY)  # no log
+        assert not hasattr(client, "logs")
+
+        def retained_after(calls: int) -> int:
+            for _ in range(calls):
+                assert client.fetch_first_record(URL_A) is not None
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            with closing(client):
+                before = retained_after(200)  # warm: the connection, the parser caches
+                after = retained_after(1800)
+        finally:
+            tracemalloc.stop()
+    assert (after - before) / 1800 < 10

@@ -18,6 +18,7 @@ from waysample.sampler import (
     domain_key,
     downsample_count,
     extract_missing_roots,
+    first_root,
     inclusion_probability,
     reduce_long_tail,
     reintegrate_popular,
@@ -162,7 +163,14 @@ class TestPackedDomain:
         want = list(distinct)
         assert (domain.urls, domain.n_urls) == (want, len(want))
         assert all(parse_url(t).text == t for t in want)
-        assert domain.root == next((t for t in want if parse_url(t).is_root), None)
+        assert first_root(domain.urls) == next((t for t in want if parse_url(t).is_root), None)
+
+
+    def test_first_root_is_the_first_text_that_parses_as_a_root(self, rng):
+        texts = [parse_url(random_url(rng)).text for _ in range(2000)] + _PACKED_TEXTS
+        for i in range(0, len(texts), 10):
+            chunk = texts[i:i + 10]
+            assert first_root(chunk) == next((t for t in chunk if parse_url(t).is_root), None)
 
 
 class TestDomainKey:
@@ -245,7 +253,7 @@ def _bucket(domain_sizes, label="2016"):
     for i, n in enumerate(domain_sizes):
         name = f"d{i}.com"
         urls = [f"https://{name}/"] + [f"https://{name}/p{j}" for j in range(n - 1)]
-        domains.append(DomainCount(name, urls, root=urls[0]))
+        domains.append(DomainCount(name, urls))
     return YearBucket(label, domains)
 
 
@@ -483,7 +491,7 @@ class TestStreamedBucketingOracle:
             assert [d.domain for d in bucket.domains] == [d.domain for d in domains]
             for got, want in zip(bucket.domains, domains):
                 assert got.urls == [u.text for u in want.urls]
-                assert got.root == (want.root.text if want.root else None)
+                assert first_root(got.urls) == (want.root.text if want.root else None)
                 for k in range(1, got.n_urls):
                     assert select_urls(got, k, seed) == [
                         u.text for u in _oracle_select(want, k, seed)]
