@@ -16,6 +16,7 @@ and per-stage counts so composed stages can be audited end to end.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -66,7 +67,7 @@ class Stage:
         self._client: ArchiveClient | None = None
         self._resources = ExitStack()  # the client and its log, closed by finish
         if hasattr(args, "endpoint") and self.cfg.endpoint:
-            # imported here: it loads http.client, ssl and email, which offline stages do without
+            # imported here: it loads socket and queue, which offline stages do without
             from . import client as client_mod
             self._client = client_mod.ArchiveClient(
                 base_url=self.cfg.endpoint,
@@ -91,10 +92,15 @@ class Stage:
 
     @contextmanager
     def open(self, path: str, mode: str = "r"):
+        """``path`` as UTF-8 text in which a byte that is not UTF-8 reads as a
+        lone surrogate and is written back as that byte."""
         if path == "-":
-            yield sys.stdin if mode == "r" else sys.stdout
+            stream = sys.stdin if mode == "r" else sys.stdout
+            if isinstance(stream, io.TextIOWrapper) and stream.errors != "surrogateescape":
+                stream.reconfigure(errors="surrogateescape")  # before its first read
+            yield stream
         else:
-            with open(path, mode, encoding="utf-8") as fh:
+            with open(path, mode, encoding="utf-8", errors="surrogateescape") as fh:
                 yield fh
 
     def urls(self, path: str) -> Iterator[str]:
@@ -117,7 +123,7 @@ class Stage:
         Any other exception from ``fn``, or closing the generator, cancels the
         items not yet started and waits for the running ones to end.
         """
-        # imported here: they load logging and http.client, which the offline stages do without
+        # imported here: they load logging and socket, which the offline stages do without
         from concurrent.futures import ThreadPoolExecutor
 
         from . import client as client_mod
@@ -388,7 +394,7 @@ def cmd_fetch(stage: Stage, args) -> None:
         return "ok" if tm.records else "empty"
 
     report_path = args.report or os.path.join(args.out_dir, "fetch_report.tsv")
-    with open(report_path, "w", encoding="utf-8") as report:
+    with stage.open(report_path, "w") as report:
         # URLs sharing a TimeMap file run in input order: the first fetches it
         for (url, _), outcome, _ in stage.map_urls(fetch, targets(),
                                                    key=lambda target: target[1]):

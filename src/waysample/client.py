@@ -5,19 +5,19 @@ concurrent requests, and content-addressed raw-response persistence.
 Safe for concurrent use; per-URL fetches are independent tasks coordinated
 only by a pool of ``politeness_limit`` keep-alive connections, which every
 request attempt holds one of, and by the request pacing.
+
+Requests are HTTP/1.1 GETs on a stdlib ``socket`` (see ``_Connection``);
+``ssl`` loads for an ``https://`` endpoint only, ``hashlib`` once a body is stored.
 """
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import os
 import random
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 from urllib.parse import urlencode, urlsplit
 
@@ -26,7 +26,6 @@ from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_timemap_
 from .timemaps import merge_pages
 
 TRANSIENT_STATUS_MIN = 500
-HEADERS = {"User-Agent": f"waysample/{__version__}"}
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,84 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
+class _BadResponse(OSError):
+    """A reply that breaks HTTP/1.1: retried like a transport failure, never resent."""
+
+
+class _Connection:
+    """A keep-alive HTTP/1.1 connection for GETs, opened on its first one. A body
+    is read by ``Content-Length``, as ``chunked`` (extensions and trailers
+    ignored) or up to the close; after that, ``Connection: close`` or an HTTP/1.0
+    reply without keep-alive, the connection closes."""
+
+    def __init__(self, host: str, port: int, netloc: str, timeout: float, tls=None):
+        self._address, self._timeout, self._tls = (host, port), timeout, tls
+        self._head = (f" HTTP/1.1\r\nHost: {netloc}\r\nUser-Agent: waysample/{__version__}"
+                      "\r\nAccept-Encoding: identity\r\n\r\n").encode("ascii")
+        self.sock = self._rfile = None
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._rfile.close()
+            self.sock.close()
+            self.sock = self._rfile = None
+
+    def get(self, target: str) -> tuple[int, bytes, str | None]:
+        """Status, body and Location of a GET of ``target``; a reply that ends
+        before its status line is a ``ConnectionResetError``."""
+        if self.sock is None:
+            sock = socket.create_connection(self._address, self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # a failed handshake closes the socket, which wrap_socket took over from sock
+            self.sock = (self._tls.wrap_socket(sock, server_hostname=self._address[0])
+                         if self._tls else sock)
+            self._rfile = self.sock.makefile("rb")
+        self.sock.sendall(b"GET " + target.encode("ascii") + self._head)
+        line = self._rfile.readline()
+        if not line:
+            raise ConnectionResetError("connection closed before the status line")
+        version, _, rest = line.partition(b" ")
+        if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit() and rest[3:4].isspace()):
+            raise _BadResponse(f"malformed status line {line[:80]!r}")
+        headers = self._fields()
+        connection = headers.get(b"connection", b"").lower()
+        keep = b"keep-alive" in connection if version == b"HTTP/1.0" else b"close" not in connection
+        if b"chunked" in headers.get(b"transfer-encoding", b"").lower():
+            chunks = []
+            while chunk := self._read(self._rfile.readline().partition(b";")[0], 16):
+                chunks.append(chunk)
+                self._rfile.readline()  # the CRLF after the chunk
+            body, _ = b"".join(chunks), self._fields()  # trailers are ignored
+        elif b"content-length" in headers:
+            body = self._read(headers[b"content-length"], 10)
+        else:
+            body, keep = self._rfile.read(), False
+        if not keep:
+            self.close()
+        return int(rest[:3]), body, headers.get(b"location", b"").decode("latin-1") or None
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """The header or trailer fields up to the blank line, by lowercased name."""
+        fields = {}
+        while (line := self._rfile.readline()) not in (b"\r\n", b"\n"):
+            if not line:
+                raise _BadResponse("connection closed within the headers")
+            name, _, value = line.partition(b":")
+            fields[name.strip().lower()] = value.strip()
+        return fields
+
+    def _read(self, size: bytes, base: int) -> bytes:
+        """The next ``size`` bytes, ``size`` written in ``base`` digits."""
+        try:
+            n = int(size, base)
+        except ValueError:
+            n = -1
+        data = self._rfile.read(n) if n >= 0 else b""
+        if len(data) < n or n < 0:
+            raise _BadResponse(f"body of size {size[:80]!r} ended after {len(data)} bytes")
+        return data
+
+
 @dataclass
 class ArchiveClient:
     base_url: str
@@ -127,15 +204,20 @@ class ArchiveClient:
                              f"without userinfo or query, got {self.base_url!r}")
         if self.politeness_limit < 1:
             raise ValueError(f"politeness limit must be at least 1, got {self.politeness_limit}")
-        new_connection = partial(http.client.HTTPSConnection if parts.scheme == "https"
-                                 else http.client.HTTPConnection,
-                                 parts.hostname, parts.port, timeout=self.timeout)
+        tls = None
+        if parts.scheme == "https":
+            try:
+                import ssl  # imported here: it maps libcrypto, which http:// does without
+            except ImportError:
+                raise ValueError("an https:// endpoint needs Python's ssl module") from None
+            tls = ssl.create_default_context()
+        port = parts.port or (443 if tls else 80)
         self._path = parts.path or "/"
         # the politeness ceiling; none opens a socket before its first request, and
         # last in, first out keeps a lone caller on one warm connection
         self._pool: queue.LifoQueue = queue.LifoQueue()
         for _ in range(self.politeness_limit):
-            self._pool.put(new_connection())
+            self._pool.put(_Connection(parts.hostname, port, parts.netloc, self.timeout, tls))
         self._answered = False  # some request got an HTTP response
         self._lock = threading.Lock()
         self._next_start = 0.0  # monotonic time before which no request may start
@@ -150,6 +232,7 @@ class ArchiveClient:
     def _store_body(self, body: bytes) -> str | None:
         if self.storage_dir is None:
             return None
+        import hashlib  # imported here: it maps libcrypto, which a stage storing nothing does without
         digest = hashlib.sha256(body).hexdigest()
         shard = os.path.join(self.storage_dir, digest[:2])
         os.makedirs(shard, exist_ok=True)
@@ -167,16 +250,13 @@ class ArchiveClient:
             self._next_start = start + self.request_delay
         time.sleep(start - now)
 
-    def _exchange(self, conn: http.client.HTTPConnection,
-                  target: str) -> tuple[int, bytes, str | None]:
+    def _exchange(self, conn: _Connection, target: str) -> tuple[int, bytes, str | None]:
         """Status, body and Location of a GET on a keep-alive connection; on a
         reused one that the server closed while idle, the GET is sent again, once."""
         resend = conn.sock is not None
         while True:
             try:
-                conn.request("GET", target, headers=HEADERS)
-                resp = conn.getresponse()
-                return resp.status, resp.read(), resp.getheader("Location")
+                return conn.get(target)
             except BaseException as exc:
                 conn.close()  # its state is unknown; the next request reconnects
                 if not (resend and isinstance(exc, ConnectionError)):
@@ -202,7 +282,7 @@ class ArchiveClient:
                     self._answered = True
                 except (ConnectionRefusedError, socket.gaierror):
                     unreachable = not self._answered
-                except (OSError, http.client.HTTPException):
+                except OSError:
                     pass
                 duration = time.monotonic() - start
                 stored_at = self._store_body(body) if body else None

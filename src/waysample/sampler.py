@@ -64,11 +64,11 @@ class PackedDomain:
 
     def __init__(self, domain: str, text: str):
         self.domain, self.n_urls = domain, 1
-        self.packed = bytearray((text + "\n").encode("utf-8", "surrogatepass"))
+        self.packed = bytearray((text + "\n").encode())
         self._clean = len(self.packed)  # the buffer's length when it last held no repeat
 
     def add(self, text: str) -> None:
-        self.packed += (text + "\n").encode("utf-8", "surrogatepass")
+        self.packed += (text + "\n").encode()
         if len(self.packed) > 2 * self._clean:
             self.dedup()
 
@@ -82,7 +82,7 @@ class PackedDomain:
 
     @property
     def urls(self) -> list[str]:
-        return self.packed.decode("utf-8", "surrogatepass").split("\n")[:-1]
+        return self.packed.decode().split("\n")[:-1]
 
 
 def first_root(texts: list[str]) -> str | None:

@@ -126,7 +126,8 @@ def parse_url(url: str) -> CanonicalUrl:
     The host rule is enforced on each path: the match itself holds it on
     this one, so the ``CanonicalUrl`` is built without validating again;
     every other string goes through ``urlsplit`` and the validating
-    ``CanonicalUrl`` constructor, which rejects a host without a SURT key.
+    ``CanonicalUrl`` constructor, which rejects a host without a SURT key,
+    and one that does not encode as UTF-8 is refused before that.
     """
     m = _PLAIN_URL_RE.fullmatch(url)
     if m is None:
@@ -137,11 +138,14 @@ def parse_url(url: str) -> CanonicalUrl:
 
 
 def _parse_url_split(url: str) -> CanonicalUrl:
-    """parse_url for any string, through ``urlsplit``."""
+    """parse_url for any string, through ``urlsplit``. A string that does not
+    encode as UTF-8, such as a line read with a byte that is not UTF-8 in it,
+    is no URL: it could be neither queried nor named as a file."""
     try:
+        url.encode("utf-8")
         parts = urlsplit(url)
         host = parts.hostname
-    except ValueError as exc:
+    except ValueError as exc:  # UnicodeEncodeError included
         raise UrlConversionError(f"unparseable URL: {url!r}") from exc
     query = parts.query if parts.query else None
     return CanonicalUrl(parts.scheme.lower(), (host or "").lower(), parts.path or "/", query)

@@ -745,6 +745,55 @@ def test_url_without_surt_key_is_dropped_by_every_stage(tmp_path, archive):
     assert (counts["unparseable"], counts["domains_pre"]) == (3, 3)
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_line_that_is_not_utf8_is_kept_and_never_queried(tmp_path, source):
+    """A byte that is not UTF-8 makes its URL unparseable: the line is counted
+    and written back byte for byte, and no endpoint is asked about it."""
+    good = ["http://example.com/", "http://b.com/"]
+    lines = [good[0].encode(), b"http://a.com/\xff", good[1].encode()]
+    inp = tmp_path / "urls.txt"
+    inp.write_bytes(b"".join(line + b"\n" for line in lines))
+    # strict stdio, whatever the locale: the stage itself must escape the byte
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "PYTHONIOENCODING": "utf-8:strict"}
+    history = make_history(good[0], 3, random.Random(3))
+
+    def run(stage, *argv, out=None):
+        manifest = tmp_path / f"{stage}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "waysample.cli", stage,
+             "-" if source == "stdin" else str(inp), *argv, "--manifest", str(manifest)]
+            + ([] if out is None else ["-o", "-" if source == "stdin" else str(out)]),
+            input=inp.read_bytes() if source == "stdin" else None,
+            capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        counts = counts_adding_up(manifest)
+        if out is None:
+            return None, counts
+        return (proc.stdout if source == "stdin" else out.read_bytes()).splitlines(), counts
+
+    rows, counts = run("filter", out=tmp_path / "filter.tsv")
+    assert [row.split(b"\t")[:2] for row in rows] == [
+        [lines[0], b"1"], [lines[1], b"0"], [lines[2], b"1"]]
+    assert (counts["input"], counts["invalid"]) == (3, 1)
+
+    with MockCdxServer(history, page_size=2) as server:
+        rows, counts = run("fetch-first", "--endpoint", server.endpoint,
+                           out=tmp_path / "first.tsv")
+        assert [row.split(b"\t")[0] for row in rows] == lines
+        assert [row.split(b"\t")[3] for row in rows] == [b"ok", b"skipped", b"empty"]
+        assert (counts["input"], counts["skipped"]) == (3, 1)
+        assert server.request_count == len(good)
+
+    with MockCdxServer(history, page_size=2) as server:
+        _, counts = run("fetch", "--out-dir", str(tmp_path / "timemaps"),
+                        "--endpoint", server.endpoint)
+        assert (tmp_path / "timemaps" / "fetch_report.tsv").read_bytes().splitlines() == [
+            lines[0] + b"\tok", lines[1] + b"\tskipped", lines[2] + b"\tempty"]
+        assert (counts["input"], counts["skipped"]) == (3, 1)
+        assert server.request_count == sum(1 + server.page_count_for(url) for url in good)
+
+
 class TestFanOut:
     """The network stages run their per-URL work on politeness_limit threads;
     what they write must not depend on that number."""

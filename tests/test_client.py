@@ -1,16 +1,22 @@
 import concurrent.futures
+import datetime
 import gc
+import ipaddress
 import os
 import random
 import socket
+import ssl
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+from collections import deque
 from contextlib import closing
 
 import pytest
 
+from waysample import __version__
 from waysample.client import (
     ArchiveClient,
     CdxQuery,
@@ -287,6 +293,12 @@ class TestEndpoint:
         with pytest.raises(ValueError):
             ArchiveClient(base_url)
 
+    def test_https_without_ssl_module_is_rejected(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "ssl", None)  # import ssl raises ImportError
+        with pytest.raises(ValueError, match="ssl module"):
+            ArchiveClient("https://a.example/cdx")
+        ArchiveClient("http://a.example/cdx").close()
+
     def test_refused_before_any_answer_fails_at_once(self, logs):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -316,6 +328,12 @@ class TestMalformedResponses:
             client.fetch_timemap(URL_A)
 
 
+# what a stage fetching from an http:// endpoint does without: http.client,
+# with its email header parser and ssl, and hashlib; ssl and hashlib each
+# map libcrypto
+HEAVY_MODULES = {"http.client", "email", "ssl", "_ssl", "hashlib", "_hashlib"}
+
+
 def _modules_loaded_by(module: str) -> set[str]:
     # compared with the modules loaded before the import, since site hooks
     # of the interpreter may load some of these packages themselves
@@ -335,10 +353,11 @@ def test_cli_import_loads_no_http_dependency():
     assert not loaded & {"waysample.client", "http.client", "ssl"}
     assert not {name.split(".")[0] for name in loaded} & {
         *third_party, "logging", "concurrent", "queue"}
-    # the client itself is on the stdlib
+    # the client itself is on the stdlib, and needs neither HTTP nor crypto modules
     loaded = _modules_loaded_by("waysample.client")
     assert "waysample.client" in loaded
     assert not {name.split(".")[0] for name in loaded} & third_party
+    assert not loaded & HEAVY_MODULES
 
 
 # a mock CDX server holding one capture of URL_A, run in a child process so
@@ -376,3 +395,246 @@ def test_client_keeps_nothing_per_request():
         finally:
             tracemalloc.stop()
     assert (after - before) / 1800 < 10
+
+
+# builds a client of the endpoint in argv[1], fetches URL_A, storing bodies
+# under argv[2] if given, and prints the modules that loaded on the way
+_PROBE = f"""
+import sys
+before = set(sys.modules)
+from waysample.client import ArchiveClient
+client = ArchiveClient(sys.argv[1], storage_dir=sys.argv[2] or None)
+assert client.fetch_first_record({URL_A!r}) is not None
+client.close()
+print(' '.join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_http_fetch_loads_no_http_or_crypto_module(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", _SERVE], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=env) as server:
+        endpoint = server.stdout.readline().strip()
+
+        def loaded(storage_dir: str) -> set[str]:
+            return set(subprocess.run(
+                [sys.executable, "-c", _PROBE, endpoint, storage_dir], capture_output=True,
+                text=True, check=True, env=env, timeout=60).stdout.split())
+
+        without_storage, with_storage = loaded(""), loaded(str(tmp_path))
+        server.stdin.close()
+    assert not without_storage & HEAVY_MODULES
+    # hashlib names a stored body, so it loads once there is one
+    assert with_storage & HEAVY_MODULES == {"hashlib", "_hashlib"}
+    assert os.listdir(tmp_path)
+
+
+class ScriptedServer:
+    """A raw-socket HTTP server that answers each request, in the order they
+    come, with the next scripted reply: its byte pieces, sent with a pause
+    between them, after which the connection closes if the reply says so.
+    It serves one connection at a time and keeps every request head it read."""
+
+    def __init__(self, *replies: tuple[list[bytes], bool], tls: ssl.SSLContext | None = None):
+        self.replies = deque(replies)
+        self.requests: list[bytes] = []
+        self.connection_count = 0
+        self._tls = tls
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.02)
+        self.port = self._listener.getsockname()[1]
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    def endpoint(self, scheme: str = "http") -> str:
+        return f"{scheme}://127.0.0.1:{self.port}/cdx"
+
+    def __enter__(self) -> "ScriptedServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped.set()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+    def _serve(self) -> None:
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connection_count += 1
+            conn.settimeout(5)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            try:
+                if self._tls is not None:
+                    conn = self._tls.wrap_socket(conn, server_side=True)
+                with conn, conn.makefile("rb") as rfile:
+                    self._answer(conn, rfile)
+            except OSError:  # a refused handshake, or the client hung up
+                conn.close()
+
+    def _answer(self, conn: socket.socket, rfile) -> None:
+        while True:
+            head = b""
+            while (line := rfile.readline()) not in (b"\r\n", b""):
+                head += line
+            if not line:
+                return
+            self.requests.append(head)
+            pieces, close = self.replies.popleft()
+            for i, piece in enumerate(pieces):
+                if i:
+                    time.sleep(0.02)
+                conn.sendall(piece)
+            if close:
+                return
+
+
+RECORD_LINE = f"{KEY_A} 19960101000000 {URL_A} text/html 200 {'A' * 32} 1024\n".encode()
+
+
+def reply(body: bytes = RECORD_LINE, status: bytes = b"200 OK", headers: bytes = b"") -> bytes:
+    return (b"HTTP/1.1 " + status + b"\r\nContent-Length: " + str(len(body)).encode()
+            + b"\r\n" + headers + b"\r\n" + body)
+
+
+@pytest.fixture
+def scripted(logs):
+    """Runs a ScriptedServer of the given replies with a client of it."""
+    def run(*replies, **kwargs):
+        server = ScriptedServer(*replies)
+        client = ArchiveClient(server.endpoint(), retry=FAST_RETRY, log=logs.append, **kwargs)
+        return server, client
+    return run
+
+
+class TestExchange:
+    def test_request_head(self, scripted):
+        server, client = scripted(([reply()], False))
+        with server, closing(client):
+            record = client.fetch_first_record(URL_A)
+        assert record.timestamp.raw == "19960101000000"
+        (head,) = server.requests
+        assert head == (f"GET /cdx?url=http%3A%2F%2Fexample.com%2F&limit=1 HTTP/1.1\r\n"
+                        f"Host: 127.0.0.1:{server.port}\r\nUser-Agent: waysample/{__version__}"
+                        "\r\nAccept-Encoding: identity\r\n").encode()
+
+    def test_chunked_body_with_extension_and_trailer(self, scripted, logs):
+        chunked = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                   + b"%x;name=value\r\n" % 10 + RECORD_LINE[:10] + b"\r\n"
+                   + b"%X\r\n" % (len(RECORD_LINE) - 10) + RECORD_LINE[10:] + b"\r\n"
+                   + b"0\r\nX-Checksum: 1\r\n\r\n")
+        server, client = scripted(([chunked], False), ([reply()], False))
+        with server, closing(client):
+            first, second = client.fetch_first_record(URL_A), client.fetch_first_record(URL_A)
+        assert first == second
+        # the trailer was read to its end: the next reply came on the same connection
+        assert server.connection_count == 1
+        assert attempts(logs) == [(200, 1), (200, 1)]
+
+    def test_content_length_body_in_pieces(self, scripted, logs):
+        whole = reply()
+        pieces = [whole[:20], whole[20:-30], whole[-30:-5], whole[-5:]]
+        server, client = scripted((pieces, False), ([reply()], False))
+        with server, closing(client):
+            assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
+        assert server.connection_count == 1
+
+    def test_connection_close_opens_a_new_connection(self, scripted, logs):
+        # the server leaves the connection open: the client must not reuse it
+        server, client = scripted(([reply(headers=b"Connection: close\r\n")], False),
+                                  ([reply()], False))
+        with server, closing(client):
+            assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
+        assert server.connection_count == 2
+        assert attempts(logs) == [(200, 1), (200, 1)]
+
+    @pytest.mark.parametrize("head, server_closes", [
+        (b"HTTP/1.0 200 OK\r\n\r\n", True),  # the body ends at the close
+        (b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(RECORD_LINE), False),
+    ])
+    def test_http10_reply_without_keep_alive_closes(self, scripted, logs, head, server_closes):
+        server, client = scripted(([head, RECORD_LINE], server_closes), ([reply()], False))
+        with server, closing(client):
+            assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
+        assert server.connection_count == 2
+        assert attempts(logs) == [(200, 1), (200, 1)]
+
+    def test_body_cut_short_is_a_failed_attempt(self, scripted, logs):
+        server, client = scripted(([reply()[:-10]], True), ([reply()], False))
+        with server, closing(client):
+            assert client.fetch_first_record(URL_A) is not None
+        assert attempts(logs) == [(0, 1), (200, 2)]
+
+    @pytest.mark.parametrize("garbage", [b"garbage\r\n\r\n", b"HTTP/1.1 2x0 OK\r\n\r\n",
+                                         b"ICY 200 OK\r\n\r\n"])
+    def test_garbage_status_line_is_retried_not_resent(self, scripted, logs, garbage):
+        # on a reused connection, so a ConnectionError would be resent unlogged
+        server, client = scripted(([reply()], False), ([garbage], False), ([reply()], False))
+        with server, closing(client):
+            client.fetch_first_record(URL_A)
+            assert client.fetch_first_record(URL_A) is not None
+        assert attempts(logs) == [(200, 1), (0, 1), (200, 2)]
+        assert server.connection_count == 2
+
+    def test_bad_chunk_size_is_a_failed_attempt(self, scripted, logs):
+        bad = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n"
+        server, client = scripted(([bad], True), ([reply()], False))
+        with server, closing(client):
+            assert client.fetch_first_record(URL_A) is not None
+        assert attempts(logs) == [(0, 1), (200, 2)]
+
+
+def _self_signed_cert(tmp_path) -> tuple[str, str]:
+    """A certificate for 127.0.0.1 that signs itself, and its key, as PEM files."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(x509.oid.NameOID.COMMON_NAME, "waysample test")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    ski = x509.SubjectKeyIdentifier.from_public_key(key.public_key())
+    cert = (x509.CertificateBuilder().subject_name(name).issuer_name(name)
+            .public_key(key.public_key()).serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(days=1))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            .add_extension(x509.KeyUsage(True, False, False, False, False, True, False, False,
+                                         False), critical=True)
+            .add_extension(ski, critical=False)
+            .add_extension(x509.AuthorityKeyIdentifier.from_issuer_subject_key_identifier(ski),
+                           critical=False)
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+            .sign(key, hashes.SHA256()))
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return str(cert_path), str(key_path)
+
+
+def test_https_round_trip(tmp_path, monkeypatch, logs):
+    cert, key = _self_signed_cert(tmp_path)
+    tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    tls.load_cert_chain(cert, key)
+    with ScriptedServer(([reply()], False), tls=tls) as server:
+        monkeypatch.setenv("SSL_CERT_FILE", cert)
+        with closing(ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
+                                   log=logs.append)) as client:
+            assert client.fetch_first_record(URL_A).timestamp.raw == "19960101000000"
+        # not trusted: the default context checks the system's CA store only
+        monkeypatch.delenv("SSL_CERT_FILE")
+        with closing(ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
+                                   log=logs.append)) as client:
+            with pytest.raises(TransportError) as exc:
+                client.fetch_first_record(URL_A)
+    assert exc.value.last_status == 0
+    assert attempts(logs) == [(200, 1)] + [
+        (0, n) for n in range(1, FAST_RETRY.max_attempts + 1)]
+    assert len(server.requests) == 1

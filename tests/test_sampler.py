@@ -139,12 +139,13 @@ class TestBucketing:
         assert elapsed < 1.0
 
 
-# canonical texts: roots, a path or query holding "/" or "://", non-ASCII, a
-# lone surrogate (as stdin can give one) and one long enough to double a buffer
+# canonical texts: roots, a path or query holding "/" or "://", non-ASCII and
+# one long enough to double a buffer (a lone surrogate, which stdin can give,
+# is not one: parse_url refuses it)
 _PACKED_TEXTS = [
     "http://a.com/", "https://a.com/", "http://a.com/p", "http://a.com/p/", "http://a.com/?q=/",
     "http://a.com/p?u=http://b.com/", "http://www.a.com/", "http://a.com/p/q",
-    "http://a.com/\u00e9t\u00e9", "http://a.com/\udc80", "http://a.com/" + "x" * 300,
+    "http://a.com/\u00e9t\u00e9", "http://a.com/" + "x" * 300,
 ]
 
 
@@ -158,7 +159,7 @@ class TestPackedDomain:
             distinct[text] = None
             # within twice the bytes of its distinct texts, at every step
             assert len(domain.packed) <= 2 * sum(
-                len(t.encode("utf-8", "surrogatepass")) + 1 for t in distinct)
+                len(t.encode()) + 1 for t in distinct)
         assert domain.dedup() is domain
         want = list(distinct)
         assert (domain.urls, domain.n_urls) == (want, len(want))

@@ -105,6 +105,13 @@ class TestParseUrl:
         with pytest.raises(UrlConversionError):
             parse_url("ftp://example.com/file")
 
+    @pytest.mark.parametrize("url", ["http://a.com/\udcff", "http://a\udcff.com/",
+                                     "https://a.com/?q=\ud800", "HTTP://a.com/\udc80"])
+    def test_url_that_does_not_encode_as_utf8_rejected(self, url):
+        # what a line holding a byte that is not UTF-8 reads back as
+        with pytest.raises(UrlConversionError, match="unparseable"):
+            parse_url(url)
+
     def test_fragment_dropped(self):
         assert parse_url("https://example.com/a#frag").text == "https://example.com/a"
 
