@@ -317,7 +317,7 @@ def cmd_sample(stage: Stage, args) -> None:
         params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
         selected = 0
         out_path = os.path.join(args.out_dir, f"bucket_{bucket.label}.txt")
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with stage.open(out_path, "w") as fh:
             for domain in reduced.domains:  # in domain-key order
                 k = sampler.downsample_count(domain.n_urls, params)
                 for url in sampler.select_urls(domain, k, cfg.seed):
@@ -408,7 +408,7 @@ def cmd_rehydrate(stage: Stage, args) -> None:
     counts = stage.counts
     counts.update(timemaps=0, revisits_resolved=0, revisits_unresolved=0)
     unresolved_path = args.unresolved or os.path.join(args.out_dir, "unresolved.tsv")
-    with open(unresolved_path, "w", encoding="utf-8") as unresolved_out:
+    with stage.open(unresolved_path, "w") as unresolved_out:
         for name in sorted(os.listdir(args.in_dir)):
             if not name.endswith(".cdx"):
                 continue
@@ -430,7 +430,7 @@ def cmd_stats(stage: Stage, args) -> None:
     stage.params["top_n"] = args.top_n
 
     def write_csv(name: str, header: str, rows) -> None:
-        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
+        with stage.open(os.path.join(args.out_dir, name), "w") as fh:
             fh.write(header + "\n")
             fh.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
 

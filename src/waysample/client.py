@@ -8,6 +8,12 @@ request attempt holds one of, and by the request pacing.
 
 Requests are HTTP/1.1 GETs on a stdlib ``socket`` (see ``_Connection``);
 ``ssl`` loads for an ``https://`` endpoint only, ``hashlib`` once a body is stored.
+
+A request is of one of three kinds, under the names that column 2 of the
+``--log`` TSV and ``MockCdxServer.schedule_faults`` use: ``limit`` sends
+``<path>?url=<URL>&limit=1``, ``numpages`` ``<path>?url=<URL>&showNumPages=true``
+and ``page`` ``<path>?url=<URL>&page=<N>``, the URL quoted as a form value. A 2xx
+body that is not UTF-8 is a ``CdxResponseError``, as a malformed one is.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
 from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_timemap_text
@@ -27,42 +33,23 @@ from .timemaps import merge_pages
 
 TRANSIENT_STATUS_MIN = 500
 
-
-@dataclass(frozen=True)
-class CdxQuery:
-    url: str
-    limit: int | None = None
-    page: int | None = None
-    show_num_pages: bool = False
-
-    def __post_init__(self):
-        if self.show_num_pages and (self.page is not None or self.limit is not None):
-            raise ValueError("showNumPages excludes page/limit in the same request")
-
-    def params(self) -> dict[str, str]:
-        params = {"url": self.url}
-        if self.limit is not None:
-            params["limit"] = str(self.limit)
-        if self.page is not None:
-            params["page"] = str(self.page)
-        if self.show_num_pages:
-            params["showNumPages"] = "true"
-        return params
+# what each request kind appends to its quoted url; a page request adds its number
+QUERY_SUFFIX = {"limit": "&limit=1", "numpages": "&showNumPages=true", "page": "&page="}
 
 
 @dataclass(frozen=True)
 class FetchLog:
-    query: CdxQuery
+    url: str
+    kind: str  # a key of QUERY_SUFFIX
+    page: int | None
     http_status: int
     attempt: int
     duration: float
     stored_at: str | None = None
 
     def to_tsv_line(self) -> str:
-        q = self.query
-        page = "-" if q.page is None else str(q.page)
-        kind = "numpages" if q.show_num_pages else ("limit" if q.limit else "page")
-        return (f"{q.url}\t{kind}\t{page}\t{self.http_status}"
+        page = "-" if self.page is None else self.page
+        return (f"{self.url}\t{self.kind}\t{page}\t{self.http_status}"
                 f"\t{self.attempt}\t{self.duration:.6f}\t{self.stored_at or '-'}")
 
 
@@ -263,12 +250,14 @@ class ArchiveClient:
                     raise
                 resend = False
 
-    def _get(self, query: CdxQuery) -> str:
-        """One logical request: retries transient failures, logs every
-        attempt, persists each received body. 3xx and 4xx are permanent, and
-        so is a refused or unresolvable endpoint that has never answered."""
-        params = query.params()
-        target = f"{self._path}?{urlencode(params)}"
+    def _get(self, url: str, kind: str, page: int | None = None) -> str:
+        """The body of one logical request of ``kind`` (a key of ``QUERY_SUFFIX``):
+        retries transient failures, logs every attempt, persists each received
+        body. 3xx and 4xx are permanent, and so is a refused or unresolvable
+        endpoint that has never answered; a 2xx body that is not UTF-8 is a
+        ``CdxResponseError``."""
+        target = (f"{self._path}?url={quote_plus(url, safe='')}{QUERY_SUFFIX[kind]}"
+                  f"{'' if page is None else page}")
         last_status: int | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             conn = self._pool.get()
@@ -288,24 +277,28 @@ class ArchiveClient:
                 stored_at = self._store_body(body) if body else None
                 if self.log is not None:
                     with self._lock:
-                        self.log(FetchLog(query, status, attempt, duration, stored_at))
+                        self.log(FetchLog(url, kind, page, status, attempt, duration, stored_at))
             finally:
                 self._pool.put(conn)
             if 200 <= status < 300:
-                return body.decode("utf-8")
+                try:
+                    return body.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise CdxResponseError(f"CDX body for {url!r} ({kind}) is not UTF-8 "
+                                           f"(raw body at {stored_at})", stored_at) from None
             last_status = status
             if unreachable:
-                raise TransportError(f"cannot reach {self.base_url} for {params}", 0)
+                raise TransportError(f"cannot reach {self.base_url} for {url!r} ({kind})", 0)
             if 300 <= status < 400:
-                raise TransportError(f"HTTP {status} redirect to {location} for {params}; "
-                                     "configure that endpoint instead", status)
+                raise TransportError(f"HTTP {status} redirect to {location} for {url!r} "
+                                     f"({kind}); configure that endpoint instead", status)
             if 400 <= status < TRANSIENT_STATUS_MIN:
-                raise TransportError(f"permanent HTTP {status} for {params}", status)
+                raise TransportError(f"permanent HTTP {status} for {url!r} ({kind})", status)
             if attempt < self.retry.max_attempts:
                 time.sleep(self.retry.delay(attempt, self._rng))
         raise TransportError(
             f"gave up after {self.retry.max_attempts} attempts "
-            f"for {params} (last status {last_status})",
+            f"for {url!r} ({kind}) (last status {last_status})",
             last_status,
         )
 
@@ -317,7 +310,7 @@ class ArchiveClient:
     def fetch_first_record(self, url: str) -> CdxRecord | None:
         """First capture of a URL via a limit-1 query; None when the
         response body is empty (unarchived URL)."""
-        body = self._get(CdxQuery(url, limit=1))
+        body = self._get(url, "limit")
         line = body.strip().splitlines()[0] if body.strip() else None
         if line is None:
             return None
@@ -327,7 +320,7 @@ class ArchiveClient:
             raise self._unparseable(url, body) from exc
 
     def fetch_page_count(self, url: str) -> int:
-        body = self._get(CdxQuery(url, show_num_pages=True)).strip()
+        body = self._get(url, "numpages").strip()
         try:
             count = int(body)
         except ValueError as exc:
@@ -346,7 +339,7 @@ class ArchiveClient:
         try:
             for page_no in range(n_pages):
                 try:
-                    body = self._get(CdxQuery(url, page=page_no))
+                    body = self._get(url, "page", page_no)
                 except TransportError:
                     missing.append(page_no)
                     continue

@@ -7,11 +7,11 @@ import sys
 import threading
 import time
 import tracemalloc
-from urllib.parse import quote
+from urllib.parse import parse_qs, quote, urlsplit
 
 import pytest
 
-from waysample import sampler
+from waysample import cdx, cli, sampler
 from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
 from waysample.mockserver import MockCdxServer
@@ -695,6 +695,58 @@ class TestStats:
         assert float(row) == pytest.approx(1.0)
 
 
+def test_every_output_opens_through_stage_open(tmp_path, monkeypatch):
+    """The offline stages open each file they leave through Stage.open, but for
+    manifests and TimeMaps, which atomic_open publishes."""
+    opened = {"stage": set(), "atomic": set()}
+    stage_open, atomic_open = cli.Stage.open, cdx.atomic_open
+
+    def through_stage(self, path, mode="r"):
+        if mode != "r":
+            opened["stage"].add(os.path.abspath(path))
+        return stage_open(self, path, mode)
+
+    def through_atomic(path, *args, **kwargs):
+        opened["atomic"].add(os.path.abspath(path))
+        return atomic_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Stage, "open", through_stage)
+    monkeypatch.setattr(cli, "atomic_open", through_atomic)  # manifests
+    monkeypatch.setattr(cdx, "atomic_open", through_atomic)  # write_timemap
+
+    inp, out = tmp_path / "in", tmp_path / "out"
+    (inp / "raw").mkdir(parents=True)
+    out.mkdir()
+    urls, first = inp / "urls.txt", inp / "first.tsv"
+    _synthetic_first_captures(first, 300)
+    write_lines(urls, [line.split("\t")[0] for line in read_lines(first)] + INDEX_SAMPLE)
+    seeded = random.Random(0x0FE)
+    for url in ("http://revisits.com/", "http://revisits.com/a.html"):
+        history = make_history(url, 12, seeded, revisit_fraction=0.4)
+        write_lines(inp / "raw" / timemap_filename(url), [r.to_line() for r in history])
+
+    def run(*argv):
+        assert main([*argv, "--manifest", str(out / f"{argv[0]}.json")]) == 0
+
+    run("filter", str(urls), "-o", str(out / "filter.tsv"))
+    run("classify", str(urls), "-o", str(out / "classify.tsv"))
+    run("sample", "--first-captures", str(first), "--out-dir", str(out / "sample"),
+        "--target", "50")
+    run("rehydrate", "--in-dir", str(inp / "raw"), "--out-dir", str(out / "hydrated"))
+    buckets = sorted((out / "sample").glob("bucket_*.txt"))
+    run("stats", "--first-captures", str(first), "--urls", str(urls),
+        "--sampled", str(buckets[0]), "--timemap-dir", str(out / "hydrated"),
+        "--out-dir", str(out / "stats"))
+
+    left = {os.path.join(d, name) for d, _, names in os.walk(out) for name in names}
+    assert opened["stage"] | opened["atomic"] == left
+    assert not opened["stage"] & opened["atomic"]
+    assert {os.path.basename(path) for path in opened["atomic"]} == {
+        "filter.json", "classify.json", "sample.json", "rehydrate.json", "stats.json",
+        *os.listdir(inp / "raw")}
+    assert len(os.listdir(out / "stats")) == 6 and (out / "hydrated" / "unresolved.tsv").exists()
+
+
 def test_url_without_surt_key_is_dropped_by_every_stage(tmp_path, archive):
     server, histories = archive
     deep = sorted(url for url in histories if url.endswith("deep/p.php"))[:3]
@@ -792,6 +844,44 @@ def test_line_that_is_not_utf8_is_kept_and_never_queried(tmp_path, source):
             lines[0] + b"\tok", lines[1] + b"\tskipped", lines[2] + b"\tempty"]
         assert (counts["input"], counts["skipped"]) == (3, 1)
         assert server.request_count == sum(1 + server.page_count_for(url) for url in good)
+
+
+class NotUtf8Archive(MockCdxServer):
+    """A mock archive that answers the limit and page queries of one URL with a
+    body that is not UTF-8."""
+
+    def __init__(self, corpus, page_size, bad_url):
+        super().__init__(corpus, page_size)
+        self.bad_url = bad_url
+
+    def _respond(self, path):
+        params = parse_qs(urlsplit(path).query)
+        if params["url"] == [self.bad_url] and "showNumPages" not in params:
+            return 200, "café\n".encode("latin-1")
+        return super()._respond(path)
+
+
+def test_body_not_utf8_is_an_error_row(tmp_path):
+    seeded = random.Random(0xE9)
+    urls = [f"http://latin{i}.com/" for i in range(3)]
+    inp = tmp_path / "urls.txt"
+    write_lines(inp, urls)
+    with NotUtf8Archive([r for url in urls for r in make_history(url, 6, seeded)], 4,
+                        urls[1]) as server:
+        manifest = tmp_path / "fetch-first.json"
+        assert main(["fetch-first", str(inp), "-o", str(tmp_path / "first.tsv"),
+                     "--endpoint", server.endpoint, "--manifest", str(manifest)]) == 0
+        assert [line.split("\t")[3] for line in read_lines(tmp_path / "first.tsv")] == [
+            "ok", "error", "ok"]
+        assert counts_adding_up(manifest)["error"] == 1
+
+        out_dir, manifest = tmp_path / "timemaps", tmp_path / "fetch.json"
+        assert main(["fetch", str(inp), "--out-dir", str(out_dir),
+                     "--endpoint", server.endpoint, "--manifest", str(manifest)]) == 0
+        assert read_lines(out_dir / "fetch_report.tsv") == [
+            f"{urls[0]}\tok", f"{urls[1]}\terror", f"{urls[2]}\tok"]
+        assert counts_adding_up(manifest)["error"] == 1
+        assert not (out_dir / timemap_filename(urls[1])).exists()
 
 
 class TestFanOut:

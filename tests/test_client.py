@@ -13,13 +13,15 @@ import time
 import tracemalloc
 from collections import deque
 from contextlib import closing
+from unittest import mock
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, strategies as st
 
 from waysample import __version__
 from waysample.client import (
     ArchiveClient,
-    CdxQuery,
     CdxResponseError,
     PartialFetchError,
     RetryPolicy,
@@ -144,18 +146,19 @@ class TestFetchLogs:
         by_query = {}
         for log in logs:
             assert log.duration >= 0
-            by_query.setdefault((log.query.url, log.query.page,
-                                 log.query.show_num_pages), []).append(log.attempt)
+            by_query.setdefault((log.url, log.kind, log.page), []).append(log.attempt)
         for attempts in by_query.values():
             assert attempts == list(range(1, len(attempts) + 1))
 
     def test_tsv_shape(self, client, logs):
         client.fetch_first_record(URL_A)
-        (line,) = [log.to_tsv_line() for log in logs]
-        fields = line.split("\t")
-        assert fields[0] == URL_A
-        assert fields[1] == "limit"
-        assert fields[3] == "200"
+        client.fetch_timemap(URL_A)  # 25 records, 10 to a page
+        rows = [log.to_tsv_line().split("\t") for log in logs]
+        assert all(len(fields) == 7 and float(fields[5]) >= 0 for fields in rows)
+        # every column but the duration: URL, kind, page, status, attempt, stored body
+        assert [fields[:5] + fields[6:] for fields in rows] == [
+            [URL_A, kind, page, "200", "1", "-"] for kind, page in [
+                ("limit", "-"), ("numpages", "-"), ("page", "0"), ("page", "1"), ("page", "2")]]
 
 
 class TestPoliteness:
@@ -197,18 +200,40 @@ class TestPoliteness:
             RetryPolicy(max_attempts=0)
 
 
-class TestQueryValidation:
-    def test_numpages_excludes_page(self):
-        with pytest.raises(ValueError):
-            CdxQuery("http://a.com/", page=0, show_num_pages=True)
+def _old_params(url, limit=None, page=None, show_num_pages=False) -> dict[str, str]:
+    """The query parameters the client once rendered with ``urlencode``: the
+    reference that each request target must match byte for byte."""
+    params = {"url": url}
+    if limit is not None:
+        params["limit"] = str(limit)
+    if page is not None:
+        params["page"] = str(page)
+    if show_num_pages:
+        params["showNumPages"] = "true"
+    return params
 
-    def test_numpages_excludes_limit(self):
-        with pytest.raises(ValueError):
-            CdxQuery("http://a.com/", limit=1, show_num_pages=True)
 
-    def test_params_rendering(self):
-        assert CdxQuery("http://a.com/", limit=1).params() == {
-            "url": "http://a.com/", "limit": "1"}
+# URL texts rich in what form quoting changes: spaces, '&', '#', '%', '+' and non-ASCII
+URL_TEXTS = st.text(st.one_of(st.sampled_from(list(" &#%+=?/:;~é中😀")),
+                              st.characters(blacklist_categories=("Cs",))))
+
+
+class TestQueryTargets:
+    @given(URL_TEXTS)
+    def test_target_is_urlencode_of_old_params(self, url):
+        sent = []
+
+        def get(conn, target):
+            sent.append(target)
+            return 200, b"12\n" if "showNumPages" in target else b"", None
+
+        client = ArchiveClient("http://cdx.example/cdx")
+        with mock.patch("waysample.client._Connection.get", get):
+            assert client.fetch_first_record(url) is None
+            assert client.fetch_timemap(url).records == []  # 12 empty pages
+        assert sent == [f"/cdx?{urlencode(params)}" for params in [
+            _old_params(url, limit=1), _old_params(url, show_num_pages=True),
+            *[_old_params(url, page=n) for n in range(12)]]]
 
 
 class TestBodyStorage:
@@ -586,6 +611,20 @@ class TestExchange:
         with server, closing(client):
             assert client.fetch_first_record(URL_A) is not None
         assert attempts(logs) == [(0, 1), (200, 2)]
+
+
+@pytest.mark.parametrize("method, replies", [
+    ("fetch_first_record", [b"caf\xe9\n"]),
+    ("fetch_timemap", [b"1\n", b"caf\xe9\n"]),  # page 0 is not UTF-8
+])
+def test_body_not_utf8_is_a_response_error(scripted, logs, tmp_path, method, replies):
+    server, client = scripted(*[([reply(body)], False) for body in replies],
+                              storage_dir=str(tmp_path))
+    with server, closing(client), pytest.raises(CdxResponseError) as exc:
+        getattr(client, method)(URL_A)
+    with open(exc.value.stored_at, "rb") as fh:
+        assert fh.read() == b"caf\xe9\n"
+    assert attempts(logs) == [(200, 1)] * len(replies)  # each answered once, not retried
 
 
 def _self_signed_cert(tmp_path) -> tuple[str, str]:
