@@ -25,10 +25,12 @@ import time
 from collections import deque
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
-from . import sampler, stats, timemaps, urlfilter
+from . import stats, timemaps, urlfilter
 from .cdx import (
     CdxParseError,
     Timestamp14,
@@ -41,6 +43,7 @@ from .config import PipelineConfig
 from .surt import CanonicalUrl, SurtError, parse_url, surt_text_for_url
 
 if TYPE_CHECKING:
+    from . import sampler
     from .client import ArchiveClient
 
 
@@ -69,15 +72,14 @@ class Stage:
         if hasattr(args, "endpoint") and self.cfg.endpoint:
             # imported here: it loads socket and queue, which offline stages do without
             from . import client as client_mod
-            self._client = client_mod.ArchiveClient(
+            self._client = self._resources.enter_context(client_mod.ArchiveClient(
                 base_url=self.cfg.endpoint,
                 retry=client_mod.RetryPolicy(max_attempts=self.cfg.retry_cap,
                                              backoff_base=self.cfg.backoff_base),
                 politeness_limit=self.cfg.politeness_limit,
                 request_delay=self.cfg.request_delay,
                 storage_dir=self.cfg.storage_dir,
-            )
-            self._resources.callback(self._client.close)
+            ))
             if getattr(args, "log", None):  # line-buffered: a killed stage keeps each line
                 log = self._resources.enter_context(
                     open(args.log, "w", encoding="utf-8", buffering=1))
@@ -261,7 +263,7 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timesta
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split("\t")
+            fields = line.split("\t", 2)
             if len(fields) < 2:
                 raise CdxParseError("expected at least url<TAB>timestamp", i + 1)
             url_text, ts = fields[0], fields[1]
@@ -276,67 +278,92 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timesta
             yield url_text, first_capture
 
 
+def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets,
+                 missing: sampler.MissingRoots) -> None:
+    """Add each archived row of ``--first-captures`` whose URL parses to
+    ``buckets`` and ``missing``, then to ``buckets`` the root of each host
+    seen only through deep links that ``--endpoint`` finds archived, at its
+    first capture."""
+    counts = stage.counts
+    for url_text, first_capture in _read_first_captures(stage, args.first_captures):
+        try:
+            url = parse_url(url_text)
+        except SurtError:
+            counts["unparseable"] += 1
+            continue
+        counts["input"] += 1
+        missing.add(url)
+        buckets.add(url, first_capture)
+    roots = missing.roots()
+    if not stage.cfg.endpoint:
+        counts["missing_roots"] = sum(1 for _ in roots)
+        return
+    cdx_client = stage.client
+    for root, record, error in stage.map_urls(
+            lambda root: cdx_client.fetch_first_record(root.text), roots):
+        counts["missing_roots"] += 1
+        counts["roots_added" if record else
+               "root_errors" if error else "roots_unarchived"] += 1
+        if record is not None:
+            buckets.add(root, record.timestamp)
+
+
 def cmd_sample(stage: Stage, args) -> None:
+    # imported here, as in reintegrate: the other stages do without its code,
+    # which adds to their peak RSS when they compile it from source
+    from . import sampler
+
     cfg, counts = stage.cfg, stage.counts
     os.makedirs(args.out_dir, exist_ok=True)
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    counts.update(input=0, roots_added=0, roots_unarchived=0, root_errors=0)
-    missing = sampler.MissingRoots()
-
-    def rows() -> Iterator[tuple[CanonicalUrl, Timestamp14]]:
-        for url_text, first_capture in _read_first_captures(stage, args.first_captures):
-            try:
-                url = parse_url(url_text)
-            except SurtError:
-                counts["unparseable"] += 1
-                continue
-            counts["input"] += 1
-            missing.add(url)
-            yield url, first_capture
-        # upsample: add roots for hosts seen only through deep links
-        roots = list(missing.roots.values())
-        counts["missing_roots"] = len(roots)
-        if roots and cfg.endpoint:
-            cdx_client = stage.client
-            for root, record, error in stage.map_urls(
-                    lambda root: cdx_client.fetch_first_record(root.text), roots):
-                counts["roots_added" if record else
-                       "root_errors" if error else "roots_unarchived"] += 1
-                if record is not None:
-                    yield root, record.timestamp
-
-    result = sampler.bucket_by_first_year(rows())
-    counts["dropped_pre_1996"] = result.dropped_pre_1996
-
-    bucket_reports = counts["buckets"] = []
-    counts["selected_total"] = 0
-    for bucket in result.buckets:
-        reduced = sampler.reduce_long_tail(
-            bucket, cfg.tail_threshold, cfg.tail_keep_fraction, cfg.seed)
-        calibration = sampler.calibrate_k(reduced, cfg.c, cfg.target)
-        params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
-        selected = 0
-        out_path = os.path.join(args.out_dir, f"bucket_{bucket.label}.txt")
-        with stage.open(out_path, "w") as fh:
-            for domain in reduced.domains:  # in domain-key order
-                k = sampler.downsample_count(domain.n_urls, params)
-                for url in sampler.select_urls(domain, k, cfg.seed):
-                    fh.write(url + "\n")
-                selected += k
-        counts["selected_total"] += selected
-        bucket_reports.append({
-            "label": bucket.label,
-            "domains": bucket.n_domains,
-            "domains_after_tail": reduced.n_domains,
-            "urls": bucket.n_urls,
-            "k": calibration.k,
-            "calibrated_total": calibration.total,
-            "overshoot": calibration.overshoot,
-            "selected": selected,
-        })
+    counts.update(input=0, missing_roots=0, roots_added=0, roots_unarchived=0, root_errors=0)
+    # the sorted rows spill to anonymous files in the out-dir
+    with sampler.FirstYearBuckets(args.out_dir) as buckets:
+        with sampler.MissingRoots(args.out_dir) as missing:
+            _bucket_rows(stage, args, buckets, missing)
+        counts["dropped_pre_1996"] = buckets.dropped_pre_1996
+        sizes = buckets.sizes()  # the first pass over the sorted rows; the second writes
+        bucket_reports = counts["buckets"] = []
+        counts["selected_total"] = 0
+        for label, domains in groupby(buckets.domains(), key=itemgetter(0)):
+            domain_sizes = sizes[label]
+            kept = sampler.tail_survivors(label, domain_sizes.total(), domain_sizes[1],
+                                          cfg.tail_threshold, cfg.tail_keep_fraction, cfg.seed)
+            reduced = domain_sizes.copy()
+            if kept is not None:
+                reduced[1] = len(kept)
+            calibration = sampler.calibrate_sizes(reduced, cfg.c, cfg.target)
+            params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
+            selected = 0
+            single = -1  # the domain's position among the bucket's single-URL domains
+            with stage.open(os.path.join(args.out_dir, f"bucket_{label}.txt"), "w") as fh:
+                for _, domain in domains:  # in domain-key order
+                    n = len(domain.urls)
+                    if n == 1:  # kept whole, as select_urls would keep it
+                        single += 1
+                        if kept is None or single in kept:
+                            fh.write(domain.urls[0] + "\n")
+                            selected += 1
+                        continue
+                    k = sampler.downsample_count(n, params)
+                    fh.write("\n".join(sampler.select_urls(domain, k, cfg.seed)) + "\n")
+                    selected += k
+            counts["selected_total"] += selected
+            bucket_reports.append({
+                "label": label,
+                "domains": domain_sizes.total(),
+                "domains_after_tail": reduced.total(),
+                "urls": sum(n * m for n, m in domain_sizes.items()),
+                "k": calibration.k,
+                "calibrated_total": calibration.total,
+                "overshoot": calibration.overshoot,
+                "selected": selected,
+            })
 
 
 def cmd_reintegrate(stage: Stage, args) -> None:
+    from . import sampler
+
     cfg, cdx_client = stage.cfg, stage.client
     first, last = args.years
     years = list(range(first, last + 1))

@@ -216,6 +216,12 @@ class ArchiveClient:
             for conn in self._pool.queue:
                 conn.close()
 
+    def __enter__(self) -> ArchiveClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _store_body(self, body: bytes) -> str | None:
         if self.storage_dir is None:
             return None

@@ -15,7 +15,7 @@ from waysample import cdx, cli, sampler
 from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
 from waysample.mockserver import MockCdxServer
-from waysample.surt import parse_url, surt_text_for_url
+from waysample.surt import domain_key, parse_url, surt_text_for_url
 
 from conftest import make_history, make_record
 
@@ -353,6 +353,71 @@ class TestSample:
         assert outputs[0][0]["input"] == len(read_lines(first))
 
 
+    @pytest.mark.parametrize("run_bytes", [sampler.RUN_BYTES, 64])
+    def test_bucket_files_list_domains_in_sorted_order(self, tmp_path, monkeypatch, run_bytes):
+        # NUL and SOH in hosts: with a tab between fields "a.com\x00x" would
+        # sort before its prefix "a.com", and an unescaped NUL separator would
+        # make the end of a field ambiguous
+        monkeypatch.setattr(sampler, "RUN_BYTES", run_bytes)
+        labels = ["a", "a\x00", "a\x01", "a\x00\x01", "a\x01\x00", "a\x00\x00", "ab", "a\x00b"]
+        hosts = [f"{label}.com" for label in labels] + ["a.com\x00x", "www.a\x00.com"]
+        rows = [f"http://{host}{path}\t2005{month:02d}01000000"
+                for month, path in enumerate(["/", "/p", "/\x00q"], 1) for host in hosts]
+        first = tmp_path / "first.tsv"
+        write_lines(first, rows)
+        out_dir = tmp_path / "sample"
+        assert main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir),
+                     "--target", "1000"]) == 0
+        with open(out_dir / "bucket_2005.txt", encoding="utf-8") as fh:
+            selected = fh.read().split("\n")[:-1]
+        assert sorted(selected) == sorted(row.split("\t")[0] for row in rows)
+        keys = [domain_key(parse_url(url).host) for url in selected]
+        runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+        assert runs == sorted(set(keys))
+
+    def test_outputs_do_not_depend_on_the_run_budget(self, tmp_path, monkeypatch):
+        # with runs of a few rows merged two at a time, a URL's repeats and a
+        # host's root and deep links land in different runs
+        first = tmp_path / "first.tsv"
+        _synthetic_first_captures(first, 3000, repeats=2)
+        outputs = []
+        for run_bytes, fan_in in ((sampler.RUN_BYTES, sampler.FAN_IN), (200, 2)):
+            monkeypatch.setattr(sampler, "RUN_BYTES", run_bytes)
+            monkeypatch.setattr(sampler, "FAN_IN", fan_in)
+            out_dir = tmp_path / f"out{run_bytes}"
+            assert main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir),
+                         "--target", "300", "--tail-threshold", "40", "--seed", "3"]) == 0
+            counts = json.loads((out_dir / "manifest.json").read_text())["counts"]
+            outputs.append((counts, {name: (out_dir / name).read_bytes()
+                                     for name in os.listdir(out_dir) if name != "manifest.json"}))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["missing_roots"] > 0
+        assert any(b["domains_after_tail"] < b["domains"] for b in outputs[0][0]["buckets"])
+
+    def test_failure_after_spilling_leaves_only_the_manifest(self, tmp_path, monkeypatch):
+        import tempfile
+        opened = []
+
+        def temporary_file(**kwargs):
+            opened.append(real(**kwargs))
+            return opened[-1]
+
+        real = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        monkeypatch.setattr(sampler, "RUN_BYTES", 4096)
+        first = tmp_path / "first.tsv"
+        _synthetic_first_captures(first, 2000)
+        with open(first, "a", encoding="utf-8") as fh:
+            fh.write("http://one-column.com/\n")  # no timestamp column
+        out_dir = tmp_path / "sample"
+        with pytest.raises(cdx.CdxParseError):
+            main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir)])
+        assert len(opened) > 2  # spill runs of rows and of roots
+        assert all(fh.closed for fh in opened)
+        assert os.listdir(out_dir) == ["manifest.json"]
+        assert json.loads((out_dir / "manifest.json").read_text())["status"] == "failed"
+
+
 def _synthetic_first_captures(path, n_rows, seed=5, spread=False, repeats=1):
     """A fetch-first TSV of n_rows shaped like a web index: Pareto domain
     sizes, some www hosts, a root for most domains, some queries, first
@@ -416,6 +481,27 @@ def test_sample_memory_per_row_is_bounded(tmp_path, spread, repeats, bytes_per_r
         tracemalloc.stop()
     bytes_per_row = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
     assert bytes_per_row <= bytes_per_row_bound, bytes_per_row
+
+
+def test_sample_memory_is_flat_in_the_row_count(tmp_path):
+    # past its run budget, sample's memory is that budget plus the largest
+    # domain: it held 20 MB more at 160,000 rows than at 40,000 with a
+    # table of every distinct URL
+    sizes = (40_000, 160_000)
+    for n_rows in sizes:
+        _synthetic_first_captures(tmp_path / f"first{n_rows}.tsv", n_rows)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_rows in sizes:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["sample", "--first-captures", str(tmp_path / f"first{n_rows}.tsv"),
+                         "--out-dir", str(tmp_path / f"out{n_rows}"), "--target", "500"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2_000_000, peaks
 
 
 class TestReintegrate:

@@ -12,7 +12,6 @@ import threading
 import time
 import tracemalloc
 from collections import deque
-from contextlib import closing
 from unittest import mock
 from urllib.parse import urlencode
 
@@ -62,9 +61,8 @@ def logs():
 
 @pytest.fixture
 def client(server, logs):
-    client = ArchiveClient(server.endpoint, retry=FAST_RETRY, log=logs.append)
-    yield client
-    client.close()
+    with ArchiveClient(server.endpoint, retry=FAST_RETRY, log=logs.append) as client:
+        yield client
 
 
 class TestFirstRecord:
@@ -106,7 +104,7 @@ class TestPageCount:
 
     def test_exact_boundary(self, corpus):
         with MockCdxServer(corpus[URL_A], page_size=5) as srv:
-            with closing(ArchiveClient(srv.endpoint, retry=FAST_RETRY)) as client:
+            with ArchiveClient(srv.endpoint, retry=FAST_RETRY) as client:
                 assert client.fetch_page_count(URL_A) == 5
 
     def test_unarchived_is_zero(self, client):
@@ -165,7 +163,7 @@ class TestPoliteness:
     def test_concurrency_never_exceeds_limit(self, server):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY, politeness_limit=3)
         server.schedule_delay(None, None, 0.02)
-        with closing(client), concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
+        with client, concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
             futures = [pool.submit(client.fetch_first_record, URL_A) for _ in range(24)]
             for future in futures:
                 future.result()
@@ -240,7 +238,7 @@ class TestBodyStorage:
     def test_content_addressed_and_deduplicated(self, server, tmp_path, logs):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY,
                                storage_dir=str(tmp_path), log=logs.append)
-        with closing(client):
+        with client:
             client.fetch_first_record(URL_A)
             client.fetch_first_record(URL_A)
         paths = {log.stored_at for log in logs}
@@ -307,6 +305,13 @@ class TestKeepAlive:
         assert server.connection_count == 2
         assert attempts(logs) == [(200, 1), (200, 1)]
 
+    def test_leaving_a_with_block_closes_the_connections(self, server):
+        with ArchiveClient(server.endpoint, retry=FAST_RETRY) as client:
+            client.fetch_first_record(URL_A)
+        client.fetch_first_record(URL_A)  # on a new connection, as after close()
+        client.close()
+        assert server.connection_count == 2
+
 
 class TestEndpoint:
     @pytest.mark.parametrize("base_url", [
@@ -342,7 +347,7 @@ class TestMalformedResponses:
     def test_malformed_page_is_a_response_error(self, server, tmp_path):
         client = ArchiveClient(server.endpoint, retry=FAST_RETRY, storage_dir=str(tmp_path))
         server.schedule_faults(KEY_A, 1, [200])
-        with closing(client), pytest.raises(CdxResponseError) as exc:
+        with client, pytest.raises(CdxResponseError) as exc:
             client.fetch_timemap(URL_A)
         with open(exc.value.stored_at, "rb") as fh:
             assert fh.read() == b"injected fault\n"
@@ -414,7 +419,7 @@ def test_client_keeps_nothing_per_request():
 
         tracemalloc.start()
         try:
-            with closing(client):
+            with client:
                 before = retained_after(200)  # warm: the connection, the parser caches
                 after = retained_after(1800)
         finally:
@@ -539,7 +544,7 @@ def scripted(logs):
 class TestExchange:
     def test_request_head(self, scripted):
         server, client = scripted(([reply()], False))
-        with server, closing(client):
+        with server, client:
             record = client.fetch_first_record(URL_A)
         assert record.timestamp.raw == "19960101000000"
         (head,) = server.requests
@@ -553,7 +558,7 @@ class TestExchange:
                    + b"%X\r\n" % (len(RECORD_LINE) - 10) + RECORD_LINE[10:] + b"\r\n"
                    + b"0\r\nX-Checksum: 1\r\n\r\n")
         server, client = scripted(([chunked], False), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             first, second = client.fetch_first_record(URL_A), client.fetch_first_record(URL_A)
         assert first == second
         # the trailer was read to its end: the next reply came on the same connection
@@ -564,7 +569,7 @@ class TestExchange:
         whole = reply()
         pieces = [whole[:20], whole[20:-30], whole[-30:-5], whole[-5:]]
         server, client = scripted((pieces, False), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
         assert server.connection_count == 1
 
@@ -572,7 +577,7 @@ class TestExchange:
         # the server leaves the connection open: the client must not reuse it
         server, client = scripted(([reply(headers=b"Connection: close\r\n")], False),
                                   ([reply()], False))
-        with server, closing(client):
+        with server, client:
             assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
         assert server.connection_count == 2
         assert attempts(logs) == [(200, 1), (200, 1)]
@@ -583,14 +588,14 @@ class TestExchange:
     ])
     def test_http10_reply_without_keep_alive_closes(self, scripted, logs, head, server_closes):
         server, client = scripted(([head, RECORD_LINE], server_closes), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             assert client.fetch_first_record(URL_A) == client.fetch_first_record(URL_A)
         assert server.connection_count == 2
         assert attempts(logs) == [(200, 1), (200, 1)]
 
     def test_body_cut_short_is_a_failed_attempt(self, scripted, logs):
         server, client = scripted(([reply()[:-10]], True), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             assert client.fetch_first_record(URL_A) is not None
         assert attempts(logs) == [(0, 1), (200, 2)]
 
@@ -599,7 +604,7 @@ class TestExchange:
     def test_garbage_status_line_is_retried_not_resent(self, scripted, logs, garbage):
         # on a reused connection, so a ConnectionError would be resent unlogged
         server, client = scripted(([reply()], False), ([garbage], False), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             client.fetch_first_record(URL_A)
             assert client.fetch_first_record(URL_A) is not None
         assert attempts(logs) == [(200, 1), (0, 1), (200, 2)]
@@ -608,7 +613,7 @@ class TestExchange:
     def test_bad_chunk_size_is_a_failed_attempt(self, scripted, logs):
         bad = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n"
         server, client = scripted(([bad], True), ([reply()], False))
-        with server, closing(client):
+        with server, client:
             assert client.fetch_first_record(URL_A) is not None
         assert attempts(logs) == [(0, 1), (200, 2)]
 
@@ -620,7 +625,7 @@ class TestExchange:
 def test_body_not_utf8_is_a_response_error(scripted, logs, tmp_path, method, replies):
     server, client = scripted(*[([reply(body)], False) for body in replies],
                               storage_dir=str(tmp_path))
-    with server, closing(client), pytest.raises(CdxResponseError) as exc:
+    with server, client, pytest.raises(CdxResponseError) as exc:
         getattr(client, method)(URL_A)
     with open(exc.value.stored_at, "rb") as fh:
         assert fh.read() == b"caf\xe9\n"
@@ -664,13 +669,13 @@ def test_https_round_trip(tmp_path, monkeypatch, logs):
     tls.load_cert_chain(cert, key)
     with ScriptedServer(([reply()], False), tls=tls) as server:
         monkeypatch.setenv("SSL_CERT_FILE", cert)
-        with closing(ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
-                                   log=logs.append)) as client:
+        with ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
+                           log=logs.append) as client:
             assert client.fetch_first_record(URL_A).timestamp.raw == "19960101000000"
         # not trusted: the default context checks the system's CA store only
         monkeypatch.delenv("SSL_CERT_FILE")
-        with closing(ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
-                                   log=logs.append)) as client:
+        with ArchiveClient(server.endpoint("https"), retry=FAST_RETRY,
+                           log=logs.append) as client:
             with pytest.raises(TransportError) as exc:
                 client.fetch_first_record(URL_A)
     assert exc.value.last_status == 0

@@ -7,14 +7,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from waysample import sampler
 from waysample.cdx import Timestamp14
 from waysample.sampler import (
     DomainCount,
     DownsampleParams,
-    PackedDomain,
+    SpillSort,
     YearBucket,
     bucket_by_first_year,
     calibrate_k,
+    calibrate_sizes,
     domain_key,
     downsample_count,
     extract_missing_roots,
@@ -24,6 +26,7 @@ from waysample.sampler import (
     reintegrate_popular,
     select_urls,
     skip_sample,
+    tail_survivors,
     year_bucket_label,
 )
 from waysample.surt import parse_url
@@ -140,38 +143,63 @@ class TestBucketing:
 
 
 # canonical texts: roots, a path or query holding "/" or "://", non-ASCII and
-# one long enough to double a buffer (a lone surrogate, which stdin can give,
-# is not one: parse_url refuses it)
-_PACKED_TEXTS = [
+# a long one (a lone surrogate, which stdin can give, is not one: parse_url
+# refuses it)
+_CANONICAL_TEXTS = [
     "http://a.com/", "https://a.com/", "http://a.com/p", "http://a.com/p/", "http://a.com/?q=/",
     "http://a.com/p?u=http://b.com/", "http://www.a.com/", "http://a.com/p/q",
     "http://a.com/\u00e9t\u00e9", "http://a.com/" + "x" * 300,
 ]
 
 
-class TestPackedDomain:
-    @given(st.lists(st.sampled_from(_PACKED_TEXTS), min_size=1, max_size=300))
-    def test_matches_a_list_without_repeats(self, texts):
-        domain = PackedDomain("a.com", texts[0])
-        distinct = {texts[0]: None}
-        for text in texts[1:]:
-            domain.add(text)
-            distinct[text] = None
-            # within twice the bytes of its distinct texts, at every step
-            assert len(domain.packed) <= 2 * sum(
-                len(t.encode()) + 1 for t in distinct)
-        assert domain.dedup() is domain
-        want = list(distinct)
-        assert (domain.urls, domain.n_urls) == (want, len(want))
-        assert all(parse_url(t).text == t for t in want)
-        assert first_root(domain.urls) == next((t for t in want if parse_url(t).is_root), None)
-
-
+class TestFirstRoot:
     def test_first_root_is_the_first_text_that_parses_as_a_root(self, rng):
-        texts = [parse_url(random_url(rng)).text for _ in range(2000)] + _PACKED_TEXTS
+        texts = [parse_url(random_url(rng)).text for _ in range(2000)] + _CANONICAL_TEXTS
         for i in range(0, len(texts), 10):
             chunk = texts[i:i + 10]
             assert first_root(chunk) == next((t for t in chunk if parse_url(t).is_root), None)
+
+
+class TestSpillSort:
+    @given(st.lists(st.tuples(st.text("ab\x00\x01\x02\u00e9\U0001f600", max_size=4),
+                              st.integers(0, 99))),
+           st.sampled_from([4, 1 << 20]))
+    def test_lines_sort_as_their_fields(self, items, budget):
+        with mock.patch.object(sampler, "RUN_BYTES", budget), \
+                mock.patch.object(sampler, "FAN_IN", 2), SpillSort() as lines:
+            for key, n in items:
+                lines.add(sampler._field(key).encode(), n)
+            got = list(lines.lines())
+            assert list(lines.lines()) == got  # read again
+        fields = [line[:-1].split(sampler.SEP) for line in got]
+        decoded = [(sampler._text(key), int(n)) for key, n in fields]
+        if budget == 4:  # every line is a run of its own, so none is dropped
+            assert decoded == sorted(items)
+        else:  # one run, which keeps the least line of each key
+            assert decoded == sorted({key: min(n for k, n in items if k == key)
+                                      for key, _ in items}.items())
+
+    def test_few_files_are_open_at_once_and_none_after(self, monkeypatch):
+        import tempfile
+        opened = []
+
+        def temporary_file(**kwargs):
+            opened.append(real(**kwargs))
+            return opened[-1]
+
+        real = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        most_open = 0
+        with mock.patch.object(sampler, "RUN_BYTES", 1), \
+                mock.patch.object(sampler, "FAN_IN", 4), SpillSort() as lines:
+            for i in reversed(range(1000)):
+                lines.add(b"%04d" % i, 0)
+                most_open = max(most_open, sum(not fh.closed for fh in opened))
+            assert list(lines.lines()) == [b"%04d\0\1%012d\n" % (i, 0) for i in range(1000)]
+        # 1,000 runs, 250 + 62 + 15 + 3 merges and the last; at most 3 open per level
+        assert len(opened) == 1000 + 250 + 62 + 15 + 3 + 1
+        assert most_open <= 3 * 5 + 1
+        assert all(fh.closed for fh in opened)
 
 
 class TestDomainKey:
@@ -283,6 +311,45 @@ class TestLongTail:
         assert [d.domain for d in a.domains] == [d.domain for d in b.domains]
 
 
+def _reduce_long_tail_before(bucket, threshold, keep_fraction, seed):
+    """reduce_long_tail as it was before tail_survivors: the oracle of the rule."""
+    if bucket.n_domains <= threshold:
+        return bucket
+    rng = random.Random(f"{seed}|tail|{bucket.label}")
+    singles = [d for d in bucket.domains if d.n_urls == 1]
+    if not singles:
+        return bucket
+    keep_n = round(len(singles) * keep_fraction)
+    kept = set(
+        d.domain for d in rng.sample(sorted(singles, key=lambda d: d.domain), keep_n)
+    )
+    domains = [d for d in bucket.domains if d.n_urls > 1 or d.domain in kept]
+    return YearBucket(bucket.label, domains)
+
+
+class TestTailSurvivors:
+    @given(st.lists(st.integers(1, 3), max_size=80), st.integers(0, 60),
+           st.floats(0.01, 1.0), st.integers(0, 5), st.randoms(use_true_random=False))
+    def test_keeps_what_the_rule_it_replaced_kept(self, sizes, threshold, keep_fraction,
+                                                   seed, shuffler):
+        bucket = _bucket(sizes)  # named d0, d1, ..., so not in name order past d9
+        shuffler.shuffle(bucket.domains)
+        got = reduce_long_tail(bucket, threshold, keep_fraction, seed)
+        want = _reduce_long_tail_before(bucket, threshold, keep_fraction, seed)
+        assert [d.domain for d in got.domains] == [d.domain for d in want.domains]
+
+    def test_positions_among_the_singles_in_name_order(self):
+        bucket = _bucket([1] * 30 + [2] * 5)
+        kept = tail_survivors("2016", 35, 30, 10, 0.2, 4)
+        singles = sorted(d.domain for d in bucket.domains if d.n_urls == 1)
+        reduced = reduce_long_tail(bucket, 10, 0.2, 4)
+        assert {d.domain for d in reduced.domains if d.n_urls == 1} == {
+            singles[i] for i in kept}
+        assert len(kept) == 6
+        assert tail_survivors("2016", 10, 30, 10, 0.2, 4) is None  # not above the threshold
+        assert tail_survivors("2016", 35, 0, 10, 0.2, 4) is None  # no single to drop
+
+
 class TestDownsampleCount:
     def test_minimum_retention(self):
         assert downsample_count(1, DownsampleParams(k=1, c=1)) == 1
@@ -357,6 +424,14 @@ class TestCalibration:
             expected = (min(k for k, t in totals.items() if t == best), best, False)
         result = calibrate_k(_bucket(counts), c=c, target=target)
         assert (result.k, result.total, result.overshoot) == expected
+
+    def test_core_takes_the_counts_of_domain_sizes(self):
+        counts = [1, 1, 2, 5, 5, 40]
+        sizes = Counter(counts)
+        sizes[7] = 0  # a size no domain has, as after the tail rule keeps no single
+        assert calibrate_sizes(sizes, 1, 20) == calibrate_k(_bucket(counts), 1, 20)
+        with pytest.raises(ValueError, match="no domains"):
+            calibrate_sizes(Counter({1: 0}), 1, 20)
 
     def test_total_nondecreasing_in_k(self, rng):
         counts = [rng.randint(1, 500) for _ in range(300)]
@@ -479,26 +554,48 @@ _ORACLE_URLS = st.builds(
 _ORACLE_YEARS = st.sampled_from(["1994", "1995", "1996", "1999", "2000", "2001", "2007"])
 
 
+# hosts holding NUL and SOH, which parse_url accepts: with a tab between
+# fields "a.com\x00b" would sort before its prefix "a.com", and an unescaped
+# NUL separator would make the end of a field ambiguous
+_CONTROL_HOSTS = ["a\x00.com", "a\x01.com", "a\x00\x01.com", "a\x01\x00.com", "a.com\x00b",
+                  "www.a\x00b.com"]
+
+
+def _check_against_oracle(rows, seed):
+    entries = [(parse_url(url), ts(year + "0101000000")) for url, year in rows]
+    result = bucket_by_first_year(iter(entries))
+    buckets, dropped = _oracle_bucket(entries)
+    assert result.dropped_pre_1996 == dropped
+    assert [b.label for b in result.buckets] == [label for label, _ in buckets]
+    for bucket, (_, domains) in zip(result.buckets, buckets):
+        assert [d.domain for d in bucket.domains] == [d.domain for d in domains]
+        for got, want in zip(bucket.domains, domains):
+            assert got.urls == [u.text for u in want.urls]
+            assert first_root(got.urls) == (want.root.text if want.root else None)
+            for k in range(1, got.n_urls):
+                assert select_urls(got, k, seed) == [
+                    u.text for u in _oracle_select(want, k, seed)]
+            # every URL kept: no generator is built, since none would draw
+            with mock.patch.object(random, "Random", side_effect=AssertionError):
+                all_urls = select_urls(got, got.n_urls, seed)
+            assert all_urls == [u.text for u in _oracle_select(want, got.n_urls, seed)]
+    urls = [url for url, _ in entries]
+    assert extract_missing_roots(iter(urls)) == _oracle_missing_roots(urls)
+
+
 class TestStreamedBucketingOracle:
     @given(st.lists(st.tuples(_ORACLE_URLS, _ORACLE_YEARS), max_size=60),
            st.integers(0, 3))
     def test_matches_list_based_oracle(self, rows, seed):
-        entries = [(parse_url(url), ts(year + "0101000000")) for url, year in rows]
-        result = bucket_by_first_year(iter(entries))
-        buckets, dropped = _oracle_bucket(entries)
-        assert result.dropped_pre_1996 == dropped
-        assert [b.label for b in result.buckets] == [label for label, _ in buckets]
-        for bucket, (_, domains) in zip(result.buckets, buckets):
-            assert [d.domain for d in bucket.domains] == [d.domain for d in domains]
-            for got, want in zip(bucket.domains, domains):
-                assert got.urls == [u.text for u in want.urls]
-                assert first_root(got.urls) == (want.root.text if want.root else None)
-                for k in range(1, got.n_urls):
-                    assert select_urls(got, k, seed) == [
-                        u.text for u in _oracle_select(want, k, seed)]
-                # every URL kept: no generator is built, since none would draw
-                with mock.patch.object(random, "Random", side_effect=AssertionError):
-                    all_urls = select_urls(got, got.n_urls, seed)
-                assert all_urls == [u.text for u in _oracle_select(want, got.n_urls, seed)]
-        urls = [url for url, _ in entries]
-        assert extract_missing_roots(iter(urls)) == _oracle_missing_roots(urls)
+        _check_against_oracle(rows, seed)
+
+    # a run of a few bytes spills every row to its own file, and a fan-in of
+    # 2 merges them like a binary counter, several levels deep
+    @given(st.lists(st.tuples(_ORACLE_URLS | st.builds("http://{}{}".format,
+                                                       st.sampled_from(_CONTROL_HOSTS),
+                                                       st.sampled_from(["/", "/p", "/\x00"])),
+                              _ORACLE_YEARS), max_size=60),
+           st.integers(0, 3))
+    def test_matches_list_based_oracle_when_every_row_spills(self, rows, seed):
+        with mock.patch.object(sampler, "RUN_BYTES", 4), mock.patch.object(sampler, "FAN_IN", 2):
+            _check_against_oracle(rows, seed)
