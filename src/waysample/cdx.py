@@ -107,11 +107,6 @@ class CdxRecord:
     def mime_is_revisit(self) -> bool:
         return self.mime == REVISIT_MIME or self.mime.startswith(REVISIT_MIME + ";")
 
-    @property
-    def flagged_missing_status(self) -> bool:
-        """Status is absent but the record is not a revisit; kept, not rejected."""
-        return self.status == "-" and not self.mime_is_revisit
-
     def to_line(self) -> str:
         return " ".join(
             (self.urlkey, self.timestamp.raw, self.original, self.mime,

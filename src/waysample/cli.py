@@ -25,8 +25,6 @@ import time
 from collections import deque
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
-from itertools import groupby
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
@@ -322,22 +320,23 @@ def cmd_sample(stage: Stage, args) -> None:
         with sampler.MissingRoots(args.out_dir) as missing:
             _bucket_rows(stage, args, buckets, missing)
         counts["dropped_pre_1996"] = buckets.dropped_pre_1996
-        sizes = buckets.sizes()  # the first pass over the sorted rows; the second writes
         bucket_reports = counts["buckets"] = []
         counts["selected_total"] = 0
-        for label, domains in groupby(buckets.domains(), key=itemgetter(0)):
-            domain_sizes = sizes[label]
+        for label, domain_sizes, domains in buckets.buckets():
             kept = sampler.tail_survivors(label, domain_sizes.total(), domain_sizes[1],
                                           cfg.tail_threshold, cfg.tail_keep_fraction, cfg.seed)
             reduced = domain_sizes.copy()
             if kept is not None:
                 reduced[1] = len(kept)
-            calibration = sampler.calibrate_sizes(reduced, cfg.c, cfg.target)
-            params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
+            if reduced.total():
+                calibration = sampler.calibrate_sizes(reduced, cfg.c, cfg.target)
+                params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
+            else:  # the tail rule drops every domain, each a single: no K to find
+                calibration = sampler.CalibrationResult(None, 0, overshoot=False)
             selected = 0
             single = -1  # the domain's position among the bucket's single-URL domains
             with stage.open(os.path.join(args.out_dir, f"bucket_{label}.txt"), "w") as fh:
-                for _, domain in domains:  # in domain-key order
+                for domain in domains:  # in domain-key order
                     n = len(domain.urls)
                     if n == 1:  # kept whole, as select_urls would keep it
                         single += 1

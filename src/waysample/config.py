@@ -37,7 +37,8 @@ class PipelineConfig:
             kinds, rule = _KINDS[type(f.default)]
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"config key {f.name} must be {rule}, got {value!r}")
-        for name, ok, rule in (("c", self.c >= 1, ">= 1"),
+        for name, ok, rule in (("target", self.target >= 1, ">= 1"),
+                               ("c", self.c >= 1, ">= 1"),
                                ("tail_keep_fraction", 0 < self.tail_keep_fraction <= 1, "in (0, 1]"),
                                ("cache_capacity", self.cache_capacity >= 1, ">= 1"),
                                ("per_year_min", self.per_year_min >= 1, ">= 1"),

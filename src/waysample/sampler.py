@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import IO, Callable, Generator, Iterable, Iterator
 
@@ -135,15 +135,15 @@ class SpillSort:
 
     ``add(key, number)`` takes the line ``key``, SEP, ``number`` in 12
     zero-padded digits and a newline; ``key`` is the line's leading fields.
-    Of the lines added with one key, a run keeps the one with the least
-    number. A run whose lines reach RUN_BYTES is sorted into an anonymous
-    temporary file in ``spill_dir``, which vanishes when it is closed or the
-    process ends, killed or not; ``tempfile`` is imported at the first.
-    FAN_IN files of one merge level are merged into one file of the next, so
-    a few dozen files are open at most. ``lines()`` yields every kept line in
-    sorted order, and may be called again; its first call ends the adding,
-    and merges any files and the last run into one file. Lines of one key
-    from different runs each come through, least number first.
+    Of the lines added with one key, only the one with the least number is
+    kept: a run keeps it, and every merge drops the others. A run whose
+    lines reach RUN_BYTES is sorted into an anonymous temporary file in
+    ``spill_dir``, which vanishes when it is closed or the process ends,
+    killed or not; ``tempfile`` is imported at the first. FAN_IN files of
+    one merge level are merged into one file of the next, so a few dozen
+    files are open at most. ``lines()`` yields the kept lines, one per key,
+    in sorted order, and may be called again; its first call ends the
+    adding, and merges any files and the last run into one file.
     """
 
     def __init__(self, spill_dir: str | None = None):
@@ -190,7 +190,11 @@ class SpillSort:
         merged = [fh for _, fh in self._files[-n:]]
         del self._files[-n:]
         try:
-            self._write(heapq.merge(*map(_reread, merged), run), level)
+            # the lines of a key sort together, least number first; the key is
+            # the line without SEP, 12 digits and a newline
+            keys = groupby(heapq.merge(*map(_reread, merged), run),
+                           key=itemgetter(slice(None, -15)))
+            self._write(map(next, map(itemgetter(1), keys)), level)
         finally:
             for fh in merged:
                 fh.close()
@@ -252,53 +256,39 @@ class FirstYearBuckets:
             self._add(f"{label}\0\1{domain}\0\1{text}".encode(), self._rows)
         self._rows += 1
 
-    def sizes(self) -> dict[str, Counter]:
-        """For each bucket label, how many domains hold each number of URLs."""
-        sizes: dict[str, Counter] = {}
-        last_label = last_domain = last_text = None
-        for line in self._lines.lines():
-            label, domain, text, _ = line.split(SEP)
-            if domain != last_domain or label != last_label:
-                if last_domain is not None:
-                    counter[n] += 1
-                if label != last_label:
-                    counter = sizes[label.decode()] = Counter()
-                last_label, last_domain, last_text, n = label, domain, text, 1
-            elif text != last_text:  # a repeat follows its first row
-                last_text = text
-                n += 1
-        if last_domain is not None:
-            counter[n] += 1
-        return sizes
+    def buckets(self) -> Iterator[tuple[str, Counter, Iterator[DomainCount]]]:
+        """Each bucket's label, how many of its domains hold each number of
+        URLs, and its domains: in label and then domain-key order, each
+        domain's URLs in first-occurrence order. The sizes of every bucket
+        take one pass over the sorted lines, before the first is yielded,
+        and the domains a second."""
+        sizes = {label: Counter(len(list(rows)) for _, rows in domains)
+                 for label, domains in self._groups(2)}
+        for label, domains in self._groups(-1):
+            yield label.decode(), sizes[label], map(_domain, domains)
 
-    def domains(self) -> Iterator[tuple[str, DomainCount]]:
-        """Each bucket's label and domains, in label and then domain-key order,
-        each domain's URLs in first-occurrence order."""
-        last = None  # the label and domain key fields of the domain in urls
-        urls: list[tuple[bytes, bytes]] = []
-        for line in self._lines.lines():
-            head, text, row = line.rsplit(SEP, 2)
-            if head != last:
-                if urls:
-                    yield _domain(last, urls)
-                last, urls = head, [(row, text)]
-            elif text != urls[-1][1]:  # a repeat follows its first row
-                urls.append((row, text))
-        if urls:
-            yield _domain(last, urls)
+    def _groups(self, maxsplit: int) -> Iterator[tuple[bytes, Iterator]]:
+        """Each label field and its domains: a domain key field and the
+        fields of its lines (label, domain key, URL text, row number), split
+        at most ``maxsplit`` times; the counting pass needs only the first two."""
+        # map calls bytes.split without the argument tuple methodcaller builds per line
+        rows = map(bytes.split, self._lines.lines(), repeat(SEP), repeat(maxsplit))
+        for label, rows_of_label in groupby(rows, key=itemgetter(0)):
+            yield label, groupby(rows_of_label, key=itemgetter(1))
 
 
-def _domain(head: bytes, urls: list[tuple[bytes, bytes]]) -> tuple[str, DomainCount]:
-    """A domain's label and DomainCount from its fields: the label and domain
-    key, and each distinct URL's row number and text, which it empties."""
-    label, _, domain = head.partition(SEP)
+def _domain(group: tuple[bytes, Iterable[list[bytes]]]) -> DomainCount:
+    """A DomainCount from a domain key field and the fields of its lines,
+    their URL texts put in row order, which is first-occurrence order."""
+    domain, rows = group
+    urls = list(rows)
     if len(urls) > 1:
-        urls.sort()
-    texts = b"\n".join([text for _, text in urls]).decode()
-    urls.clear()  # before the split, so that a large domain is held once at a time
+        urls.sort(key=itemgetter(3))
+    texts = b"\n".join(map(itemgetter(2), urls)).decode()
+    del urls  # before the split, so that a large domain is held once at a time
     if "\0" in texts:
         texts = texts.replace("\0\2", "\0")
-    return label.decode(), DomainCount(_text(domain), texts.split("\n"))
+    return DomainCount(_text(domain), texts.split("\n"))
 
 
 def bucket_by_first_year(
@@ -315,10 +305,9 @@ def bucket_by_first_year(
     with FirstYearBuckets(spill_dir) as buckets:
         for url, first_capture in entries:
             buckets.add(url, first_capture)
-        return BucketingResult(
-            [YearBucket(label, [domain for _, domain in group])
-             for label, group in groupby(buckets.domains(), key=itemgetter(0))],
-            buckets.dropped_pre_1996)
+        return BucketingResult([YearBucket(label, list(domains))
+                                for label, _, domains in buckets.buckets()],
+                               buckets.dropped_pre_1996)
 
 
 class MissingRoots:
@@ -327,8 +316,9 @@ class MissingRoots:
 
     Each URL is a sorted spill line of its host and a number: 0 for a root,
     and for a deep link twice its row number plus 1 for http or 2 for https.
-    So a host's first line says whether it has a root and, if not, gives its
-    first deep link's row and scheme; ``roots`` sorts those by row.
+    SpillSort keeps a host's line with the least number, which says whether
+    it has a root and, if not, gives its first deep link's row and scheme;
+    ``roots`` sorts those by row.
     """
 
     def __init__(self, spill_dir: str | None = None):
@@ -355,12 +345,10 @@ class MissingRoots:
 
     def roots(self) -> Iterator[CanonicalUrl]:
         with SpillSort(self.spill_dir) as by_row:
-            last = None
             for line in self._lines.lines():
                 host, number = line.split(SEP)
-                if host != last and int(number):
+                if int(number):
                     by_row.add(number[:-1] + SEP + host, 0)
-                last = host
             for line in by_row.lines():
                 number, host, _ = line.split(SEP)
                 yield CanonicalUrl("http" if int(number) % 2 else "https", _text(host), "/", None)
@@ -459,7 +447,7 @@ def downsample_count(n: int, params: DownsampleParams) -> int:
 
 @dataclass
 class CalibrationResult:
-    k: int
+    k: int | None  # None for a bucket with no domain left to calibrate
     total: int
     overshoot: bool
 

@@ -1,8 +1,8 @@
 """URL classification and filtering predicates.
 
 Validity, likely-HTML extension heuristics, session-ID aliases, index-file
-aliases, trailing-asterisk wildcards, and root trimming. All predicates
-are stateless and safe to run over URL streams in parallel.
+aliases and trailing-asterisk wildcards. All predicates are stateless and
+safe to run over URL streams in parallel.
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ def detect_index_alias(url: CanonicalUrl) -> bool:
 def detect_wildcard(url: str) -> bool:
     """True iff the URL's last character is a literal (unencoded) asterisk."""
     return url.endswith("*")
-
-
-def trim_to_root(url: CanonicalUrl) -> CanonicalUrl:
-    """Scheme + host + ``/`` with path and query removed."""
-    return CanonicalUrl(url.scheme, url.host, "/", None)
 
 
 def verdict(url: str) -> FilterVerdict:

@@ -134,10 +134,10 @@ class TestCdxLine:
         assert record.is_revisit
         assert record.to_line() == line
 
-    def test_missing_status_non_revisit_flagged_not_rejected(self):
+    def test_missing_status_non_revisit_not_rejected(self):
         line = "com,example)/ 20200101000000 http://example.com/ text/html - DIGESTX 10"
         record = parse_cdx_line(line)
-        assert record.flagged_missing_status
+        assert record.status == "-"
         assert not record.is_revisit
 
     def test_round_trip_random(self, rng):

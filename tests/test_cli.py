@@ -289,6 +289,20 @@ class TestSample:
                   "--config", str(config_path), *flags])
         assert sorted(os.listdir(tmp_path)) == ["config.json", "first.tsv"]  # no out-dir, no manifest
 
+    @pytest.mark.parametrize("target", ["0", "-5"])
+    def test_target_below_one_is_a_configuration_error(self, tmp_path, archive, target):
+        # deep links alone, so a stage that ran would look up their roots
+        server, histories = archive
+        first = tmp_path / "first.tsv"
+        write_lines(first, [f"{url}\t{history[0].timestamp.raw}"
+                            for url, history in sorted(histories.items())
+                            if url.endswith("deep/p.php")])
+        with pytest.raises(SystemExit, match="config key target must be >= 1"):
+            main(["sample", "--first-captures", str(first), "--out-dir", str(tmp_path / "sample"),
+                  "--target", target, "--endpoint", server.endpoint])
+        assert server.request_count == 0
+        assert os.listdir(tmp_path) == ["first.tsv"]  # no out-dir, no manifest
+
     def test_dropped_rows_are_counted(self, tmp_path, archive):
         first = self._first_captures(tmp_path, archive)
         rows = read_lines(first) + ["http://unarchived.com/\t-\t-\tempty",
@@ -374,6 +388,25 @@ class TestSample:
         keys = [domain_key(parse_url(url).host) for url in selected]
         runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
         assert runs == sorted(set(keys))
+
+    def test_bucket_that_the_tail_rule_empties_gets_an_empty_file(self, tmp_path):
+        # three singles above a threshold of 2, of which round(3 * 0.1) = 0 stay
+        first = tmp_path / "first.tsv"
+        write_lines(first, [f"http://{host}/\t20210101000000"
+                            for host in ("a.com", "b.com", "c.com")]
+                    + ["http://d.com/\t20050101000000", "http://d.com/x\t20050101000000"])
+        out_dir = tmp_path / "sample"
+        assert main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir),
+                     "--tail-threshold", "2"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["counts"]["buckets"] == [
+            {"label": "2005", "domains": 1, "domains_after_tail": 1, "urls": 2, "k": 1,
+             "calibrated_total": 2, "overshoot": False, "selected": 2},
+            {"label": "2021", "domains": 3, "domains_after_tail": 0, "urls": 3, "k": None,
+             "calibrated_total": 0, "overshoot": False, "selected": 0}]
+        assert (out_dir / "bucket_2021.txt").read_bytes() == b""
+        assert manifest["counts"]["selected_total"] == 2
 
     def test_outputs_do_not_depend_on_the_run_budget(self, tmp_path, monkeypatch):
         # with runs of a few rows merged two at a time, a URL's repeats and a
@@ -1179,6 +1212,7 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
 
 @pytest.mark.parametrize("argv, config", [
     (["sample", "--first-captures", "IN", "--out-dir", "DIR", "--c", "0"], {}),
+    (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"target": -5}),
     (["sample", "--first-captures", "IN", "--out-dir", "DIR"], {"tail_keep_fraction": 0}),
     (["sample", "--first-captures", "IN", "--out-dir", "DIR", "--tail-keep", "1.5"], {}),
     (["rehydrate", "--in-dir", "IN_DIR", "--out-dir", "DIR", "--capacity", "0"], {}),

@@ -173,11 +173,10 @@ class TestSpillSort:
             assert list(lines.lines()) == got  # read again
         fields = [line[:-1].split(sampler.SEP) for line in got]
         decoded = [(sampler._text(key), int(n)) for key, n in fields]
-        if budget == 4:  # every line is a run of its own, so none is dropped
-            assert decoded == sorted(items)
-        else:  # one run, which keeps the least line of each key
-            assert decoded == sorted({key: min(n for k, n in items if k == key)
-                                      for key, _ in items}.items())
+        # one line per key, the least, whether it met its repeats in a run
+        # or, every line a run of its own, in the merges
+        assert decoded == sorted({key: min(n for k, n in items if k == key)
+                                  for key, _ in items}.items())
 
     def test_few_files_are_open_at_once_and_none_after(self, monkeypatch):
         import tempfile
@@ -583,6 +582,12 @@ def _check_against_oracle(rows, seed):
     assert extract_missing_roots(iter(urls)) == _oracle_missing_roots(urls)
 
 
+_ROWS_WITH_CONTROL_HOSTS = st.lists(
+    st.tuples(_ORACLE_URLS | st.builds("http://{}{}".format, st.sampled_from(_CONTROL_HOSTS),
+                                       st.sampled_from(["/", "/p", "/\x00"])),
+              _ORACLE_YEARS), max_size=60)
+
+
 class TestStreamedBucketingOracle:
     @given(st.lists(st.tuples(_ORACLE_URLS, _ORACLE_YEARS), max_size=60),
            st.integers(0, 3))
@@ -591,11 +596,21 @@ class TestStreamedBucketingOracle:
 
     # a run of a few bytes spills every row to its own file, and a fan-in of
     # 2 merges them like a binary counter, several levels deep
-    @given(st.lists(st.tuples(_ORACLE_URLS | st.builds("http://{}{}".format,
-                                                       st.sampled_from(_CONTROL_HOSTS),
-                                                       st.sampled_from(["/", "/p", "/\x00"])),
-                              _ORACLE_YEARS), max_size=60),
-           st.integers(0, 3))
+    @given(_ROWS_WITH_CONTROL_HOSTS, st.integers(0, 3))
     def test_matches_list_based_oracle_when_every_row_spills(self, rows, seed):
         with mock.patch.object(sampler, "RUN_BYTES", 4), mock.patch.object(sampler, "FAN_IN", 2):
             _check_against_oracle(rows, seed)
+
+    @given(_ROWS_WITH_CONTROL_HOSTS, st.sampled_from([None, 4]))
+    def test_sizes_count_the_oracle_domains(self, rows, budget):
+        entries = [(parse_url(url), ts(year + "0101000000")) for url, year in rows]
+        buckets, _ = _oracle_bucket(entries)
+        with mock.patch.object(sampler, "RUN_BYTES", budget or sampler.RUN_BYTES), \
+                mock.patch.object(sampler, "FAN_IN", 2 if budget else sampler.FAN_IN), \
+                sampler.FirstYearBuckets() as streamed:
+            for entry in entries:
+                streamed.add(*entry)
+            # the sizes alone: no bucket's domains are built
+            sizes = {label: bucket_sizes for label, bucket_sizes, _ in streamed.buckets()}
+        assert sizes == {label: Counter(len(d.urls) for d in domains)
+                         for label, domains in buckets}

@@ -13,7 +13,6 @@ from waysample.urlfilter import (
     detect_session_alias,
     detect_wildcard,
     is_valid_url,
-    trim_to_root,
     verdict,
 )
 
@@ -253,7 +252,7 @@ class TestIndexAlias:
     def test_trimmed_roots_never_aliases(self, rng):
         for _ in range(200):
             canonical = parse_url(random_url(rng))
-            assert not detect_index_alias(trim_to_root(canonical))
+            assert not detect_index_alias(canonical._replace(path="/", query=None))
 
 
 class TestWildcard:
@@ -265,27 +264,6 @@ class TestWildcard:
 
     def test_plain_url(self):
         assert not detect_wildcard("https://example.com/")
-
-
-class TestTrimToRoot:
-    def test_deep_link(self):
-        url = parse_url("https://reddit.com/r/argentina/comments/1ruebz/x")
-        assert trim_to_root(url).text == "https://reddit.com/"
-
-    def test_already_root(self):
-        url = parse_url("https://example.com/")
-        assert trim_to_root(url) == url
-
-    def test_wildcard_url_trims_to_host(self):
-        url = parse_url("https://hotfrog.in/companies/hi-technical_*")
-        assert trim_to_root(url).text == "https://hotfrog.in/"
-
-    def test_idempotent_and_host_preserving(self, rng):
-        for _ in range(300):
-            canonical = parse_url(random_url(rng))
-            trimmed = trim_to_root(canonical)
-            assert trimmed.host == canonical.host
-            assert trim_to_root(trimmed) == trimmed
 
 
 class TestVerdict:
