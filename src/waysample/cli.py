@@ -22,13 +22,13 @@ import os
 import re
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
-from . import stats, timemaps, urlfilter
+from . import timemaps, urlfilter
 from .cdx import (
     CdxParseError,
     Timestamp14,
@@ -38,7 +38,7 @@ from .cdx import (
     write_timemap,
 )
 from .config import PipelineConfig
-from .surt import CanonicalUrl, SurtError, parse_url, surt_text_for_url
+from .surt import CanonicalUrl, SurtError, parse_host, parse_url, surt_text_for_url
 
 if TYPE_CHECKING:
     from . import sampler
@@ -170,8 +170,9 @@ class Stage:
                 fh.write("\n")
 
 
-def _parse_urls(stage: Stage, path: str) -> Iterator[CanonicalUrl]:
-    """The URLs of ``path`` that parse; the other non-blank lines count as
+def _parse_urls(stage: Stage, path: str, parse: Callable = parse_url) -> Iterator:
+    """The non-blank lines of ``path`` that ``parse`` (``parse_url`` or
+    ``parse_host``) takes, as it returns them; the others count as
     ``unparseable``."""
     counts = stage.counts
     counts.setdefault("unparseable", 0)
@@ -181,7 +182,7 @@ def _parse_urls(stage: Stage, path: str) -> Iterator[CanonicalUrl]:
             if not text:
                 continue
             try:
-                yield parse_url(text)
+                yield parse(text)
             except SurtError:
                 counts["unparseable"] += 1
 
@@ -451,51 +452,54 @@ def cmd_rehydrate(stage: Stage, args) -> None:
 
 
 def cmd_stats(stage: Stage, args) -> None:
+    from . import sampler, stats  # imported here, as in sample
+
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
     stage.params["top_n"] = args.top_n
-
-    def write_csv(name: str, header: str, rows) -> None:
-        with stage.open(os.path.join(args.out_dir, name), "w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(",".join(str(v) for v in row) + "\n" for row in rows)
+    tables = {}  # CSV name: header and rows, written once every input has been read
 
     if args.first_captures:
         histogram = stats.year_histogram(_read_first_captures(stage, args.first_captures))
-        write_csv("first_capture_years.csv", "year,count", histogram.items())
+        tables["first_capture_years.csv"] = "year,count", histogram.items()
         counts["first_capture_years"] = sum(histogram.values())
 
-    pre_counts = post_counts = None
-    if args.urls:
-        pre_counts = stats.domain_counts(_parse_urls(stage, args.urls))
-        write_csv("urls_per_domain_ccdf.csv", "urls_per_domain,percent_of_domains",
-                  stats.ccdf_points(pre_counts.values()))
-        counts["domains_pre"] = len(pre_counts)
-    if args.sampled:
-        post_counts = stats.domain_counts(_parse_urls(stage, args.sampled))
-        write_csv("urls_per_domain_ccdf_sampled.csv", "urls_per_domain,percent_of_domains",
-                  stats.ccdf_points(post_counts.values()))
-        counts["domains_post"] = len(post_counts)
-
-    if pre_counts is not None and post_counts is not None:
-        top_pre = stats.top_domains(pre_counts, args.top_n)
-        write_csv("top_domains.csv", "rank,domain,urls_pre,urls_post",
-                  ((rank, domain, n, post_counts.get(domain, 0))
-                   for rank, (domain, n) in enumerate(top_pre, 1)))
-        r = stats.rank_correlation(pre_counts, post_counts)
-        write_csv("rank_correlation.csv", "pearson_r_of_ranks", [(f"{r:.6f}",)])
-        counts["rank_correlation"] = round(r, 6)
+    lists = {"pre": (args.urls, ""), "post": (args.sampled, "_sampled")}
+    hosts = [_parse_urls(stage, path, parse_host) if path else () for path, _ in lists.values()]
+    # counted in sorted runs that spill to anonymous files in the out-dir
+    with sampler.SpillCount(args.out_dir) as domains:
+        stats.domain_counts(domains, *hosts)
+        tallies = dict(zip(lists, domains.tallies()))
+        for which, (path, suffix) in lists.items():
+            if path:
+                del tallies[which][0]  # the domains of the other list only
+                tables[f"urls_per_domain_ccdf{suffix}.csv"] = (
+                    "urls_per_domain,percent_of_domains", stats.ccdf_points(tallies[which]))
+                counts[f"domains_{which}"] = tallies[which].total()
+        if args.urls and args.sampled:
+            top = stats.top_domains(domains, tallies["pre"], args.top_n)
+            tables["top_domains.csv"] = "rank,domain,urls_pre,urls_post", [
+                (rank, *row) for rank, row in enumerate(top, 1)]
+            r = stats.rank_correlation(domains)
+            tables["rank_correlation.csv"] = "pearson_r_of_ranks", [(f"{r:.6f}",)]
+            counts["rank_correlation"] = round(r, 6)
 
     if args.timemap_dir:
-        memento_counts = []
-        for name in sorted(os.listdir(args.timemap_dir)):
-            if name.endswith(".cdx"):
-                tm = read_timemap(os.path.join(args.timemap_dir, name))
-                if tm.records:
-                    memento_counts.append(len(tm.records))
-        write_csv("mementos_per_url_ccdf.csv", "mementos_per_url,percent_of_urls",
-                  stats.ccdf_points(memento_counts))
-        counts["timemaps"] = len(memento_counts)
+        tally = Counter()  # TimeMaps by memento count
+        with os.scandir(args.timemap_dir) as entries:
+            for entry in entries:
+                if entry.name.endswith(".cdx"):
+                    n = len(read_timemap(entry.path).records)
+                    if n:
+                        tally[n] += 1
+        tables["mementos_per_url_ccdf.csv"] = (
+            "mementos_per_url,percent_of_urls", stats.ccdf_points(tally))
+        counts["timemaps"] = tally.total()
+
+    for name, (header, rows) in tables.items():
+        with stage.open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------

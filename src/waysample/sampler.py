@@ -19,7 +19,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import IO, Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
@@ -121,8 +121,7 @@ FAN_IN = 16  # this many files of one merge level are merged into one of the nex
 SEP = b"\0\1"
 
 
-def _field(text: str) -> str:
-    return text.replace("\0", "\0\2")
+_field = methodcaller("replace", "\0", "\0\2")  # a text as a field, with no Python frame
 
 
 def _text(field: bytes) -> str:
@@ -134,7 +133,7 @@ class SpillSort:
     most RUN_BYTES of them held in memory.
 
     ``add(key, number)`` takes the line ``key``, SEP, ``number`` in 12
-    zero-padded digits and a newline; ``key`` is the line's leading fields.
+    (``digits``) zero-padded digits and a newline; ``key`` is its fields.
     Of the lines added with one key, only the one with the least number is
     kept: a run keeps it, and every merge drops the others. A run whose
     lines reach RUN_BYTES is sorted into an anonymous temporary file in
@@ -145,6 +144,12 @@ class SpillSort:
     in sorted order, and may be called again; its first call ends the
     adding, and merges any files and the last run into one file.
     """
+
+    digits = 12
+
+    def _reduce(self, keys: Iterable[tuple[bytes, Iterator[bytes]]]) -> Iterator[bytes]:
+        """The line a merge keeps of each key's lines: the first, of the least number."""
+        return map(next, map(itemgetter(1), keys))
 
     def __init__(self, spill_dir: str | None = None):
         self.spill_dir = spill_dir
@@ -168,10 +173,10 @@ class SpillSort:
         kept = run.get(key)
         if kept is None:
             run[key] = number
-            self._run_bytes += len(key) + 15  # SEP, 12 digits and a newline
+            self._run_bytes += len(key) + 3 + self.digits  # SEP, the digits and a newline
             if self._run_bytes >= RUN_BYTES:
                 self._run, self._run_bytes = {}, 0
-                self._write(_lines(run, sorted(run)), 0)
+                self._write(_lines(run, sorted(run), self.digits), 0)
         elif number < kept:
             run[key] = number
 
@@ -191,10 +196,10 @@ class SpillSort:
         del self._files[-n:]
         try:
             # the lines of a key sort together, least number first; the key is
-            # the line without SEP, 12 digits and a newline
+            # the line without SEP, the digits and a newline
             keys = groupby(heapq.merge(*map(_reread, merged), run),
-                           key=itemgetter(slice(None, -15)))
-            self._write(map(next, map(itemgetter(1), keys)), level)
+                           key=itemgetter(slice(None, -3 - self.digits)))
+            self._write(self._reduce(keys), level)
         finally:
             for fh in merged:
                 fh.close()
@@ -203,17 +208,67 @@ class SpillSort:
         if self._keys is None:
             self._keys = sorted(self._run)
             if self._files:  # into one file, so that each read goes without a heap
-                self._merge(len(self._files), _lines(self._run, self._keys), 0)
+                self._merge(len(self._files), _lines(self._run, self._keys, self.digits), 0)
                 self._run, self._keys = {}, []
         if self._files:
             return _reread(self._files[0][1])
-        return _lines(self._run, self._keys)
+        return _lines(self._run, self._keys, self.digits)
 
 
-def _lines(run: dict[bytes, int], keys: list[bytes]) -> Iterator[bytes]:
+class SpillCount(SpillSort):
+    """Texts and two counts of each, in text order, in SpillSort's memory: a
+    line's number, in 24 digits, is the first count times FIRST plus the
+    second, and a run, and every merge, adds up the numbers of a key.
+    Iterating gives each text's (first, second) counts, again each time."""
+
+    digits = 24
+    FIRST = 10 ** 12
+
+    def add(self, key: bytes, number: int) -> None:
+        self._add_all((key,), number)
+
+    def count(self, texts: Iterable[str], first: bool) -> None:
+        """Count each of ``texts`` once, in the first count or the second."""
+        self._add_all(map(str.encode, map(_field, texts)), self.FIRST if first else 1)
+
+    def _add_all(self, keys: Iterable[bytes], number: int) -> None:
+        run = self._run
+        for key in keys:
+            if key in run:
+                run[key] += number
+            else:  # a new key, which may fill the run
+                SpillSort.add(self, key, number)
+                run = self._run
+
+    def _reduce(self, keys: Iterable[tuple[bytes, Iterator[bytes]]]) -> Iterator[bytes]:
+        for key, lines in keys:
+            line = next(lines)
+            for other in lines:  # the key's lines from other runs
+                line = b"%s\0\1%024d\n" % (key, int(line[-25:]) + int(other[-25:]))
+            yield line
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        numbers = map(int, map(itemgetter(slice(-25, None)), self.lines()))
+        return map(divmod, numbers, repeat(self.FIRST))
+
+    def rows(self, least: int = 0) -> Iterator[tuple[str, int, int]]:
+        """(text, first, second) of the texts whose first count is at least ``least``."""
+        floor = b"%012d" % least  # compared with the first 12 of the 24 digits
+        for line in self.lines():
+            if line[-25:-13] >= floor:
+                key, number = line.split(SEP)
+                yield (_text(key), *divmod(int(number), self.FIRST))
+
+    def tallies(self) -> tuple[Counter, Counter]:
+        """How many texts have each first count, and each second count."""
+        return tuple(Counter({int(n): m for n, m in Counter(map(part, self.lines())).items()})
+                     for part in (itemgetter(slice(-25, -13)), itemgetter(slice(-13, None))))
+
+
+def _lines(run: dict[bytes, int], keys: list[bytes], digits: int) -> Iterator[bytes]:
     """The lines of ``run`` in the order of ``keys``: SEP sorts below any key
     character, so sorted keys give sorted lines."""
-    return (b"%s\0\1%012d\n" % (key, run[key]) for key in keys)
+    return (b"%s\0\1%0*d\n" % (key, digits, run[key]) for key in keys)
 
 
 def _reread(fh: IO[bytes]) -> Iterator[bytes]:

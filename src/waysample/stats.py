@@ -7,31 +7,32 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable
 
 from .cdx import Timestamp14
-from .surt import CanonicalUrl, domain_key
+from .sampler import SpillCount
+from .surt import domain_key
 
 
 def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]:
     """Counts by year of the first captures of (URL text, first capture) pairs."""
-    counts: Counter[int] = Counter()
-    for _, ts in entries:
-        counts[ts.year] += 1
-    return dict(sorted(counts.items()))
+    # a Timestamp14 is the 1-tuple of its digits, and the first four sort as their years
+    counts = Counter(map(itemgetter(slice(4)), map(itemgetter(0), map(itemgetter(1), entries))))
+    return {int(year): n for year, n in sorted(counts.items())}
 
 
-def domain_counts(urls: Iterable[CanonicalUrl]) -> Counter:
-    counts: Counter[str] = Counter()
-    for url in urls:
-        counts[domain_key(url.host)] += 1
-    return counts
+def domain_counts(counts: SpillCount, pre: Iterable[str], post: Iterable[str]) -> None:
+    """Count in ``counts`` each domain key of the hosts ``pre``, its first
+    count, and of the hosts ``post``, its second."""
+    for hosts, first in ((pre, True), (post, False)):
+        counts.count(map(domain_key, hosts), first)
 
 
-def ccdf_points(counts: Iterable[int]) -> list[tuple[int, float]]:
-    """CCDF of a count distribution: for each observed x, the percentage of
-    items whose count is >= x. Nonincreasing; 100% at the minimum count."""
-    tally = Counter(counts)
+def ccdf_points(tally: Counter) -> list[tuple[int, float]]:
+    """CCDF of a count distribution given as how many items have each
+    count: for each observed count x, the percentage of items whose count
+    is >= x. Nonincreasing; 100% at the least count."""
     total = n_ge = sum(tally.values())
     points = []
     for x in sorted(tally):
@@ -40,35 +41,52 @@ def ccdf_points(counts: Iterable[int]) -> list[tuple[int, float]]:
     return points
 
 
-def top_domains(counts: Counter, n: int) -> list[tuple[str, int]]:
-    """The n domains with the most URLs, ties in domain order."""
-    return heapq.nsmallest(n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+def top_domains(counts: SpillCount, tally: Counter, n: int) -> list[tuple[str, int, int]]:
+    """The n (domain, count before, count after) rows of the domains with the
+    most URLs before, ties in domain order; ``tally`` (domains by count
+    before) gives the n-th highest count, below which no row is read whole."""
+    least = above = 0
+    for least in sorted(tally, reverse=True):
+        above += tally[least]
+        if above >= n:
+            break
+    # rows come in domain order, and nlargest keeps the first of equal counts first
+    return heapq.nlargest(n, counts.rows(max(least, 1)), key=itemgetter(1))
 
 
-def _average_ranks(counts: dict[str, int], domains: list[str]) -> list[float]:
+def _average_ranks(tally: Counter) -> dict[int, float]:
     # rank 1 = highest count; ties share their average rank, so a rank depends only on its count
-    tally = Counter(counts[d] for d in domains)
     by_count, above = {}, 0
     for count in sorted(tally, reverse=True):
         by_count[count] = (2 * above + 1 + tally[count]) / 2  # ranks above + 1 to above + tally
         above += tally[count]
-    return [by_count[counts[d]] for d in domains]
+    return by_count
 
 
-def rank_correlation(pre: Counter, post: Counter) -> float:
+def rank_correlation(counts: Iterable[tuple[int, int]]) -> float:
     """Pearson correlation of domain ranks before and after downsampling,
-    over domains present in both rankings."""
-    common = sorted(d for d in pre if d in post)
-    if len(common) < 2:
+    over domains present in both rankings. ``counts``, each domain's (count
+    before, count after) in domain order, 0 if not in that ranking, are read
+    twice: to rank the counts, then to sum the terms in domain order."""
+    xt, yt = Counter(), Counter()
+    for x, y in counts:
+        if x and y:
+            xt[x] += 1
+            yt[y] += 1
+    n = xt.total()
+    if n < 2:
         return 1.0
-    xs = _average_ranks(pre, common)
-    ys = _average_ranks(post, common)
-    n = len(common)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
+    xr, yr = _average_ranks(xt), _average_ranks(yt)
+    # ranks are half-integers, so these sums, and so the means, are exact
+    mx = sum(r * xt[c] for c, r in xr.items()) / n
+    my = sum(r * yt[c] for c, r in yr.items()) / n
+    cov = vx = vy = 0.0  # added term by term in domain order, as sum() over lists did
+    for x, y in counts:
+        if x and y:
+            dx, dy = xr[x] - mx, yr[y] - my
+            cov += dx * dy
+            vx += dx ** 2
+            vy += dy ** 2
     if vx == 0 or vy == 0:
         return 1.0
     return cov / math.sqrt(vx * vy)

@@ -169,11 +169,12 @@ def strip_www_prefix(host: str) -> str:
 def domain_key(host: str) -> str:
     """The Eq.-style domain key: the host with www-class prefixes stripped
     to a fixpoint, so stacked prefixes (www.www.example.com) also go."""
-    while True:
+    while host.startswith("www"):  # as every prefix strip_www_prefix strips does
         stripped = strip_www_prefix(host)
         if stripped == host:
-            return host
+            break
         host = stripped
+    return host
 
 
 def url_to_surt(url: CanonicalUrl) -> SurtKey:
@@ -217,3 +218,9 @@ def surt_to_url(surt: SurtKey | str, scheme: str = "https") -> CanonicalUrl:
 def surt_text_for_url(url: str) -> str:
     """Textual SURT key for a raw URL string."""
     return url_to_surt(parse_url(url)).text
+
+
+def parse_host(url: str) -> str:
+    """``parse_url(url).host``, without parsing the rest of the URL."""
+    m = _PLAIN_URL_RE.fullmatch(url)
+    return _parse_url_split(url).host if m is None else m[2].lower()

@@ -13,7 +13,7 @@ import time
 import tracemalloc
 from collections import deque
 from unittest import mock
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -311,6 +311,39 @@ class TestKeepAlive:
         client.fetch_first_record(URL_A)  # on a new connection, as after close()
         client.close()
         assert server.connection_count == 2
+
+
+class TestMockServerStop:
+    @staticmethod
+    def _send(server, url):
+        """A connection that has sent one limit=1 query for ``url``."""
+        endpoint = urlsplit(server.endpoint)
+        sock = socket.create_connection((endpoint.hostname, endpoint.port))
+        sock.sendall(f"GET /cdx?url={url}&limit=1 HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+        return sock
+
+    @staticmethod
+    def _wait(done):
+        deadline = time.monotonic() + 5
+        while not done():
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+
+    def test_stop_during_a_request_prints_nothing(self, server, capfd):
+        server.schedule_delay(None, None, 0.2)
+        with self._send(server, URL_A):
+            self._wait(lambda: server.request_count == 1)
+            server.stop()  # while the handler waits, before it writes its answer
+            # the handler writes to the dead socket, fails, and lets it go
+            self._wait(lambda: not server._connections)
+        assert capfd.readouterr().err == ""
+
+    def test_failing_handler_is_still_reported(self, server, capfd, monkeypatch):
+        monkeypatch.setattr(server, "_respond", mock.Mock(side_effect=RuntimeError("boom")))
+        with self._send(server, URL_A) as sock:
+            assert sock.recv(1) == b""  # closed once the error is reported
+        server.stop()
+        assert "RuntimeError: boom" in capfd.readouterr().err
 
 
 class TestEndpoint:

@@ -178,6 +178,22 @@ class TestSpillSort:
         assert decoded == sorted({key: min(n for k, n in items if k == key)
                                   for key, _ in items}.items())
 
+    @given(st.lists(st.tuples(st.text("ab\x00\x01\x02\u00e9", max_size=3), st.booleans())),
+           st.sampled_from([4, 1 << 20]))
+    def test_counts_add_up_across_runs(self, items, budget):
+        with mock.patch.object(sampler, "RUN_BYTES", budget), \
+                mock.patch.object(sampler, "FAN_IN", 2), sampler.SpillCount() as counts:
+            for text, first in items:
+                counts.count([text], first)
+            rows = list(counts.rows())
+            assert list(counts) == [(n, m) for _, n, m in rows]  # read again
+            tallies = counts.tallies()
+        firsts = Counter(text for text, first in items if first)
+        seconds = Counter(text for text, first in items if not first)
+        assert rows == [(text, firsts[text], seconds[text])
+                        for text in sorted(firsts.keys() | seconds.keys())]
+        assert tallies == (Counter(n for _, n, _ in rows), Counter(m for _, _, m in rows))
+
     def test_few_files_are_open_at_once_and_none_after(self, monkeypatch):
         import tempfile
         opened = []

@@ -1,12 +1,40 @@
+import heapq
+import json
 import math
+import os
 import random
+import tempfile
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from waysample.stats import _average_ranks, ccdf_points, rank_correlation, top_domains
+from waysample import sampler
+from waysample.cdx import TimeMap, Timestamp14, write_timemap
+from waysample.cli import main
+from waysample.sampler import SpillCount
+from waysample.stats import (_average_ranks, ccdf_points, rank_correlation, top_domains,
+                             year_histogram)
+from waysample.surt import SurtError, domain_key, parse_url
+
+from conftest import make_history
+
+
+def spilled(pre, post):
+    """A SpillCount of the domain counts pre and post (Counters), its adding
+    ended."""
+    counts = SpillCount()
+    for domain in pre.keys() | post.keys():
+        counts.add(sampler._field(domain).encode(), pre[domain] * SpillCount.FIRST + post[domain])
+    counts.lines()
+    return counts
+
+
+def paired(pre, post):
+    """Each domain's (count in pre, count in post), in domain order."""
+    return [(pre[d], post[d]) for d in sorted(pre.keys() | post.keys())]
 
 
 def sorted_scan_ccdf(counts):
@@ -31,9 +59,9 @@ def sorted_scan_ccdf(counts):
 COUNTS = st.lists(st.integers(0, 12) | st.integers(0, 10**9), max_size=300)
 
 
-@given(COUNTS, st.sampled_from([list, iter, lambda c: dict(enumerate(c)).values()]))
-def test_ccdf_points_match_the_sorted_scan(counts, as_input):
-    assert ccdf_points(as_input(counts)) == sorted_scan_ccdf(counts)
+@given(COUNTS)
+def test_ccdf_points_match_the_sorted_scan(counts):
+    assert ccdf_points(Counter(counts)) == sorted_scan_ccdf(counts)
 
 
 # top_domains, _average_ranks and rank_correlation as they were when they
@@ -85,8 +113,12 @@ DOMAIN_COUNTS = st.dictionaries(DOMAINS, st.integers(1, 4) | st.integers(1, 10**
 def test_rank_correlation_matches_the_sorted_ranks(pre, post):
     common = sorted(set(pre) & set(post))
     for counts in (pre, post):
-        assert _average_ranks(counts, common) == sorted_average_ranks(counts, common)
-    assert rank_correlation(pre, post) == sorted_rank_correlation(pre, post)
+        ranks = _average_ranks(Counter(counts[d] for d in common))
+        assert [ranks[counts[d]] for d in common] == sorted_average_ranks(counts, common)
+    expected = sorted_rank_correlation(pre, post)
+    assert rank_correlation(paired(pre, post)) == expected
+    with spilled(pre, post) as counts:
+        assert rank_correlation(counts) == expected
 
 
 @pytest.mark.parametrize("pre, post", [
@@ -98,23 +130,26 @@ def test_rank_correlation_matches_the_sorted_ranks(pre, post):
     (Counter({"a.com": 1, "b.com": 5, "c.com": 3}), Counter({"a.com": 2, "b.com": 7, "c.com": 7})),
 ], ids=["empty", "one-common", "none-common", "pre-constant", "post-constant", "tied"])
 def test_rank_correlation_edge_cases(pre, post):
-    assert rank_correlation(pre, post) == sorted_rank_correlation(pre, post)
+    assert rank_correlation(paired(pre, post)) == sorted_rank_correlation(pre, post)
 
 
-@given(DOMAIN_COUNTS, st.integers(1, 50))
-def test_top_domains_match_the_sorted_ranking(counts, n):
-    assert top_domains(counts, n) == sorted_top_domains(counts, n)
+@given(DOMAIN_COUNTS, DOMAIN_COUNTS, st.integers(1, 50))
+def test_top_domains_match_the_sorted_ranking(pre, post, n):
+    with spilled(pre, post) as counts:
+        top = top_domains(counts, Counter(pre.values()), n)
+    assert top == [(d, c, post[d]) for d, c in sorted_top_domains(pre, n)]
 
 
 # Traced bytes that rank_correlation and top_domains allocate above what they
 # return, per common domain, on 20,000 Pareto-sized domains of which 18,000 are
 # common, measured on CPython 3.11.7 (x86-64 Linux). Sorting every domain by
 # (-count, domain), with two key sets and a rank per domain, took 182 and 149;
-# ranking by count takes 26 (the sorted common domains and their two rank
-# lists) and the heap under 1.
+# ranking by count took 26 (the sorted common domains and their two rank
+# lists) and the heap under 1. Read from sorted spill lines, each takes about
+# 18 KB in all, 1 per domain: a read buffer and tallies of distinct counts.
 @pytest.mark.parametrize("fn, bound", [
-    (rank_correlation, 34),
-    (lambda pre, post: top_domains(pre, 20), 1),
+    (rank_correlation, 4),
+    (lambda counts: top_domains(counts, Counter(n for n, _ in counts), 20), 4),
 ], ids=["rank_correlation", "top_domains"])
 def test_transient_memory_per_domain_is_bounded(fn, bound):
     rng = random.Random(7)
@@ -122,11 +157,169 @@ def test_transient_memory_per_domain_is_bounded(fn, bound):
     post = Counter({d: min(c, 1 + int(c ** 0.5)) for d, c in pre.items()})
     for d in list(pre)[::10]:
         del post[d]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(pre, post)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    with spilled(pre, post) as counts:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(counts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
     assert peak / 18_000 <= bound, peak
+
+
+# The stats helpers as they were when stats held a Counter of every domain
+# key of each list: the oracle for the tables read from sorted spill runs.
+def counter_year_histogram(entries):
+    counts = Counter()
+    for _, ts in entries:
+        counts[ts.year] += 1
+    return dict(sorted(counts.items()))
+
+
+def counter_domain_counts(urls):
+    counts = Counter()
+    for url in urls:
+        counts[domain_key(url.host)] += 1
+    return counts
+
+
+def counter_ccdf_points(counts):
+    tally = Counter(counts)
+    total = n_ge = sum(tally.values())
+    points = []
+    for x in sorted(tally):
+        points.append((x, 100.0 * n_ge / total))
+        n_ge -= tally[x]
+    return points
+
+
+def counter_top_domains(counts, n):
+    return heapq.nsmallest(n, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def counter_average_ranks(counts, domains):
+    tally = Counter(counts[d] for d in domains)
+    by_count, above = {}, 0
+    for count in sorted(tally, reverse=True):
+        by_count[count] = (2 * above + 1 + tally[count]) / 2
+        above += tally[count]
+    return [by_count[counts[d]] for d in domains]
+
+
+def counter_rank_correlation(pre, post):
+    common = sorted(d for d in pre if d in post)
+    if len(common) < 2:
+        return 1.0
+    xs = counter_average_ranks(pre, common)
+    ys = counter_average_ranks(post, common)
+    n = len(common)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    vx = sum((x - mx) ** 2 for x in xs)
+    vy = sum((y - my) ** 2 for y in ys)
+    if vx == 0 or vy == 0:
+        return 1.0
+    return cov / math.sqrt(vx * vy)
+
+
+def counter_stats(url_lists, top_n):
+    """The CSV texts and manifest counts of ``stats --urls --sampled`` with
+    the helpers above, for the lines of each list (None if not given)."""
+    files, counts = {}, {}
+
+    def csv(name, header, rows):
+        files[name] = header + "\n" + "".join(",".join(str(v) for v in row) + "\n"
+                                              for row in rows)
+
+    def parsed(lines):
+        for line in lines:
+            if line.strip():
+                try:
+                    yield parse_url(line.strip())
+                except SurtError:
+                    counts["unparseable"] += 1
+
+    domains = {}
+    for which, lines, suffix in zip(("pre", "post"), url_lists, ("", "_sampled")):
+        if lines is not None:
+            counts.setdefault("unparseable", 0)
+            domains[which] = counter_domain_counts(parsed(lines))
+            csv(f"urls_per_domain_ccdf{suffix}.csv", "urls_per_domain,percent_of_domains",
+                counter_ccdf_points(domains[which].values()))
+            counts[f"domains_{which}"] = len(domains[which])
+    if len(domains) == 2:
+        pre, post = domains["pre"], domains["post"]
+        csv("top_domains.csv", "rank,domain,urls_pre,urls_post",
+            ((rank, d, n, post.get(d, 0))
+             for rank, (d, n) in enumerate(counter_top_domains(pre, top_n), 1)))
+        r = counter_rank_correlation(pre, post)
+        csv("rank_correlation.csv", "pearson_r_of_ranks", [(f"{r:.6f}",)])
+        counts["rank_correlation"] = round(r, 6)
+    return files, counts
+
+
+# hosts of a few labels over a small alphabet, so that domains repeat and
+# counts tie: non-ASCII, upper case, NUL and SOH (which sort below the spill
+# lines' separator once escaped) and www prefixes that the domain key drops
+LABELS = st.text("ab\x00\x01éA", min_size=1, max_size=2)
+HOSTS = st.builds(lambda www, labels: www + ".".join(labels) + ".com",
+                  st.sampled_from(["", "www.", "www2."]), st.lists(LABELS, min_size=1, max_size=2))
+LINES = st.lists(st.one_of(
+    st.builds("http://{}/{}".format, HOSTS, st.sampled_from(["", "p", "q?x=1"])),
+    st.sampled_from(["", "http://a..com/", "ftp://a.com/", "  http://b.com/  "])), max_size=60)
+
+
+@pytest.mark.parametrize("run_bytes, fan_in", [(sampler.RUN_BYTES, sampler.FAN_IN), (4, 2)],
+                         ids=["default-budget", "every-key-spills"])
+@settings(deadline=None)
+@given(st.none() | LINES, st.none() | LINES, st.integers(1, 30))
+def test_stats_tables_match_the_counter_oracle(run_bytes, fan_in, urls, sampled, top_n):
+    with mock.patch.object(sampler, "RUN_BYTES", run_bytes), \
+            mock.patch.object(sampler, "FAN_IN", fan_in), \
+            tempfile.TemporaryDirectory() as tmp:
+        argv = ["stats", "--out-dir", os.path.join(tmp, "out"), "--top-n", str(top_n),
+                "--manifest", os.path.join(tmp, "stats.json")]
+        for flag, lines in (("--urls", urls), ("--sampled", sampled)):
+            if lines is not None:
+                path = os.path.join(tmp, flag[2:])
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(line + "\n" for line in lines)
+                argv += [flag, path]
+        assert main(argv) == 0
+        files = {}
+        for name in os.listdir(os.path.join(tmp, "out")):
+            with open(os.path.join(tmp, "out", name), encoding="utf-8") as fh:
+                files[name] = fh.read()
+        with open(os.path.join(tmp, "stats.json"), encoding="utf-8") as fh:
+            counts = json.load(fh)["counts"]
+    assert (files, counts) == counter_stats((urls, sampled), top_n)
+
+
+TIMESTAMPS = st.sampled_from(["19950101000000", "19961231235959", "20050615120000",
+                              "20051231000000", "20211010101010"])
+
+
+@given(st.lists(st.tuples(st.just("http://a.com/"), TIMESTAMPS.map(Timestamp14))))
+def test_year_histogram_matches_the_counter_oracle(entries):
+    assert year_histogram(entries) == counter_year_histogram(entries)
+
+
+def test_memento_ccdf_matches_the_counter_oracle(tmp_path):
+    # TimeMaps of many sizes, some repeated and some empty, which count as none
+    rng = random.Random(11)
+    sizes = [rng.choice([0, 1, 1, 2, 3, 5, 8, 40]) for _ in range(60)]
+    timemaps = tmp_path / "timemaps"
+    timemaps.mkdir()
+    for i, size in enumerate(sizes):
+        url = f"http://h{i}.com/"
+        write_timemap(TimeMap(url, make_history(url, size, rng)), timemaps / f"h{i}.cdx")
+    (timemaps / "notes.txt").write_text("not a TimeMap\n")
+    manifest = tmp_path / "stats.json"
+    assert main(["stats", "--timemap-dir", str(timemaps), "--out-dir", str(tmp_path / "out"),
+                 "--manifest", str(manifest)]) == 0
+    points = counter_ccdf_points([size for size in sizes if size])
+    assert (tmp_path / "out" / "mementos_per_url_ccdf.csv").read_text() == (
+        "mementos_per_url,percent_of_urls\n" + "".join(f"{x},{p}\n" for x, p in points))
+    assert json.loads(manifest.read_text())["counts"]["timemaps"] == sum(map(bool, sizes))
