@@ -47,7 +47,7 @@ class MockCdxServer:
         self.request_count = 0
         self.connection_count = 0
         self._connections: set[socket.socket] = set()
-        self._hung_up: set[socket.socket] = set()  # the connections stop() shut down
+        self._stopped = False  # stop() hangs up every connection still open
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -76,7 +76,7 @@ class MockCdxServer:
 
             def handle_error(self, request, client_address):
                 # a handler writing as stop() hung up its connection fails: expected
-                if request not in server._hung_up:
+                if not server._stopped:
                     super().handle_error(request, client_address)
 
         self._httpd = Server((host, port), Handler)
@@ -95,7 +95,7 @@ class MockCdxServer:
         self._httpd.shutdown()
         self._httpd.server_close()
         with self._lock:
-            self._hung_up.update(self._connections)
+            self._stopped = True
             for sock in self._connections:  # wakes each handler blocked on a read
                 with suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)

@@ -19,7 +19,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from typing import IO, Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
@@ -121,7 +121,8 @@ FAN_IN = 16  # this many files of one merge level are merged into one of the nex
 SEP = b"\0\1"
 
 
-_field = methodcaller("replace", "\0", "\0\2")  # a text as a field, with no Python frame
+def _field(text: str) -> str:
+    return text.replace("\0", "\0\2")
 
 
 def _text(field: bytes) -> str:
@@ -224,9 +225,6 @@ class SpillCount(SpillSort):
     digits = 24
     FIRST = 10 ** 12
 
-    def add(self, key: bytes, number: int) -> None:
-        self._add_all((key,), number)
-
     def count(self, texts: Iterable[str], first: bool) -> None:
         """Count each of ``texts`` once, in the first count or the second."""
         self._add_all(map(str.encode, map(_field, texts)), self.FIRST if first else 1)
@@ -237,7 +235,7 @@ class SpillCount(SpillSort):
             if key in run:
                 run[key] += number
             else:  # a new key, which may fill the run
-                SpillSort.add(self, key, number)
+                self.add(key, number)
                 run = self._run
 
     def _reduce(self, keys: Iterable[tuple[bytes, Iterator[bytes]]]) -> Iterator[bytes]:

@@ -7,18 +7,20 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from operator import itemgetter
-from typing import Iterable
+from operator import attrgetter, itemgetter, mul
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .cdx import Timestamp14
-from .sampler import SpillCount
 from .surt import domain_key
+
+if TYPE_CHECKING:
+    from .sampler import SpillCount
 
 
 def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]:
     """Counts by year of the first captures of (URL text, first capture) pairs."""
-    # a Timestamp14 is the 1-tuple of its digits, and the first four sort as their years
-    counts = Counter(map(itemgetter(slice(4)), map(itemgetter(0), map(itemgetter(1), entries))))
+    # the first four digits sort as their years
+    counts = Counter(map(itemgetter(slice(4)), map(attrgetter("raw"), map(itemgetter(1), entries))))
     return {int(year): n for year, n in sorted(counts.items())}
 
 
@@ -67,26 +69,31 @@ def rank_correlation(counts: Iterable[tuple[int, int]]) -> float:
     """Pearson correlation of domain ranks before and after downsampling,
     over domains present in both rankings. ``counts``, each domain's (count
     before, count after) in domain order, 0 if not in that ranking, are read
-    twice: to rank the counts, then to sum the terms in domain order."""
+    four times: to tally the distinct pairs, then once for each sum of terms
+    in domain order. Memory is a few tables of distinct counts and pairs."""
+    pairs = Counter(counts)  # domains by (count before, count after)
     xt, yt = Counter(), Counter()
-    for x, y in counts:
+    for (x, y), m in pairs.items():
         if x and y:
-            xt[x] += 1
-            yt[y] += 1
+            xt[x] += m
+            yt[y] += m
     n = xt.total()
     if n < 2:
         return 1.0
-    xr, yr = _average_ranks(xt), _average_ranks(yt)
-    # ranks are half-integers, so these sums, and so the means, are exact
-    mx = sum(r * xt[c] for c, r in xr.items()) / n
-    my = sum(r * yt[c] for c, r in yr.items()) / n
-    cov = vx = vy = 0.0  # added term by term in domain order, as sum() over lists did
-    for x, y in counts:
-        if x and y:
-            dx, dy = xr[x] - mx, yr[y] - my
-            cov += dx * dy
-            vx += dx ** 2
-            vy += dy ** 2
+    mean = (n + 1) / 2  # tied or not, the ranks add up to 1 + ... + n: exactly sum(ranks) / n
+    dx = {c: r - mean for c, r in _average_ranks(xt).items()}
+    dy = {c: r - mean for c, r in _average_ranks(yt).items()}
+
+    def total(term: Callable[[float, float], float]) -> float:
+        # one sum() over the domains in domain order, so that it is the float of
+        # sum() over the common domains' terms on any Python: the 0.0 of a
+        # domain in one ranking leaves a float sum, never -0.0, as it was
+        terms = {p: term(dx[p[0]], dy[p[1]]) if all(p) else 0.0 for p in pairs}
+        return sum(map(terms.__getitem__, counts))
+
+    cov = total(mul)
+    vx = total(lambda a, _: a ** 2)
+    vy = total(lambda _, b: b ** 2)
     if vx == 0 or vy == 0:
         return 1.0
     return cov / math.sqrt(vx * vy)

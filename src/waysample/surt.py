@@ -169,12 +169,11 @@ def strip_www_prefix(host: str) -> str:
 def domain_key(host: str) -> str:
     """The Eq.-style domain key: the host with www-class prefixes stripped
     to a fixpoint, so stacked prefixes (www.www.example.com) also go."""
-    while host.startswith("www"):  # as every prefix strip_www_prefix strips does
+    while True:
         stripped = strip_www_prefix(host)
         if stripped == host:
-            break
+            return host
         host = stripped
-    return host
 
 
 def url_to_surt(url: CanonicalUrl) -> SurtKey:

@@ -12,6 +12,7 @@ from waysample.surt import (
     SurtError,
     UrlConversionError,
     _parse_url_split,
+    parse_host,
     parse_surt,
     parse_url,
     strip_www_prefix,
@@ -161,6 +162,19 @@ class TestFastPath:
             parsed.host = "example.com"
         with pytest.raises(AttributeError):
             parsed.port = 80
+
+    @settings(max_examples=1000)
+    @given(st.one_of(st.builds(str.__add__, URL_PREFIXES, URL_RESTS),
+                     st.builds("{}{}{}".format, st.sampled_from(["http://", "https://"]),
+                               HOSTS, HOST_RESTS)))
+    def test_parse_host_is_the_parsed_host(self, url):
+        try:
+            expected = parse_url(url).host
+        except SurtError as exc:
+            with pytest.raises(type(exc)):
+                parse_host(url)
+        else:
+            assert parse_host(url) == expected
 
 
 class TestHostRule:
