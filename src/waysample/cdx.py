@@ -16,8 +16,8 @@ import re
 import threading
 from collections import namedtuple
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
-from datetime import datetime
+from operator import attrgetter
+from typing import Iterable
 
 REVISIT_MIME = "warc/revisit"
 
@@ -34,8 +34,10 @@ class MixedKeyError(ValueError):
     """Records with differing urlkeys where a single key is required."""
 
 
-def _calendar_datetime(raw: str) -> datetime:
-    """The datetime of 14 digits; ValueError if it is no calendar date."""
+def _calendar_datetime(raw: str):
+    """The ``datetime.datetime`` of 14 digits; ValueError if it is no calendar date."""
+    from datetime import datetime  # imported here: the common timestamp is checked without it
+
     return datetime(int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
                     int(raw[8:10]), int(raw[10:12]), int(raw[12:14]))
 
@@ -69,7 +71,7 @@ class Timestamp14(namedtuple("Timestamp14", "raw")):
         return tuple.__new__(cls, (raw,))
 
     @property
-    def datetime(self) -> datetime:
+    def datetime(self):
         return _calendar_datetime(self.raw)
 
     @property
@@ -84,19 +86,19 @@ def parse_timestamp(text: str) -> Timestamp14:
     return Timestamp14(text)
 
 
-@dataclass(frozen=True)
-class CdxRecord:
-    urlkey: str
-    timestamp: Timestamp14
-    original: str
-    mime: str
-    status: str
-    digest: str
-    length: int
+class CdxRecord(namedtuple("CdxRecord", "urlkey timestamp original mime status digest length")):
+    """One capture: the 7 fields of a CDX line, the timestamp a Timestamp14 and
+    the length an int. An immutable tuple of them, which the constructor
+    validates; parse_cdx_line, whose checks hold them, builds it directly."""
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise CdxParseError(f"negative length: {self.length}")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, urlkey: str, timestamp: Timestamp14, original: str, mime: str,
+                status: str, digest: str, length: int):
+        if length < 0:
+            raise CdxParseError(f"negative length: {length}")
+        return tuple.__new__(cls, (urlkey, timestamp, original, mime, status, digest, length))
 
     @property
     def is_revisit(self) -> bool:
@@ -108,10 +110,8 @@ class CdxRecord:
         return self.mime == REVISIT_MIME or self.mime.startswith(REVISIT_MIME + ";")
 
     def to_line(self) -> str:
-        return " ".join(
-            (self.urlkey, self.timestamp.raw, self.original, self.mime,
-             self.status, self.digest, str(self.length))
-        )
+        urlkey, timestamp, original, mime, status, digest, length = self
+        return f"{urlkey} {timestamp.raw} {original} {mime} {status} {digest} {length}"
 
 
 def parse_cdx_line(line: str, line_no: int | None = None) -> CdxRecord:
@@ -119,28 +119,28 @@ def parse_cdx_line(line: str, line_no: int | None = None) -> CdxRecord:
     fields = line.split()
     if len(fields) != 7:
         raise CdxParseError(f"expected 7 CDX fields, got {len(fields)}", line_no)
-    urlkey, ts, original, mime, status, digest, length = fields
-    if not length.isdigit():
-        raise CdxParseError(f"non-numeric length: {length!r}", line_no)
-    return CdxRecord(urlkey, Timestamp14(ts), original, mime, status, digest, int(length))
+    if not fields[6].isdigit():
+        raise CdxParseError(f"non-numeric length: {fields[6]!r}", line_no)
+    fields[1] = Timestamp14(fields[1])
+    fields[6] = int(fields[6])  # of digits only: never negative
+    return tuple.__new__(CdxRecord, fields)
 
 
-@dataclass(frozen=True)
-class ZipNumEntry:
-    surt: str
-    timestamp: Timestamp14
-    part: str
-    offset: int
-    length: int
-    block: int
+class ZipNumEntry(namedtuple("ZipNumEntry", "surt timestamp part offset length block")):
+    """One ZipNum index line; an immutable tuple of its fields, validated."""
 
-    def __post_init__(self):
-        if self.offset < 0:
-            raise CdxParseError(f"negative offset: {self.offset}")
-        if self.length <= 0:
-            raise CdxParseError(f"non-positive length: {self.length}")
-        if self.block < 0:
-            raise CdxParseError(f"negative block: {self.block}")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, surt: str, timestamp: Timestamp14, part: str, offset: int, length: int,
+                block: int):
+        if offset < 0:
+            raise CdxParseError(f"negative offset: {offset}")
+        if length <= 0:
+            raise CdxParseError(f"non-positive length: {length}")
+        if block < 0:
+            raise CdxParseError(f"negative block: {block}")
+        return tuple.__new__(cls, (surt, timestamp, part, offset, length, block))
 
     def to_line(self) -> str:
         return (f"{self.surt} {self.timestamp.raw}\t{self.part}"
@@ -163,18 +163,20 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
     return ZipNumEntry(surt, Timestamp14(ts), part, int(offset), int(length), int(block))
 
 
-@dataclass
-class TimeMap:
-    """The ordered capture history of one original URL."""
+class TimeMap(namedtuple("TimeMap", "uri_r records")):
+    """The ordered capture history of one original URL: its records, of one
+    urlkey, as a new list sorted by timestamp (stably, so equal timestamps
+    keep their order)."""
 
-    uri_r: str
-    records: list[CdxRecord] = field(default_factory=list)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        keys = {r.urlkey for r in self.records}
+    def __new__(cls, uri_r: str, records: Iterable[CdxRecord] = ()):
+        records = sorted(records, key=attrgetter("timestamp.raw"))
+        keys = set(map(attrgetter("urlkey"), records))
         if len(keys) > 1:
             raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
-        self.records = sorted(self.records, key=lambda r: r.timestamp.raw)
+        return tuple.__new__(cls, (uri_r, records))
 
     def to_text(self) -> str:
         return "".join(r.to_line() + "\n" for r in self.records)

@@ -24,7 +24,6 @@ import sys
 import time
 from collections import Counter, deque
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
@@ -61,7 +60,7 @@ class Stage:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.cfg = PipelineConfig.load(args.config, {
-            f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)})
+            name: getattr(args, name, None) for name in PipelineConfig._fields})
         self.params = self.cfg.to_dict()
         self.counts: dict = {}
         self.manifest = args.manifest

@@ -23,7 +23,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
@@ -37,15 +37,13 @@ TRANSIENT_STATUS_MIN = 500
 QUERY_SUFFIX = {"limit": "&limit=1", "numpages": "&showNumPages=true", "page": "&page="}
 
 
-@dataclass(frozen=True)
-class FetchLog:
-    url: str
-    kind: str  # a key of QUERY_SUFFIX
-    page: int | None
-    http_status: int
-    attempt: int
-    duration: float
-    stored_at: str | None = None
+class FetchLog(namedtuple("FetchLog", "url kind page http_status attempt duration stored_at",
+                          defaults=(None,))):
+    """One request attempt: its URL, kind (a key of QUERY_SUFFIX), page number
+    or None, HTTP status (0 for none), attempt number from 1, duration in
+    seconds, and the path of its stored body or None."""
+
+    __slots__ = ()
 
     def to_tsv_line(self) -> str:
         page = "-" if self.page is None else self.page
@@ -76,18 +74,17 @@ class CdxResponseError(FetchError):
         self.stored_at = stored_at
 
 
-@dataclass
-class RetryPolicy:
+class RetryPolicy(namedtuple("RetryPolicy", "max_attempts backoff_base jitter")):
     """Retry on 5xx and connection failures only; 4xx is permanent.
     Backoff doubles from the base with jitter, capped at max_attempts."""
 
-    max_attempts: int = 5
-    backoff_base: float = 1.0
-    jitter: float = 0.25
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(f"retry cap must be at least 1, got {self.max_attempts}")
+    def __new__(cls, max_attempts: int = 5, backoff_base: float = 1.0, jitter: float = 0.25):
+        if max_attempts < 1:
+            raise ValueError(f"retry cap must be at least 1, got {max_attempts}")
+        return tuple.__new__(cls, (max_attempts, backoff_base, jitter))
 
     def delay(self, attempt: int, rng: random.Random) -> float:
         base = self.backoff_base * (2 ** (attempt - 1))
@@ -172,18 +169,18 @@ class _Connection:
         return data
 
 
-@dataclass
 class ArchiveClient:
-    base_url: str
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    politeness_limit: int = 4
-    request_delay: float = 0.0
-    storage_dir: str | None = None
-    timeout: float = 30.0
-    log: Callable[[FetchLog], None] | None = None  # gets each attempt, one call at a time
+    """A client of the CDX endpoint ``base_url``. ``log``, if set, gets the
+    FetchLog of each attempt, one call at a time."""
 
-    def __post_init__(self):
+    def __init__(self, base_url: str, retry: RetryPolicy = RetryPolicy(),
+                 politeness_limit: int = 4, request_delay: float = 0.0,
+                 storage_dir: str | None = None, timeout: float = 30.0,
+                 log: Callable[[FetchLog], None] | None = None):
         import queue  # imported here: the offline stages build no client and do without it
+        self.base_url, self.retry, self.politeness_limit = base_url, retry, politeness_limit
+        self.request_delay, self.storage_dir, self.timeout = request_delay, storage_dir, timeout
+        self.log = log
         parts = urlsplit(self.base_url)
         if (parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc
                 or parts.query or parts.fragment or not self.base_url.isascii()):

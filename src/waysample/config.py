@@ -7,36 +7,41 @@ cache, and a 20-URL per-year reintegration floor.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
-
-# a key takes a value of its default's kind; no key takes a boolean
+# each key and its default; a key takes a value of its default's kind, and no
+# key takes a boolean
+_DEFAULTS = {
+    "target": 1_000_000,
+    "c": 1,
+    "tail_threshold": 900_000,
+    "tail_keep_fraction": 0.10,
+    "cache_capacity": 1000,
+    "per_year_min": 20,
+    "seed": 0,
+    "endpoint": None,
+    "politeness_limit": 4,
+    "retry_cap": 5,
+    "backoff_base": 1.0,
+    "request_delay": 0.0,
+    "storage_dir": None,
+}
 _KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
           type(None): ((str, type(None)), "a string or null")}
 
 
-@dataclass
-class PipelineConfig:
-    target: int = 1_000_000
-    c: int = 1
-    tail_threshold: int = 900_000
-    tail_keep_fraction: float = 0.10
-    cache_capacity: int = 1000
-    per_year_min: int = 20
-    seed: int = 0
-    endpoint: str | None = None
-    politeness_limit: int = 4
-    retry_cap: int = 5
-    backoff_base: float = 1.0
-    request_delay: float = 0.0
-    storage_dir: str | None = None
+class PipelineConfig(namedtuple("PipelineConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
+    """The config keys, as an immutable tuple that the constructor validates."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds, rule = _KINDS[type(f.default)]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for (name, default), value in zip(_DEFAULTS.items(), self):
+            kinds, rule = _KINDS[type(default)]
             if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"config key {f.name} must be {rule}, got {value!r}")
+                raise ValueError(f"config key {name} must be {rule}, got {value!r}")
         for name, ok, rule in (("target", self.target >= 1, ">= 1"),
                                ("c", self.c >= 1, ">= 1"),
                                ("tail_keep_fraction", 0 < self.tail_keep_fraction <= 1, "in (0, 1]"),
@@ -46,6 +51,7 @@ class PipelineConfig:
                                ("request_delay", self.request_delay >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"config key {name} must be {rule}, got {getattr(self, name)!r}")
+        return self
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "PipelineConfig":
@@ -53,8 +59,7 @@ class PipelineConfig:
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            known = {f.name for f in fields(cls)}
-            unknown = set(data) - known
+            unknown = set(data) - set(cls._fields)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
             values.update(data)
@@ -64,4 +69,4 @@ class PipelineConfig:
         return cls(**values)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()

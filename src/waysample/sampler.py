@@ -15,9 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import closing
-from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from operator import itemgetter
 from typing import IO, Callable, Generator, Iterable, Iterator
@@ -30,26 +29,24 @@ EARLY_YEARS_END = 2000
 EARLY_BUCKET_LABEL = "1996-2000"
 
 
-@dataclass(frozen=True)
-class DownsampleParams:
+class DownsampleParams(namedtuple("DownsampleParams", "k c")):
     """K and C of the per-bucket downsampling equation."""
 
-    k: float = 1.0
-    c: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if self.c < 1:
+    def __new__(cls, k: float = 1.0, c: int = 1):
+        if c < 1:
             raise ValueError("C must be >= 1")
-        if self.k <= 0:
+        if k <= 0:
             raise ValueError("K must be positive")
+        return tuple.__new__(cls, (k, c))
 
 
-@dataclass(slots=True)
-class DomainCount:
-    """A domain's distinct URL texts in first-occurrence order."""
+class DomainCount(namedtuple("DomainCount", "domain urls")):
+    """A domain and the list of its distinct URL texts in first-occurrence order."""
 
-    domain: str
-    urls: list[str] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def n_urls(self) -> int:
@@ -62,10 +59,10 @@ def first_root(texts: list[str]) -> str | None:
     return next((text for text in texts if text[-1] == "/" and text.count("/") == 3), None)
 
 
-@dataclass
-class YearBucket:
-    label: str
-    domains: list[DomainCount] = field(default_factory=list)
+class YearBucket(namedtuple("YearBucket", "label domains")):
+    """A bucket label and the list of its DomainCounts."""
+
+    __slots__ = ()
 
     @property
     def n_domains(self) -> int:
@@ -106,10 +103,7 @@ def year_bucket_label(year: int) -> str | None:
     return str(year)
 
 
-@dataclass
-class BucketingResult:
-    buckets: list[YearBucket]
-    dropped_pre_1996: int
+BucketingResult = namedtuple("BucketingResult", "buckets dropped_pre_1996")
 
 
 # Sorted spill runs. A line is fields joined by SEP, each NUL in a field written
@@ -415,10 +409,10 @@ def extract_missing_roots(urls: Iterable[CanonicalUrl]) -> list[CanonicalUrl]:
         return list(missing.roots())
 
 
-@dataclass
-class ReintegrationResult:
-    per_year: dict[int, list[CanonicalUrl]]
-    unmet_years: list[int]
+class ReintegrationResult(namedtuple("ReintegrationResult", "per_year unmet_years")):
+    """The URLs drawn for each year, and the sorted years left short of the floor."""
+
+    __slots__ = ()
 
     @property
     def exhausted(self) -> bool:
@@ -498,11 +492,8 @@ def downsample_count(n: int, params: DownsampleParams) -> int:
     return _reduced_count(n, params.k, params.c)
 
 
-@dataclass
-class CalibrationResult:
-    k: int | None  # None for a bucket with no domain left to calibrate
-    total: int
-    overshoot: bool
+# K is None for a bucket with no domain left to calibrate
+CalibrationResult = namedtuple("CalibrationResult", "k total overshoot")
 
 
 def calibrate_k(bucket: YearBucket, c: int, target: int) -> CalibrationResult:

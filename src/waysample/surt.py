@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 SCHEMES = ("http", "https")
@@ -79,22 +78,22 @@ class CanonicalUrl(namedtuple("CanonicalUrl", "scheme host path query")):
         return self.path == "/" and self.query is None
 
 
-@dataclass(frozen=True)
-class SurtKey:
-    """A SURT key: reversed host labels, path, and optional query."""
+class SurtKey(namedtuple("SurtKey", "host_segments path query")):
+    """A SURT key: reversed host labels (a tuple), path, and optional query.
+    An immutable tuple of them, which the constructor validates."""
 
-    host_segments: tuple[str, ...]
-    path: str = "/"
-    query: str | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        if not self.host_segments:
+    def __new__(cls, host_segments: tuple[str, ...], path: str = "/", query: str | None = None):
+        if not host_segments:
             raise MalformedSurtError("SURT key has no host labels")
-        for label in self.host_segments:
+        for label in host_segments:
             if not label or _BAD_LABEL_RE.search(label) or label != label.lower():
                 raise MalformedSurtError(f"bad host label: {label!r}")
-        if not self.path.startswith("/"):
-            raise MalformedSurtError(f"SURT path must start with '/': {self.path!r}")
+        if not path.startswith("/"):
+            raise MalformedSurtError(f"SURT path must start with '/': {path!r}")
+        return tuple.__new__(cls, (host_segments, path, query))
 
     @property
     def text(self) -> str:

@@ -7,18 +7,17 @@ the LRU pass is inherently sequential.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from collections import OrderedDict, namedtuple
 
 from .cdx import REVISIT_MIME, CdxRecord, TimeMap
 
 DEFAULT_CACHE_CAPACITY = 1000
 
 
-@dataclass(frozen=True)
-class RevisitGap:
-    revisit_index: int
-    source_index: int
+class RevisitGap(namedtuple("RevisitGap", "revisit_index source_index")):
+    """A resolvable revisit's position and that of its nearest prior full record."""
+
+    __slots__ = ()
 
     @property
     def distance(self) -> int:
@@ -82,14 +81,12 @@ def rehydrate(
                 unresolved.append(i)
                 out.append(record)
             else:
-                out.append(replace(
-                    record,
-                    status=source.status,
-                    mime=f"{REVISIT_MIME};orig={source.mime}",
-                ))
+                out.append(record._replace(status=source.status,
+                                           mime=f"{REVISIT_MIME};orig={source.mime}"))
         else:
             out.append(record)
-    return TimeMap(tm.uri_r, out), unresolved
+    # in the order and of the urlkey of tm's records: a TimeMap without sorting again
+    return tuple.__new__(TimeMap, (tm.uri_r, out)), unresolved
 
 
 def revisit_gaps(tm: TimeMap) -> list[RevisitGap]:

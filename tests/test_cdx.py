@@ -87,6 +87,13 @@ class TestTimestamp:
             with pytest.raises(CdxParseError):
                 parse_timestamp(raw)
 
+    def test_leap_day_is_checked_by_datetime(self):
+        # 29 February is outside the common-timestamp regex, so the datetime
+        # imported on first use decides
+        assert Timestamp14("20000229120000").datetime == datetime(2000, 2, 29, 12, 0, 0)
+        with pytest.raises(CdxParseError, match="invalid calendar datetime"):
+            Timestamp14("20010229120000")
+
     @settings(max_examples=500)
     @given(st.one_of(
         st.builds("{:04d}{:02d}{:02d}{:02d}{:02d}{:02d}".format,
@@ -139,6 +146,19 @@ class TestCdxLine:
         record = parse_cdx_line(line)
         assert record.status == "-"
         assert not record.is_revisit
+
+    def test_fields_are_read_only(self):
+        record = parse_cdx_line(FIG1_FIRST_LINE)
+        with pytest.raises(AttributeError):
+            record.status = "404"
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_replace_validates(self):
+        record = parse_cdx_line(FIG1_FIRST_LINE)
+        assert record._replace(length=0).to_line() == FIG1_FIRST_LINE[:-3] + "0"
+        with pytest.raises(CdxParseError, match="negative length"):
+            record._replace(length=-1)
 
     def test_round_trip_random(self, rng):
         for _ in range(500):

@@ -14,6 +14,7 @@ import pytest
 from waysample import cdx, cli, sampler
 from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
+from waysample.config import PipelineConfig
 from waysample.mockserver import MockCdxServer
 from waysample.surt import domain_key, parse_url, surt_text_for_url
 
@@ -1265,6 +1266,15 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
     with pytest.raises(SystemExit, match="unknown config keys"):
         main([paths.get(a, a) for a in argv] + ["--config", str(config)])
     assert not (tmp_path / "out.tsv").exists()
+
+
+def test_config_defaults_in_manifest_order():
+    assert list(PipelineConfig.load(None).to_dict().items()) == list({
+        "target": 1_000_000, "c": 1, "tail_threshold": 900_000, "tail_keep_fraction": 0.10,
+        "cache_capacity": 1000, "per_year_min": 20, "seed": 0, "endpoint": None,
+        "politeness_limit": 4, "retry_cap": 5, "backoff_base": 1.0, "request_delay": 0.0,
+        "storage_dir": None,
+    }.items())
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -22,6 +22,7 @@ from waysample import __version__
 from waysample.client import (
     ArchiveClient,
     CdxResponseError,
+    FetchLog,
     PartialFetchError,
     RetryPolicy,
     TransportError,
@@ -147,6 +148,12 @@ class TestFetchLogs:
             by_query.setdefault((log.url, log.kind, log.page), []).append(log.attempt)
         for attempts in by_query.values():
             assert attempts == list(range(1, len(attempts) + 1))
+
+    def test_fields_are_read_only(self):
+        log = FetchLog(URL_A, "page", 3, 503, 2, 0.25)
+        assert log.to_tsv_line() == f"{URL_A}\tpage\t3\t503\t2\t0.250000\t-"
+        with pytest.raises(AttributeError):
+            log.http_status = 200
 
     def test_tsv_shape(self, client, logs):
         client.fetch_first_record(URL_A)
@@ -421,6 +428,17 @@ def test_cli_import_loads_no_http_dependency():
     assert "waysample.client" in loaded
     assert not {name.split(".")[0] for name in loaded} & third_party
     assert not loaded & HEAVY_MODULES
+
+
+@pytest.mark.parametrize("module", ["waysample.cli", "waysample.client", "waysample.sampler",
+                                    "waysample.stats", "waysample.timemaps"])
+def test_stage_modules_load_no_dataclasses_or_datetime(module):
+    # every stage is a process of its own, which pays for each module its
+    # imports load: the records are tuples, and datetime is imported only to
+    # check a timestamp that the common-date regex does not take
+    loaded = _modules_loaded_by(module)
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect", "datetime"}
 
 
 # a mock CDX server holding one capture of URL_A, run in a child process so

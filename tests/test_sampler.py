@@ -366,6 +366,13 @@ class TestTailSurvivors:
 
 
 class TestDownsampleCount:
+    def test_params_are_read_only_and_validated(self):
+        params = DownsampleParams(k=2, c=1)
+        with pytest.raises(AttributeError):
+            params.k = 3
+        with pytest.raises(ValueError, match="K must be positive"):
+            params._replace(k=0)
+
     def test_minimum_retention(self):
         assert downsample_count(1, DownsampleParams(k=1, c=1)) == 1
 

@@ -240,6 +240,13 @@ class TestValidation:
         with pytest.raises(UrlConversionError, match="invalid host"):
             url._replace(host="a..com")
 
+    def test_surt_key_fields_are_read_only(self):
+        key = parse_surt("com,example)/a?b=1")
+        with pytest.raises(AttributeError):
+            key.path = "/"
+        with pytest.raises(MalformedSurtError):
+            key._replace(path="a")
+
     def test_bad_surt_label(self):
         with pytest.raises(MalformedSurtError):
             parse_surt("com,,example)/")

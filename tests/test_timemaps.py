@@ -1,5 +1,4 @@
 import datetime
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,8 +40,8 @@ def oracle_rehydrate(tm):
                 unresolved.append(i)
                 out.append(record)
             else:
-                out.append(replace(record, status=source.status,
-                                   mime=f"warc/revisit;orig={source.mime}"))
+                out.append(record._replace(status=source.status,
+                                           mime=f"warc/revisit;orig={source.mime}"))
         else:
             out.append(record)
     return TimeMap(tm.uri_r, out), unresolved
@@ -190,6 +189,16 @@ class TestMergePages:
         tm = merge_pages(pages)
         assert len(tm.records) == 30
 
+    def test_only_exact_duplicates_removed(self, rng):
+        pages = self._pages(rng)
+        first = pages[0][0]
+        other_content = first._replace(digest="X" * 32)  # same time, another digest
+        pages[2] += [first, other_content, first]
+        pages[1].insert(0, pages[2][0])
+        records = merge_pages(pages).records
+        assert len(records) == 31
+        assert records.count(first) == 1 and other_content in records
+
     def test_single_page_identity(self, rng):
         (page,) = self._pages(rng, n_pages=1)
         assert merge_pages([page]).records == sorted(page, key=lambda r: r.timestamp.raw)
@@ -262,7 +271,7 @@ class TestMergePagesOracle:
     @given(paginated(min_size=1), st.data())
     def test_mixed_keys_still_rejected(self, pages, data):
         page = data.draw(st.sampled_from(pages))
-        foreign = replace(data.draw(RECORDS), urlkey="com,other)/")
+        foreign = data.draw(RECORDS)._replace(urlkey="com,other)/")
         page.insert(data.draw(st.integers(0, len(page))), foreign)
         with pytest.raises(MixedKeyError):
             line_keyed_merge(pages)
