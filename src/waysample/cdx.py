@@ -196,8 +196,10 @@ def atomic_open(path, mode: str = "w"):
     """Write to a temporary sibling that replaces ``path`` when the block
     ends, or is removed if it raises: ``path`` is never partly written."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    text = "b" not in mode  # UTF-8 in which a lone surrogate is written as the byte it stands for
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  errors="surrogateescape" if text else None) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

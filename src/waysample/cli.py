@@ -77,7 +77,9 @@ class Stage:
                 request_delay=self.cfg.request_delay,
                 storage_dir=self.cfg.storage_dir,
             ))
-            if getattr(args, "log", None):  # line-buffered: a killed stage keeps each line
+            # the one output streamed to its final path rather than published
+            # whole: line-buffered, so that a killed stage keeps each line
+            if getattr(args, "log", None):
                 log = self._resources.enter_context(
                     open(args.log, "w", encoding="utf-8", buffering=1))
                 self._client.log = lambda entry: log.write(entry.to_tsv_line() + "\n")
@@ -92,14 +94,16 @@ class Stage:
     @contextmanager
     def open(self, path: str, mode: str = "r"):
         """``path`` as UTF-8 text in which a byte that is not UTF-8 reads as a
-        lone surrogate and is written back as that byte."""
+        lone surrogate and is written back as that byte. A file written is
+        published whole by ``atomic_open`` when the block ends, or not at all."""
         if path == "-":
             stream = sys.stdin if mode == "r" else sys.stdout
             if isinstance(stream, io.TextIOWrapper) and stream.errors != "surrogateescape":
                 stream.reconfigure(errors="surrogateescape")  # before its first read
             yield stream
         else:
-            with open(path, mode, encoding="utf-8", errors="surrogateescape") as fh:
+            with (open(path, encoding="utf-8", errors="surrogateescape") if mode == "r"
+                  else atomic_open(path, mode)) as fh:
                 yield fh
 
     def urls(self, path: str) -> Iterator[str]:
@@ -367,17 +371,18 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     first, last = args.years
     years = list(range(first, last + 1))
     candidates = list(_parse_urls(stage, args.input))
-    stage.counts["lookup_errors"] = 0  # draws whose lookup failed, read as no capture
-    lookups = []  # one entry per lookup started, look-ahead included; append is atomic
+    # the draws whose first capture the quota loop read, and those of them whose lookup
+    # failed, read as no capture; not the look-ahead lookups, whose number is the timing's
+    stage.counts.update(lookups=0, lookup_errors=0)
 
     def lookup(url: CanonicalUrl) -> Timestamp14 | None:
-        lookups.append(url)
         record = cdx_client.fetch_first_record(url.text)
         return record.timestamp if record else None
 
     def first_captures(draws: list[CanonicalUrl]):
         with closing(stage.map_urls(lookup, draws)) as results:
             for _, first, error in results:
+                stage.counts["lookups"] += 1
                 stage.counts["lookup_errors"] += error is not None
                 yield first
 
@@ -392,7 +397,6 @@ def cmd_reintegrate(stage: Stage, args) -> None:
               f"{result.unmet_years}", file=sys.stderr)
     stage.counts.update(
         candidates=len(candidates),
-        lookups=len(lookups),
         per_year={y: len(result.per_year[y]) for y in years},
         unmet_years=result.unmet_years,
     )
@@ -451,7 +455,7 @@ def cmd_rehydrate(stage: Stage, args) -> None:
 
 
 def cmd_stats(stage: Stage, args) -> None:
-    from . import sampler, stats  # imported here, as in sample
+    from . import stats  # imported here, as in sample; it loads spill, not sampler
 
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
@@ -466,7 +470,7 @@ def cmd_stats(stage: Stage, args) -> None:
     lists = {"pre": (args.urls, ""), "post": (args.sampled, "_sampled")}
     hosts = [_parse_urls(stage, path, parse_host) if path else () for path, _ in lists.values()]
     # counted in sorted runs that spill to anonymous files in the out-dir
-    with sampler.SpillCount(args.out_dir) as domains:
+    with stats.DomainCounts(args.out_dir) as domains:
         stats.domain_counts(domains, *hosts)
         tallies = dict(zip(lists, domains.tallies()))
         for which, (path, suffix) in lists.items():

@@ -1,0 +1,210 @@
+"""An external sort of keys of text fields, each with a number.
+
+A key is kept as one line: its fields joined by SEP, each NUL in a field
+written as NUL STX, then SEP, the number in a fixed count of zero-padded
+digits, and a newline, which no field may hold. SEP sorts below every
+written character, so lines sort as UTF-8 bytes exactly as the tuples of
+their fields do as strings, and the lines of one key by their numbers.
+Only this module knows the format: callers pass fields as ``str`` and get
+fields and numbers back.
+"""
+
+from __future__ import annotations
+
+import heapq
+from itertools import groupby, repeat
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator
+
+RUN_BYTES = 512 * 1024  # line bytes a run holds before it is sorted into a file
+FAN_IN = 16  # this many files of one merge level are merged into one of the next
+SEP = b"\0\1"
+
+
+def _text(field: bytes) -> str:
+    return field.decode().replace("\0\2", "\0")
+
+
+class SpillSort:
+    """Keys, all of one number of text fields, and a number for each, in key
+    order, however many, with at most RUN_BYTES of their lines in memory.
+
+    The numbers of a key are folded into one by ``fold``, chosen at
+    construction: ``min`` keeps the least, ``operator.add`` sums them. A run
+    folds them as they are added, and every merge as it meets them. A number,
+    and a fold of numbers, is at least 0 and of at most ``digits`` digits.
+
+    A run whose lines reach RUN_BYTES is sorted into an anonymous temporary
+    file in ``spill_dir``, which vanishes when it is closed or the process
+    ends, killed or not; ``tempfile`` is imported at the first. FAN_IN files
+    of one merge level are merged into one file of the next, so a few dozen
+    files are open at most. The first read ends the adding, and merges any
+    files and the last run into one file; every read may be repeated.
+    """
+
+    def __init__(self, spill_dir: str | None = None,
+                 fold: Callable[[int, int], int] = min, digits: int = 12):
+        self.spill_dir = spill_dir
+        self.fold = fold
+        self.digits = digits
+        self._run: dict[bytes, int] = {}
+        self._run_bytes = 0
+        self._keys: list[bytes] | None = None  # the last run's keys, sorted by the first read
+        self._files: list[tuple[int, IO[bytes]]] = []  # (merge level, file), oldest first
+
+    def __enter__(self) -> SpillSort:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        while self._files:
+            self._files.pop()[1].close()
+
+    def add(self, fields: tuple[str, ...], number: int) -> None:
+        """Add ``number`` to the key of ``fields``."""
+        key = "\n".join(fields)  # which no field holds, so that one scan finds a NUL
+        if "\0" in key:
+            key = key.replace("\0", "\0\2")
+        key = key.replace("\n", "\0\1").encode()
+        run = self._run
+        kept = run.get(key)
+        if kept is None:
+            self._new(key, number)
+        elif self.fold is not min or number < kept:  # else min would keep what is kept
+            run[key] = self.fold(kept, number)
+
+    def count(self, keys: Iterable[str], number: int) -> None:
+        """Add ``number`` to each of ``keys``, each of one field, when the fold
+        is addition: a key already in the run is added to in place."""
+        run = self._run
+        # each NUL escaped by str.replace, mapped without a Python call per key
+        for key in map(str.encode, map(str.replace, keys, repeat("\0"), repeat("\0\2"))):
+            if key in run:
+                run[key] += number
+            else:  # a new key, which may fill the run
+                self._new(key, number)
+                run = self._run
+
+    def _new(self, key: bytes, number: int) -> None:
+        """Put a key that is not in the run into it, and spill the run if that fills it."""
+        run = self._run
+        run[key] = number
+        self._run_bytes += len(key) + 3 + self.digits  # SEP, the digits and a newline
+        if self._run_bytes >= RUN_BYTES:
+            self._run, self._run_bytes = {}, 0
+            self._write(_run_lines(run, sorted(run), self.digits), 0)
+
+    def _write(self, lines: Iterable[bytes], level: int) -> None:
+        import tempfile  # imported here: a sort that fits its budget writes no file
+
+        fh = tempfile.TemporaryFile(dir=self.spill_dir)
+        self._files.append((level, fh))
+        fh.writelines(lines)
+        if len(self._files) >= FAN_IN and self._files[-FAN_IN][0] == level:
+            # levels fall along the list, so the last FAN_IN files are all of this level
+            self._merge(FAN_IN, (), level + 1)
+
+    def _merge(self, n: int, run: Iterable[bytes], level: int) -> None:
+        """Merge the newest ``n`` files and the sorted ``run`` into one file."""
+        merged = [fh for _, fh in self._files[-n:]]
+        del self._files[-n:]
+        try:
+            # the lines of a key sort together, least number first; the key is
+            # the line without SEP, the digits and a newline
+            keys = groupby(heapq.merge(*map(_reread, merged), run),
+                           key=itemgetter(slice(None, -3 - self.digits)))
+            # min keeps a key's first line as it is
+            self._write(map(next, map(itemgetter(1), keys)) if self.fold is min
+                        else self._fold(keys), level)
+        finally:
+            for fh in merged:
+                fh.close()
+
+    def _fold(self, keys: Iterable[tuple[bytes, Iterator[bytes]]]) -> Iterator[bytes]:
+        """One line for each key, of its lines' numbers folded."""
+        fold, digits = self.fold, self.digits
+        for key, lines in keys:
+            line = next(lines)
+            for other in lines:  # the key's lines from other runs
+                number = fold(int(line[-1 - digits:]), int(other[-1 - digits:]))
+                line = b"%s\0\1%0*d\n" % (key, digits, number)
+            yield line
+
+    def _lines(self) -> Iterator[bytes]:
+        if self._keys is None:
+            self._keys = sorted(self._run)
+            if self._files:  # into one file, so that each read goes without a heap
+                self._merge(len(self._files), _run_lines(self._run, self._keys, self.digits), 0)
+                self._run, self._keys = {}, []
+        if self._files:
+            return _reread(self._files[0][1])
+        return _run_lines(self._run, self._keys, self.digits)
+
+    def _kept(self, least: int) -> Iterator[bytes]:
+        """The lines whose number is at least ``least``."""
+        digits = self.digits
+        floor = b"%0*d" % (digits, least)  # of as many digits, so byte order is number order
+        return (line for line in self._lines() if line[-1 - digits:-1] >= floor)
+
+    def items(self, least: int = 0) -> Iterator[tuple[tuple[str, ...], int]]:
+        """The fields and number of each key whose number is at least ``least``, in key order."""
+        for line in self._kept(least):
+            *fields, number = line.split(SEP)
+            yield tuple(map(_text, fields)), int(number)
+
+    def numbers(self) -> Iterator[int]:
+        """The number of each key, in key order."""
+        return map(int, map(itemgetter(slice(-1 - self.digits, None)), self._lines()))
+
+    def by_number(self, least: int = 0) -> Iterator[tuple[tuple[str, ...], int]]:
+        """``items(least)`` in number order, and in key order within a number:
+        sorted again by a SpillSort in the same memory."""
+        digits = self.digits
+        with SpillSort(self.spill_dir, digits=digits) as by_number:
+            for line in self._kept(least):
+                by_number._new(line[-1 - digits:-1] + SEP + line[:-3 - digits], 0)
+            for line in by_number._lines():
+                number, *fields, _ = line.split(SEP)
+                yield tuple(map(_text, fields)), int(number)
+
+    def groups(self, whole: bool = True) -> Iterator[tuple[str, Iterator]]:
+        """For keys of three fields or more: each first field, in order, and
+        each of its second fields, in order, with the last fields of its keys
+        in number order; or, not ``whole``, with how many keys it has, which
+        reads no more of a line than its first two fields."""
+        # map calls bytes.split without the argument tuple methodcaller builds per line
+        rows = map(bytes.split, self._lines(), repeat(SEP), repeat(-1 if whole else 2))
+        for first, rows_of_first in groupby(rows, key=itemgetter(0)):
+            seconds = groupby(rows_of_first, key=itemgetter(1))
+            yield _text(first), map(_last_fields if whole else _size, seconds)
+
+
+def _size(group: tuple[bytes, Iterable[list[bytes]]]) -> int:
+    return len(list(group[1]))
+
+
+def _last_fields(group: tuple[bytes, Iterable[list[bytes]]]) -> tuple[str, list[str]]:
+    """A second field and the last fields of its lines in number order,
+    decoded at once."""
+    second, rows = group
+    rows = list(rows)
+    if len(rows) > 1:
+        rows.sort(key=itemgetter(-1))  # the numbers, of as many digits
+    texts = b"\n".join(map(itemgetter(-2), rows)).decode()
+    del rows  # before the split, so that a large group is held once at a time
+    if "\0" in texts:
+        texts = texts.replace("\0\2", "\0")
+    return _text(second), texts.split("\n")
+
+
+def _run_lines(run: dict[bytes, int], keys: list[bytes], digits: int) -> Iterator[bytes]:
+    """The lines of ``run`` in the order of ``keys``: SEP sorts below any key
+    character, so sorted keys give sorted lines."""
+    return (b"%s\0\1%0*d\n" % (key, digits, run[key]) for key in keys)
+
+
+def _reread(fh: IO[bytes]) -> Iterator[bytes]:
+    fh.seek(0)
+    return iter(fh)

@@ -7,14 +7,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from operator import attrgetter, itemgetter, mul
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import repeat
+from operator import add, attrgetter, itemgetter, mul
+from typing import Callable, Iterable, Iterator
 
 from .cdx import Timestamp14
+from .spill import SpillSort
 from .surt import domain_key
-
-if TYPE_CHECKING:
-    from .sampler import SpillCount
 
 
 def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]:
@@ -24,11 +23,51 @@ def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]
     return {int(year): n for year, n in sorted(counts.items())}
 
 
-def domain_counts(counts: SpillCount, pre: Iterable[str], post: Iterable[str]) -> None:
+class DomainCounts:
+    """The URLs of each domain key in two lists, in domain order, in a
+    SpillSort that adds: a domain's number is its count in the first list
+    times FIRST plus its count in the second. Iterating gives each domain's
+    (first, second) counts, again each time."""
+
+    FIRST = 10 ** 12
+
+    def __init__(self, spill_dir: str | None = None):
+        self._sort = SpillSort(spill_dir, add, digits=24)
+
+    def __enter__(self) -> DomainCounts:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._sort.close()
+
+    def count(self, domains: Iterable[str], first: int, second: int) -> None:
+        """Add ``first`` to the first count of each of ``domains`` and
+        ``second`` to its second."""
+        self._sort.count(domains, first * self.FIRST + second)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(divmod, self._sort.numbers(), repeat(self.FIRST))
+
+    def rows(self, least: int = 0) -> Iterator[tuple[str, int, int]]:
+        """(domain, first, second) of the domains whose first count is at least ``least``."""
+        for (domain,), number in self._sort.items(least * self.FIRST):
+            yield (domain, *divmod(number, self.FIRST))
+
+    def tallies(self) -> tuple[Counter, Counter]:
+        """How many domains have each first count, and each second count."""
+        firsts, seconds = Counter(), Counter()
+        for number, m in Counter(self._sort.numbers()).items():  # domains by their two counts
+            first, second = divmod(number, self.FIRST)
+            firsts[first] += m
+            seconds[second] += m
+        return firsts, seconds
+
+
+def domain_counts(counts: DomainCounts, pre: Iterable[str], post: Iterable[str]) -> None:
     """Count in ``counts`` each domain key of the hosts ``pre``, its first
     count, and of the hosts ``post``, its second."""
-    for hosts, first in ((pre, True), (post, False)):
-        counts.count(map(domain_key, hosts), first)
+    counts.count(map(domain_key, pre), 1, 0)
+    counts.count(map(domain_key, post), 0, 1)
 
 
 def ccdf_points(tally: Counter) -> list[tuple[int, float]]:
@@ -43,7 +82,7 @@ def ccdf_points(tally: Counter) -> list[tuple[int, float]]:
     return points
 
 
-def top_domains(counts: SpillCount, tally: Counter, n: int) -> list[tuple[str, int, int]]:
+def top_domains(counts: DomainCounts, tally: Counter, n: int) -> list[tuple[str, int, int]]:
     """The n (domain, count before, count after) rows of the domains with the
     most URLs before, ties in domain order; ``tally`` (domains by count
     before) gives the n-th highest count, below which no row is read whole."""

@@ -431,7 +431,7 @@ def test_cli_import_loads_no_http_dependency():
 
 
 @pytest.mark.parametrize("module", ["waysample.cli", "waysample.client", "waysample.sampler",
-                                    "waysample.stats", "waysample.timemaps"])
+                                    "waysample.spill", "waysample.stats", "waysample.timemaps"])
 def test_stage_modules_load_no_dataclasses_or_datetime(module):
     # every stage is a process of its own, which pays for each module its
     # imports load: the records are tuples, and datetime is imported only to
@@ -439,6 +439,23 @@ def test_stage_modules_load_no_dataclasses_or_datetime(module):
     loaded = _modules_loaded_by(module)
     assert module in loaded
     assert not loaded & {"dataclasses", "inspect", "datetime"}
+
+
+def test_stats_stage_loads_neither_the_sampler_nor_random(tmp_path):
+    # stats counts domains with the spill engine alone; lists this short fit
+    # one run, so no spill file is made and tempfile, which loads random, is not
+    urls = tmp_path / "urls.txt"
+    urls.write_text("http://a.com/\nhttp://www.a.com/x\nhttp://b.com/\n")
+    argv = ["stats", "--urls", str(urls), "--sampled", str(urls),
+            "--out-dir", str(tmp_path / "out")]
+    probe = (f"import sys; before = set(sys.modules); from waysample.cli import main; "
+             f"main({argv!r}); print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                check=True, env=env).stdout.split())
+    assert {"waysample.stats", "waysample.spill"} <= loaded
+    assert not loaded & {"waysample.sampler", "random"}
+    assert len(os.listdir(tmp_path / "out")) == 4  # the two CCDFs, the top domains and r
 
 
 # a mock CDX server holding one capture of URL_A, run in a child process so

@@ -7,12 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from waysample import sampler
+from waysample import sampler, spill
 from waysample.cdx import Timestamp14
 from waysample.sampler import (
     DomainCount,
     DownsampleParams,
-    SpillSort,
     YearBucket,
     bucket_by_first_year,
     calibrate_k,
@@ -158,63 +157,6 @@ class TestFirstRoot:
         for i in range(0, len(texts), 10):
             chunk = texts[i:i + 10]
             assert first_root(chunk) == next((t for t in chunk if parse_url(t).is_root), None)
-
-
-class TestSpillSort:
-    @given(st.lists(st.tuples(st.text("ab\x00\x01\x02\u00e9\U0001f600", max_size=4),
-                              st.integers(0, 99))),
-           st.sampled_from([4, 1 << 20]))
-    def test_lines_sort_as_their_fields(self, items, budget):
-        with mock.patch.object(sampler, "RUN_BYTES", budget), \
-                mock.patch.object(sampler, "FAN_IN", 2), SpillSort() as lines:
-            for key, n in items:
-                lines.add(sampler._field(key).encode(), n)
-            got = list(lines.lines())
-            assert list(lines.lines()) == got  # read again
-        fields = [line[:-1].split(sampler.SEP) for line in got]
-        decoded = [(sampler._text(key), int(n)) for key, n in fields]
-        # one line per key, the least, whether it met its repeats in a run
-        # or, every line a run of its own, in the merges
-        assert decoded == sorted({key: min(n for k, n in items if k == key)
-                                  for key, _ in items}.items())
-
-    @given(st.lists(st.tuples(st.text("ab\x00\x01\x02\u00e9", max_size=3), st.booleans())),
-           st.sampled_from([4, 1 << 20]))
-    def test_counts_add_up_across_runs(self, items, budget):
-        with mock.patch.object(sampler, "RUN_BYTES", budget), \
-                mock.patch.object(sampler, "FAN_IN", 2), sampler.SpillCount() as counts:
-            for text, first in items:
-                counts.count([text], first)
-            rows = list(counts.rows())
-            assert list(counts) == [(n, m) for _, n, m in rows]  # read again
-            tallies = counts.tallies()
-        firsts = Counter(text for text, first in items if first)
-        seconds = Counter(text for text, first in items if not first)
-        assert rows == [(text, firsts[text], seconds[text])
-                        for text in sorted(firsts.keys() | seconds.keys())]
-        assert tallies == (Counter(n for _, n, _ in rows), Counter(m for _, _, m in rows))
-
-    def test_few_files_are_open_at_once_and_none_after(self, monkeypatch):
-        import tempfile
-        opened = []
-
-        def temporary_file(**kwargs):
-            opened.append(real(**kwargs))
-            return opened[-1]
-
-        real = tempfile.TemporaryFile
-        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
-        most_open = 0
-        with mock.patch.object(sampler, "RUN_BYTES", 1), \
-                mock.patch.object(sampler, "FAN_IN", 4), SpillSort() as lines:
-            for i in reversed(range(1000)):
-                lines.add(b"%04d" % i, 0)
-                most_open = max(most_open, sum(not fh.closed for fh in opened))
-            assert list(lines.lines()) == [b"%04d\0\1%012d\n" % (i, 0) for i in range(1000)]
-        # 1,000 runs, 250 + 62 + 15 + 3 merges and the last; at most 3 open per level
-        assert len(opened) == 1000 + 250 + 62 + 15 + 3 + 1
-        assert most_open <= 3 * 5 + 1
-        assert all(fh.closed for fh in opened)
 
 
 class TestDomainKey:
@@ -621,15 +563,15 @@ class TestStreamedBucketingOracle:
     # 2 merges them like a binary counter, several levels deep
     @given(_ROWS_WITH_CONTROL_HOSTS, st.integers(0, 3))
     def test_matches_list_based_oracle_when_every_row_spills(self, rows, seed):
-        with mock.patch.object(sampler, "RUN_BYTES", 4), mock.patch.object(sampler, "FAN_IN", 2):
+        with mock.patch.object(spill, "RUN_BYTES", 4), mock.patch.object(spill, "FAN_IN", 2):
             _check_against_oracle(rows, seed)
 
     @given(_ROWS_WITH_CONTROL_HOSTS, st.sampled_from([None, 4]))
     def test_sizes_count_the_oracle_domains(self, rows, budget):
         entries = [(parse_url(url), ts(year + "0101000000")) for url, year in rows]
         buckets, _ = _oracle_bucket(entries)
-        with mock.patch.object(sampler, "RUN_BYTES", budget or sampler.RUN_BYTES), \
-                mock.patch.object(sampler, "FAN_IN", 2 if budget else sampler.FAN_IN), \
+        with mock.patch.object(spill, "RUN_BYTES", budget or spill.RUN_BYTES), \
+                mock.patch.object(spill, "FAN_IN", 2 if budget else spill.FAN_IN), \
                 sampler.FirstYearBuckets() as streamed:
             for entry in entries:
                 streamed.add(*entry)

@@ -11,26 +11,41 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waysample import sampler
+from waysample import spill
 from waysample.cdx import TimeMap, Timestamp14, write_timemap
 from waysample.cli import main
-from waysample.sampler import SpillCount
-from waysample.stats import (_average_ranks, ccdf_points, rank_correlation, top_domains,
-                             year_histogram)
+from waysample.stats import (DomainCounts, _average_ranks, ccdf_points, rank_correlation,
+                             top_domains, year_histogram)
 from waysample.surt import SurtError, domain_key, parse_url
 
 from conftest import make_history
 
 
 def spilled(pre, post):
-    """A SpillCount of the domain counts pre and post (Counters), its adding
+    """DomainCounts of the domain counts pre and post (Counters), its adding
     ended."""
-    counts = SpillCount()
+    counts = DomainCounts()
     for domain in pre.keys() | post.keys():
-        counts._add_all([sampler._field(domain).encode()],
-                        pre[domain] * SpillCount.FIRST + post[domain])
-    counts.lines()
+        counts.count([domain], pre[domain], post[domain])
+    counts.tallies()  # the first read ends the adding
     return counts
+
+
+@given(st.lists(st.tuples(st.text("ab\x00\x01\x02\u00e9", max_size=3), st.booleans())),
+       st.sampled_from([4, 1 << 20]))
+def test_counts_add_up_across_runs(items, budget):
+    with mock.patch.object(spill, "RUN_BYTES", budget), \
+            mock.patch.object(spill, "FAN_IN", 2), DomainCounts() as counts:
+        for text, first in items:
+            counts.count([text], int(first), int(not first))
+        rows = list(counts.rows())
+        assert list(counts) == [(n, m) for _, n, m in rows]  # read again
+        tallies = counts.tallies()
+    firsts = Counter(text for text, first in items if first)
+    seconds = Counter(text for text, first in items if not first)
+    assert rows == [(text, firsts[text], seconds[text])
+                    for text in sorted(firsts.keys() | seconds.keys())]
+    assert tallies == (Counter(n for _, n, _ in rows), Counter(m for _, _, m in rows))
 
 
 def paired(pre, post):
@@ -275,13 +290,13 @@ LINES = st.lists(st.one_of(
     st.sampled_from(["", "http://a..com/", "ftp://a.com/", "  http://b.com/  "])), max_size=60)
 
 
-@pytest.mark.parametrize("run_bytes, fan_in", [(sampler.RUN_BYTES, sampler.FAN_IN), (4, 2)],
+@pytest.mark.parametrize("run_bytes, fan_in", [(spill.RUN_BYTES, spill.FAN_IN), (4, 2)],
                          ids=["default-budget", "every-key-spills"])
 @settings(deadline=None)
 @given(st.none() | LINES, st.none() | LINES, st.integers(1, 30))
 def test_stats_tables_match_the_counter_oracle(run_bytes, fan_in, urls, sampled, top_n):
-    with mock.patch.object(sampler, "RUN_BYTES", run_bytes), \
-            mock.patch.object(sampler, "FAN_IN", fan_in), \
+    with mock.patch.object(spill, "RUN_BYTES", run_bytes), \
+            mock.patch.object(spill, "FAN_IN", fan_in), \
             tempfile.TemporaryDirectory() as tmp:
         argv = ["stats", "--out-dir", os.path.join(tmp, "out"), "--top-n", str(top_n),
                 "--manifest", os.path.join(tmp, "stats.json")]
