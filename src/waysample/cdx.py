@@ -16,6 +16,7 @@ import re
 import threading
 from collections import namedtuple
 from contextlib import contextmanager, suppress
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable
 
@@ -119,7 +120,7 @@ def parse_cdx_line(line: str, line_no: int | None = None) -> CdxRecord:
     fields = line.split()
     if len(fields) != 7:
         raise CdxParseError(f"expected 7 CDX fields, got {len(fields)}", line_no)
-    if not fields[6].isdigit():
+    if not (fields[6].isascii() and fields[6].isdigit()):
         raise CdxParseError(f"non-numeric length: {fields[6]!r}", line_no)
     fields[1] = Timestamp14(fields[1])
     fields[6] = int(fields[6])  # of digits only: never negative
@@ -158,7 +159,7 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
         raise CdxParseError(f"ZipNum key is not 'surt timestamp': {key!r}", line_no)
     surt, ts = key_parts
     for name, value in (("offset", offset), ("length", length), ("block", block)):
-        if not value.lstrip("-").isdigit():
+        if not (value.isascii() and value.isdigit()):
             raise CdxParseError(f"non-numeric {name}: {value!r}", line_no)
     return ZipNumEntry(surt, Timestamp14(ts), part, int(offset), int(length), int(block))
 
@@ -182,13 +183,9 @@ class TimeMap(namedtuple("TimeMap", "uri_r records")):
         return "".join(r.to_line() + "\n" for r in self.records)
 
 
-def parse_timemap_text(uri_r: str, text: str) -> TimeMap:
-    records = [
-        parse_cdx_line(line, line_no=i + 1)
-        for i, line in enumerate(text.splitlines())
-        if line.strip()
-    ]
-    return TimeMap(uri_r, records)
+def parse_cdx_lines(lines: Iterable[str]) -> list[CdxRecord]:
+    """The records of CDX lines that are not blank; an error names its line from 1."""
+    return [parse_cdx_line(line, i) for i, line in enumerate(lines, 1) if line.strip()]
 
 
 @contextmanager
@@ -209,10 +206,14 @@ def atomic_open(path, mode: str = "w"):
 
 
 def write_timemap(tm: TimeMap, path) -> None:
+    """Write the lines of ``tm``'s records to ``path`` one at a time, never its whole text."""
     with atomic_open(path) as fh:
-        fh.write(tm.to_text())
+        fh.writelines(r.to_line() + "\n" for r in tm.records)
 
 
-def read_timemap(path, uri_r: str = "") -> TimeMap:
+def read_timemap(path) -> TimeMap:
+    """The TimeMap of a file, parsed a line at a time. Its lines are those that
+    ``str.splitlines`` gives of the whole text: reading turns ``\\r\\n`` and ``\\r``
+    into ``\\n``, so no line break spans two of the lines that iterating the file gives."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_timemap_text(uri_r, fh.read())
+        return TimeMap("", parse_cdx_lines(chain.from_iterable(map(str.splitlines, fh))))

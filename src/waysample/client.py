@@ -28,7 +28,7 @@ from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
-from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_timemap_text
+from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
 from .timemaps import merge_pages
 
 TRANSIENT_STATUS_MIN = 500
@@ -135,7 +135,7 @@ class _Connection:
         keep = b"keep-alive" in connection if version == b"HTTP/1.0" else b"close" not in connection
         if b"chunked" in headers.get(b"transfer-encoding", b"").lower():
             chunks = []
-            while chunk := self._read(self._rfile.readline().partition(b";")[0], 16):
+            while chunk := self._read(self._rfile.readline().partition(b";")[0].strip(), 16):
                 chunks.append(chunk)
                 self._rfile.readline()  # the CRLF after the chunk
             body, _ = b"".join(chunks), self._fields()  # trailers are ignored
@@ -158,9 +158,9 @@ class _Connection:
         return fields
 
     def _read(self, size: bytes, base: int) -> bytes:
-        """The next ``size`` bytes, ``size`` written in ``base`` digits."""
+        """The next ``size`` bytes, ``size`` written in ASCII ``base`` digits."""
         try:
-            n = int(size, base)
+            n = int(size, base) if size.isalnum() else -1  # no sign, "_" or space
         except ValueError:
             n = -1
         data = self._rfile.read(n) if n >= 0 else b""
@@ -324,13 +324,9 @@ class ArchiveClient:
 
     def fetch_page_count(self, url: str) -> int:
         body = self._get(url, "numpages").strip()
-        try:
-            count = int(body)
-        except ValueError as exc:
-            raise CdxResponseError(f"non-integer page count {body!r} for {url!r}") from exc
-        if count < 0:
-            raise CdxResponseError(f"negative page count for {url!r}")
-        return count
+        if not (body.isascii() and body.isdigit()):
+            raise CdxResponseError(f"page count {body!r} for {url!r} is not ASCII digits")
+        return int(body)
 
     def fetch_timemap(self, url: str) -> TimeMap:
         """Full TimeMap via the pagination protocol: page count first, then
@@ -346,7 +342,7 @@ class ArchiveClient:
                 except TransportError:
                     missing.append(page_no)
                     continue
-                pages.append(parse_timemap_text(url, body).records)
+                pages.append(TimeMap(url, parse_cdx_lines(body.splitlines())).records)
             if missing:
                 raise PartialFetchError(url, missing)
             return merge_pages(pages, url)

@@ -19,8 +19,6 @@ from urllib.parse import urlsplit
 SCHEMES = ("http", "https")
 
 _WWW_PREFIX_RE = re.compile(r"^www\d*\.")
-# host labels may not be empty or contain SURT structural characters
-_BAD_LABEL_RE = re.compile(r"[,)\s]")
 # a host with a SURT key: dot-separated labels, none empty, none with , ) * or whitespace
 _HOST_RE = re.compile(r"[^.,)*\s]+(?:\.[^.,)*\s]+)*")
 # A lowercase http(s) URL in printable ASCII whose netloc is a host with a
@@ -86,11 +84,10 @@ class SurtKey(namedtuple("SurtKey", "host_segments path query")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, host_segments: tuple[str, ...], path: str = "/", query: str | None = None):
-        if not host_segments:
-            raise MalformedSurtError("SURT key has no host labels")
-        for label in host_segments:
-            if not label or _BAD_LABEL_RE.search(label) or label != label.lower():
-                raise MalformedSurtError(f"bad host label: {label!r}")
+        host = ".".join(host_segments)  # a host by _HOST_RE if no label holds a dot
+        if (not _HOST_RE.fullmatch(host) or host.count(".") >= len(host_segments)
+                or host != host.lower()):
+            raise MalformedSurtError(f"bad host labels: {host_segments!r}")
         if not path.startswith("/"):
             raise MalformedSurtError(f"SURT path must start with '/': {path!r}")
         return tuple.__new__(cls, (host_segments, path, query))
@@ -179,10 +176,12 @@ def url_to_surt(url: CanonicalUrl) -> SurtKey:
     """Convert a canonical URL into its SURT key.
 
     Scheme and ``www``-class prefixes (see domain_key) never affect the
-    result.
+    result. The host of a CanonicalUrl holds _HOST_RE, so SurtKey checks
+    it again only when it is not in lower case, which SurtKey refuses.
     """
-    labels = domain_key(url.host).split(".")
-    return SurtKey(tuple(reversed(labels)), url.path, url.query)
+    host = domain_key(url.host)
+    key = (tuple(reversed(host.split("."))), url.path, url.query)
+    return tuple.__new__(SurtKey, key) if host == host.lower() else SurtKey(*key)
 
 
 def parse_surt(key: str) -> SurtKey:

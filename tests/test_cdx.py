@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -12,9 +13,11 @@ from waysample.cdx import (
     Timestamp14,
     ZipNumEntry,
     parse_cdx_line,
-    parse_timemap_text,
+    parse_cdx_lines,
     parse_timestamp,
     parse_zipnum_line,
+    read_timemap,
+    write_timemap,
 )
 
 from conftest import make_history, make_record, make_timestamp
@@ -131,6 +134,12 @@ class TestCdxLine:
         with pytest.raises(CdxParseError):
             parse_cdx_line("com,example)/ 20020120142510 http://example.com/ text/html 200 D xyz")
 
+    @pytest.mark.parametrize("length", ["\u0661\u0662", "\u00b2", "+12", "-0", "1_0"])
+    def test_length_of_other_than_ascii_digits(self, length):
+        # "\u0661\u0662" would be written back as "12"; int("\u00b2") raises a bare ValueError
+        with pytest.raises(CdxParseError, match="line 3: non-numeric length"):
+            parse_cdx_line(FIG1_FIRST_LINE[:-3] + length, 3)
+
     def test_runs_of_spaces_normalized(self):
         loose = FIG1_FIRST_LINE.replace(" ", "   ")
         assert parse_cdx_line(loose).to_line() == FIG1_FIRST_LINE
@@ -183,6 +192,14 @@ class TestZipNumLine:
         with pytest.raises(CdxParseError):
             parse_zipnum_line("a)/ 20130804002034\tpart-a\t-5\t100\t1")
 
+    @pytest.mark.parametrize("field", [2, 3, 4])
+    @pytest.mark.parametrize("number", ["\u0661", "\u00b2", "+5", "--5", "1_0"])
+    def test_numbers_of_other_than_ascii_digits(self, field, number):
+        fields = FIG2_LINE.split("\t")
+        fields[field] = number
+        with pytest.raises(CdxParseError, match="line 2: non-numeric"):
+            parse_zipnum_line("\t".join(fields), 2)
+
     def test_zero_length(self):
         with pytest.raises(CdxParseError):
             parse_zipnum_line("a)/ 20130804002034\tpart-a\t5\t0\t1")
@@ -217,4 +234,73 @@ class TestTimeMap:
 
     def test_text_round_trip(self, rng):
         tm = TimeMap("http://example.com/", make_history("http://example.com/", 20, rng))
-        assert parse_timemap_text(tm.uri_r, tm.to_text()).records == tm.records
+        assert parse_cdx_lines(tm.to_text().splitlines()) == tm.records
+
+
+# CDX lines of one key, and lines that do not parse, for TimeMap files
+KEY, URL = "com,example)/", "http://example.com/"
+CDX_LINES = st.one_of(
+    st.builds(lambda ts, n: f"{KEY}  {20000101000000 + ts} {URL} text/html 200 D{ts} {n}",
+              st.integers(0, 9), st.integers(0, 99)),
+    st.sampled_from(["", " ", "\t", "two fields", f"{KEY} 20000101000000 {URL} a b c x"]))
+# what fh.read().splitlines() splits a line at, and what it does not
+LINE_BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028",
+                               "\u2029", "\n\n", "\r\r\n", "\t", "\u00a0"])
+
+
+class TestTimeMapFiles:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(CDX_LINES, LINE_BREAKS), max_size=12), st.booleans())
+    def test_read_splits_as_splitlines_of_the_whole_text(self, tmp_path_factory, pieces, ends):
+        text = "".join(line + brk for line, brk in pieces)
+        path = tmp_path_factory.mktemp("tm") / "t.cdx"
+        path.write_bytes((text if ends else text.rstrip("\r\n")).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        try:  # the records, or the line number of the error, of the whole text
+            expected = TimeMap("", [parse_cdx_line(line, i + 1)
+                                    for i, line in enumerate(lines) if line.strip()])
+        except CdxParseError as exc:
+            with pytest.raises(CdxParseError) as error:
+                read_timemap(path)
+            assert exc.line_no is not None
+            assert error.value.line_no == exc.line_no
+        else:
+            assert read_timemap(path) == expected
+
+    @given(st.lists(st.builds(
+        CdxRecord, st.just(KEY),
+        st.builds(lambda n: Timestamp14(str(20000101000000 + n)), st.integers(0, 59)),
+        st.text(st.sampled_from("ab/:\u00e9\u2028\udcff"), min_size=1), st.just("text/html"),
+        st.sampled_from(["200", "-"]), st.text("AZ", min_size=1), st.integers(0, 10 ** 12)),
+        max_size=20))
+    def test_write_writes_to_text(self, tmp_path_factory, records):
+        tm = TimeMap(URL, records)
+        path = tmp_path_factory.mktemp("tm") / "t.cdx"
+        write_timemap(tm, path)
+        # a lone surrogate is written as the byte it stands for, as atomic_open does
+        assert path.read_bytes() == tm.to_text().encode("utf-8", "surrogateescape")
+
+    def test_memory_beyond_the_records_is_flat_in_their_count(self, tmp_path):
+        """Neither holds the file's text: what writing allocates stays within
+        its buffers, and what reading allocates beyond the TimeMap it returns
+        is the lists of its records, 8 bytes a record each."""
+        def traced(n: int) -> tuple[int, int]:
+            tm = TimeMap(URL, make_history(URL, n, random.Random(n)))
+            tracemalloc.start()
+            try:
+                write_timemap(tm, tmp_path / f"{n}.cdx")
+                write_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                read = read_timemap(tmp_path / f"{n}.cdx")
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert read.records == tm.records and held > before
+            return write_peak, peak - held
+
+        (write_small, read_small), (write_large, read_large) = traced(2_000), traced(20_000)
+        # a copy of the text would cost more than its 107 bytes a line
+        assert write_large - write_small < 16 * 1024
+        assert (read_large - read_small) / 18_000 < 32

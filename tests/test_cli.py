@@ -7,12 +7,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 from urllib.parse import parse_qs, quote, urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waysample import cdx, cli, sampler, spill
-from waysample.cdx import TimeMap
 from waysample.cli import main, timemap_filename
 from waysample.config import PipelineConfig
 from waysample.mockserver import MockCdxServer
@@ -369,6 +370,44 @@ class TestSample:
         assert (counts["input"], counts["unparseable"]) == (1, 2)
         assert read_lines(out_dir / "bucket_2006.txt") == ["http://b.com/"]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a.com", "www.a.com", "b.a.com", "x.co.uk", "www.x.co.uk",
+                         "www2.x.co.uk", "y.org"]),
+        st.sampled_from(["/", "/p", "/p/q.html", "/p?q=1", "/z/"]),
+        st.integers(1990, 2003)), max_size=40),
+        st.sampled_from([0, 2, 5]), st.integers(1, 12), st.integers(0, 3))
+    def test_streamed_selection_equals_the_list_form_rule(self, tmp_path_factory, rows,
+                                                          threshold, target, seed):
+        """Each bucket file holds select_urls over calibrate_k(reduce_long_tail(bucket)),
+        for the buckets of bucket_by_first_year, and the manifest holds that K."""
+        tmp = tmp_path_factory.mktemp("sample")
+        urls = [(f"http://{host}{path}", f"{year}0{1 + year % 9}15000000")
+                for host, path, year in rows]
+        write_lines(tmp / "first.tsv", [f"{url}\t{ts}" for url, ts in urls])
+        assert main(["sample", "--first-captures", str(tmp / "first.tsv"),
+                     "--out-dir", str(tmp / "out"), "--target", str(target),
+                     "--tail-threshold", str(threshold), "--seed", str(seed)]) == 0
+        reports = {b["label"]: b for b in json.loads(
+            (tmp / "out" / "manifest.json").read_text())["counts"]["buckets"]}
+        cfg = PipelineConfig.load(None)
+        buckets = sampler.bucket_by_first_year(
+            (parse_url(url), cdx.Timestamp14(ts)) for url, ts in urls).buckets
+        assert list(reports) == [bucket.label for bucket in buckets]
+        for bucket in buckets:
+            reduced = sampler.reduce_long_tail(bucket, threshold, cfg.tail_keep_fraction, seed)
+            expected, calibration = [], (None, 0, False)  # the tail rule may empty it
+            if reduced.domains:
+                calibration = sampler.calibrate_k(reduced, cfg.c, target)
+                params = sampler.DownsampleParams(calibration.k, cfg.c)
+                for domain in reduced.domains:
+                    k = sampler.downsample_count(domain.n_urls, params)
+                    expected += sampler.select_urls(domain, k, seed)
+            report = reports[bucket.label]
+            assert (report["k"], report["calibrated_total"], report["overshoot"]) == calibration
+            text = (tmp / "out" / f"bucket_{bucket.label}.txt").read_text()
+            assert text == "".join(url + "\n" for url in expected)
+
     def test_first_captures_from_stdin(self, tmp_path, archive, monkeypatch):
         first = self._first_captures(tmp_path, archive)
         outputs = []
@@ -703,11 +742,17 @@ class TestFetchAndRehydrate:
         write_lines(inp, [url])
         args = ["fetch", str(inp), "--out-dir", str(out_dir), "--endpoint", server.endpoint]
 
-        def interrupted(tm):
-            raise KeyboardInterrupt
+        write_timemap = cli.write_timemap
+
+        def interrupted(tm, path):
+            def records():  # two lines into the temporary file, then an interrupt
+                yield from tm.records[:2]
+                assert f"{os.path.basename(path)}.tmp." in " ".join(os.listdir(out_dir))
+                raise KeyboardInterrupt
+            write_timemap(SimpleNamespace(records=records()), path)
 
         with monkeypatch.context() as patch:
-            patch.setattr(TimeMap, "to_text", interrupted)
+            patch.setattr(cli, "write_timemap", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         assert os.listdir(out_dir) == []  # nor a partial report
@@ -1238,17 +1283,20 @@ class TestFanOut:
         args = ["fetch", str(inp), "--out-dir", str(out_dir),
                 "--endpoint", server.endpoint, "--politeness", "2",
                 "--manifest", str(manifest), "--log", str(log)]
-        to_text, lock, calls = TimeMap.to_text, threading.Lock(), []
+        write_timemap, lock, calls = cli.write_timemap, threading.Lock(), []
 
-        def interrupted_third(tm):
+        def interrupted_third(tm, path):
             with lock:
                 calls.append(tm)
-                if len(calls) == 3:
-                    raise KeyboardInterrupt
-            return to_text(tm)
+                third = len(calls) == 3
+
+            def records():  # the third TimeMap gets two lines, then an interrupt
+                yield from tm.records[:2]
+                raise KeyboardInterrupt
+            write_timemap(SimpleNamespace(records=records()) if third else tm, path)
 
         with monkeypatch.context() as patch:
-            patch.setattr(TimeMap, "to_text", interrupted_third)
+            patch.setattr(cli, "write_timemap", interrupted_third)
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         # the stage failed, and its manifest and fetch log say so

@@ -685,6 +685,28 @@ class TestExchange:
             assert client.fetch_first_record(URL_A) is not None
         assert attempts(logs) == [(0, 1), (200, 2)]
 
+    @pytest.mark.parametrize("head, tail", [
+        # int() reads each size as the body's 101 bytes, or -0 as none of them
+        (b"Content-Length: 1_01", b""), (b"Content-Length: +101", b""),
+        (b"Content-Length: -0", b""),
+        (b"Transfer-Encoding: chunked\r\n\r\n6_5", b"\r\n0\r\n\r\n"),  # int(b"6_5", 16)
+    ])
+    def test_size_of_other_than_ascii_digits_is_a_failed_attempt(self, scripted, logs,
+                                                                  head, tail):
+        assert len(RECORD_LINE) == 0x65
+        bad = b"HTTP/1.1 200 OK\r\n" + head + b"\r\n" + (b"" if tail else b"\r\n")
+        server, client = scripted(([bad + RECORD_LINE + tail], True), ([reply()], False))
+        with server, client:
+            assert client.fetch_first_record(URL_A) is not None
+        assert attempts(logs) == [(0, 1), (200, 2)]
+
+    @pytest.mark.parametrize("count", [b"1_0", b"+3", "\u0663".encode(), b"-1", b"3.0"])
+    def test_page_count_of_other_than_ascii_digits(self, scripted, logs, count):
+        server, client = scripted(([reply(count + b"\n")], False))
+        with server, client, pytest.raises(CdxResponseError, match="not ASCII digits"):
+            client.fetch_page_count(URL_A)
+        assert attempts(logs) == [(200, 1)]
+
 
 @pytest.mark.parametrize("method, replies", [
     ("fetch_first_record", [b"caf\xe9\n"]),

@@ -10,6 +10,7 @@ from waysample.surt import (
     CanonicalUrl,
     MalformedSurtError,
     SurtError,
+    SurtKey,
     UrlConversionError,
     _parse_url_split,
     parse_host,
@@ -250,3 +251,35 @@ class TestValidation:
     def test_bad_surt_label(self):
         with pytest.raises(MalformedSurtError):
             parse_surt("com,,example)/")
+
+    @pytest.mark.parametrize("key", ["com,exa.mple)/", "com,*)/", "com,Example)/", "com, a)/",
+                                     "com,a\u00a0)/", ")/"])
+    def test_surt_label_follows_the_host_rule(self, key):
+        # exa.mple would come back from https://exa.mple.com/ as com,mple,exa
+        with pytest.raises(MalformedSurtError):
+            parse_surt(key)
+
+    @settings(max_examples=1000)
+    @given(st.builds(str.__add__, st.text("ab9.,*) A\u00a0\u00e9", max_size=8),
+                     st.sampled_from([")/", ")", ")/x?q=1", ")x", ""])))
+    def test_every_parsed_key_converts_back(self, key):
+        try:
+            surt = parse_surt(key)
+        except MalformedSurtError:
+            return
+        assert surt_to_url(surt).host.split(".")[::-1] == list(surt.host_segments)
+
+    @settings(max_examples=1000)
+    @given(st.one_of(st.builds(str.__add__, URL_PREFIXES, URL_RESTS),
+                     st.builds("{}{}{}".format, st.sampled_from(["http://", "https://"]),
+                               HOSTS, HOST_RESTS)))
+    def test_url_to_surt_equals_the_checked_key(self, url):
+        try:
+            key = url_to_surt(parse_url(url))
+        except SurtError:
+            return
+        assert type(key) is SurtKey and key == SurtKey(*key)
+
+    def test_host_in_upper_case_has_no_surt_key(self):
+        with pytest.raises(MalformedSurtError):
+            url_to_surt(CanonicalUrl("http", "Example.com"))
