@@ -18,16 +18,18 @@ from collections import namedtuple
 from contextlib import contextmanager, suppress
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 REVISIT_MIME = "warc/revisit"
 
 
 class CdxParseError(ValueError):
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
+    """A line that does not parse: ``reason`` says why, and ``line_no``, if
+    known, which line, from 1."""
+
+    def __init__(self, reason: str, line_no: int | None = None):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
+        self.reason = reason
         self.line_no = line_no
 
 
@@ -115,15 +117,26 @@ class CdxRecord(namedtuple("CdxRecord", "urlkey timestamp original mime status d
         return f"{urlkey} {timestamp.raw} {original} {mime} {status} {digest} {length}"
 
 
+def _number(text: str, name: str, line_no: int | None) -> int:
+    """``text`` as a number: ASCII digits, with no leading zero unless it is
+    ``0``, so that the number is written back as the same text."""
+    if not (text.isascii() and text.isdigit()):
+        raise CdxParseError(f"non-numeric {name}: {text!r}", line_no)
+    if text[0] == "0" and len(text) > 1:
+        raise CdxParseError(f"{name} has a leading zero: {text!r}", line_no)
+    return int(text)
+
+
 def parse_cdx_line(line: str, line_no: int | None = None) -> CdxRecord:
     """Parse one 7-field CDX line. Any run of spaces separates fields."""
     fields = line.split()
     if len(fields) != 7:
         raise CdxParseError(f"expected 7 CDX fields, got {len(fields)}", line_no)
-    if not (fields[6].isascii() and fields[6].isdigit()):
-        raise CdxParseError(f"non-numeric length: {fields[6]!r}", line_no)
+    length = fields[6]
+    if not (length.isascii() and length.isdigit() and (length[0] != "0" or length == "0")):
+        _number(length, "length", line_no)  # which raises the error that says why
     fields[1] = Timestamp14(fields[1])
-    fields[6] = int(fields[6])  # of digits only: never negative
+    fields[6] = int(length)  # of digits only: never negative
     return tuple.__new__(CdxRecord, fields)
 
 
@@ -158,10 +171,14 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
     if len(key_parts) != 2:
         raise CdxParseError(f"ZipNum key is not 'surt timestamp': {key!r}", line_no)
     surt, ts = key_parts
-    for name, value in (("offset", offset), ("length", length), ("block", block)):
-        if not (value.isascii() and value.isdigit()):
-            raise CdxParseError(f"non-numeric {name}: {value!r}", line_no)
-    return ZipNumEntry(surt, Timestamp14(ts), part, int(offset), int(length), int(block))
+    offset, length, block = (_number(value, name, line_no) for name, value in
+                             (("offset", offset), ("length", length), ("block", block)))
+    return ZipNumEntry(surt, Timestamp14(ts), part, offset, length, block)
+
+
+def _check_one_key(keys: set[str]) -> None:
+    if len(keys) > 1:
+        raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
 
 
 class TimeMap(namedtuple("TimeMap", "uri_r records")):
@@ -173,10 +190,13 @@ class TimeMap(namedtuple("TimeMap", "uri_r records")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, uri_r: str, records: Iterable[CdxRecord] = ()):
-        records = sorted(records, key=attrgetter("timestamp.raw"))
-        keys = set(map(attrgetter("urlkey"), records))
-        if len(keys) > 1:
-            raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
+        return cls._of(uri_r, list(records))  # a copy: the caller may keep its list
+
+    @classmethod
+    def _of(cls, uri_r: str, records: list[CdxRecord]) -> TimeMap:
+        """The TimeMap of ``records``, which it keeps, sorted in place."""
+        _check_one_key(set(map(attrgetter("urlkey"), records)))
+        records.sort(key=attrgetter("timestamp.raw"))
         return tuple.__new__(cls, (uri_r, records))
 
     def to_text(self) -> str:
@@ -211,9 +231,29 @@ def write_timemap(tm: TimeMap, path) -> None:
         fh.writelines(r.to_line() + "\n" for r in tm.records)
 
 
+def _timemap_lines(fh) -> Iterator[str]:
+    """The lines of a TimeMap file that ``str.splitlines`` gives of its whole
+    text: reading turns ``\\r\\n`` and ``\\r`` into ``\\n``, so no line break
+    spans two of the lines that iterating the file gives."""
+    return chain.from_iterable(map(str.splitlines, fh))
+
+
 def read_timemap(path) -> TimeMap:
-    """The TimeMap of a file, parsed a line at a time. Its lines are those that
-    ``str.splitlines`` gives of the whole text: reading turns ``\\r\\n`` and ``\\r``
-    into ``\\n``, so no line break spans two of the lines that iterating the file gives."""
+    """The TimeMap of a file, parsed a line at a time into one list of records."""
     with open(path, "r", encoding="utf-8") as fh:
-        return TimeMap("", parse_cdx_lines(chain.from_iterable(map(str.splitlines, fh))))
+        return TimeMap._of("", parse_cdx_lines(_timemap_lines(fh)))
+
+
+def count_timemap(path) -> int:
+    """How many records a TimeMap file holds: each line is parsed and the file
+    refused as ``read_timemap`` would refuse it, but no record is kept."""
+    n, keys = 0, set()  # the first urlkey, and one that differs
+    with open(path, "r", encoding="utf-8") as fh:
+        for i, line in enumerate(_timemap_lines(fh), 1):
+            if line.strip():
+                urlkey = parse_cdx_line(line, i).urlkey
+                n += 1
+                if len(keys) < 2:
+                    keys.add(urlkey)
+    _check_one_key(keys)
+    return n

@@ -32,6 +32,7 @@ from .cdx import (
     CdxParseError,
     Timestamp14,
     atomic_open,
+    count_timemap,
     parse_timestamp,
     read_timemap,
     write_timemap,
@@ -92,15 +93,22 @@ class Stage:
         return self._client
 
     @contextmanager
-    def open(self, path: str, mode: str = "r"):
+    def open(self, path: str | tuple[str, int, int], mode: str = "r"):
         """``path`` as UTF-8 text in which a byte that is not UTF-8 reads as a
         lone surrogate and is written back as that byte. A file written is
-        published whole by ``atomic_open`` when the block ends, or not at all."""
+        published whole by ``atomic_open`` when the block ends, or not at all.
+        A ``(path, start, end)`` that ``partition.split`` gives reads those
+        bytes of it."""
         if path == "-":
             stream = sys.stdin if mode == "r" else sys.stdout
             if isinstance(stream, io.TextIOWrapper) and stream.errors != "surrogateescape":
                 stream.reconfigure(errors="surrogateescape")  # before its first read
             yield stream
+        elif isinstance(path, tuple):
+            from .partition import read_range
+
+            with read_range(*path) as fh:
+                yield fh
         else:
             with (open(path, encoding="utf-8", errors="surrogateescape") if mode == "r"
                   else atomic_open(path, mode)) as fh:
@@ -206,26 +214,34 @@ def timemap_filename(url: str) -> str:
 
 
 def cmd_filter(stage: Stage, args) -> None:
+    from . import partition  # imported here: the stages that split no input do without it
+
     counts = stage.counts
     counts.update(valid=0, invalid=0)
-    with stage.open(args.output, "w") as fout:
-        for url in stage.urls(args.input):
-            v = urlfilter.verdict(url)
-            counts["valid" if v.valid else "invalid"] += 1
-            fout.write(v.to_tsv_line() + "\n")
+
+    def line(url: str) -> str:
+        v = urlfilter.verdict(url)
+        counts["valid" if v.valid else "invalid"] += 1
+        return v.to_tsv_line() + "\n"
+
+    partition.url_lines(stage, args, line)
 
 
 def cmd_classify(stage: Stage, args) -> None:
+    from . import partition
+
     counts = stage.counts
     counts.update(likely_html=0, other=0)
-    with stage.open(args.output, "w") as fout:
-        for url in stage.urls(args.input):
-            try:
-                heuristic = urlfilter.classify_likely_html(parse_url(url))
-            except SurtError:
-                heuristic = None
-            counts["likely_html" if heuristic else "other"] += 1
-            fout.write(f"{url}\t{heuristic.value if heuristic else '-'}\n")
+
+    def line(url: str) -> str:
+        try:
+            heuristic = urlfilter.classify_likely_html(parse_url(url))
+        except SurtError:
+            heuristic = None
+        counts["likely_html" if heuristic else "other"] += 1
+        return f"{url}\t{heuristic.value if heuristic else '-'}\n"
+
+    partition.url_lines(stage, args, line)
 
 
 def _fetchable(url: str) -> bool:
@@ -283,19 +299,26 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timesta
 def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets,
                  missing: sampler.MissingRoots) -> None:
     """Add each archived row of ``--first-captures`` whose URL parses to
-    ``buckets`` and ``missing``, then to ``buckets`` the root of each host
-    seen only through deep links that ``--endpoint`` finds archived, at its
-    first capture."""
+    ``buckets`` and ``missing``, the file's byte ranges split over CPUs, then
+    to ``buckets`` the root of each host seen only through deep links that
+    ``--endpoint`` finds archived, at its first capture."""
+    from . import partition
+
     counts = stage.counts
-    for url_text, first_capture in _read_first_captures(stage, args.first_captures):
-        try:
-            url = parse_url(url_text)
-        except SurtError:
-            counts["unparseable"] += 1
-            continue
-        counts["input"] += 1
-        missing.add(url)
-        buckets.add(url, first_capture)
+
+    def add_rows(source, buckets, missing) -> None:
+        for url_text, first_capture in _read_first_captures(stage, source):
+            try:
+                url = parse_url(url_text)
+            except SurtError:
+                counts["unparseable"] += 1
+                continue
+            counts["input"] += 1
+            missing.add(url)
+            buckets.add(url, first_capture)
+
+    partition.split(counts, args.first_captures, add_rows, buckets, missing,
+                    spill_dir=args.out_dir)
     roots = missing.roots()
     if not stage.cfg.endpoint:
         counts["missing_roots"] = sum(1 for _ in roots)
@@ -455,7 +478,7 @@ def cmd_rehydrate(stage: Stage, args) -> None:
 
 
 def cmd_stats(stage: Stage, args) -> None:
-    from . import stats  # imported here, as in sample; it loads spill, not sampler
+    from . import partition, stats  # imported here, as in sample; they load spill, not sampler
 
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
@@ -463,15 +486,20 @@ def cmd_stats(stage: Stage, args) -> None:
     tables = {}  # CSV name: header and rows, written once every input has been read
 
     if args.first_captures:
-        histogram = stats.year_histogram(_read_first_captures(stage, args.first_captures))
-        tables["first_capture_years.csv"] = "year,count", histogram.items()
-        counts["first_capture_years"] = sum(histogram.values())
+        # the year histograms of the file's byte ranges, added up
+        histogram = sum(map(Counter, partition.split(counts, args.first_captures, lambda source: (
+            stats.year_histogram(_read_first_captures(stage, source))))), Counter())
+        tables["first_capture_years.csv"] = "year,count", sorted(histogram.items())
+        counts["first_capture_years"] = histogram.total()
 
     lists = {"pre": (args.urls, ""), "post": (args.sampled, "_sampled")}
-    hosts = [_parse_urls(stage, path, parse_host) if path else () for path, _ in lists.values()]
     # counted in sorted runs that spill to anonymous files in the out-dir
     with stats.DomainCounts(args.out_dir) as domains:
-        stats.domain_counts(domains, *hosts)
+        for (path, _), weights in zip(lists.values(), ((1, 0), (0, 1))):
+            if path:
+                partition.split(counts, path, lambda source, part: stats.domain_counts(
+                    part, _parse_urls(stage, source, parse_host), *weights),
+                    domains, spill_dir=args.out_dir)
         tallies = dict(zip(lists, domains.tallies()))
         for which, (path, suffix) in lists.items():
             if path:
@@ -492,7 +520,7 @@ def cmd_stats(stage: Stage, args) -> None:
         with os.scandir(args.timemap_dir) as entries:
             for entry in entries:
                 if entry.name.endswith(".cdx"):
-                    n = len(read_timemap(entry.path).records)
+                    n = count_timemap(entry.path)
                     if n:
                         tally[n] += 1
         tables["mementos_per_url_ccdf.csv"] = (

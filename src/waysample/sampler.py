@@ -113,10 +113,14 @@ class FirstYearBuckets:
     SpillSort: memory is its budget plus the largest domain, whatever the
     number of rows. A row is a key of its bucket label, domain key and URL
     text with its row number; of a repeat in a bucket the first row is kept,
-    and the row numbers restore first-occurrence order."""
+    and the row numbers restore first-occurrence order.
 
-    def __init__(self, spill_dir: str | None = None):
-        self._rows = 0  # rows added, pre-1996 ones included
+    Rows may be added in parts, each numbered from a ``row`` that the
+    numbers of every earlier part stay below: ``part`` makes one, which
+    ``export`` writes to a file and whose file and state ``take`` adds."""
+
+    def __init__(self, spill_dir: str | None = None, row: int = 0):
+        self.row = row  # the next row's number: pre-1996 rows are numbered too
         self.dropped_pre_1996 = 0
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
@@ -136,8 +140,20 @@ class FirstYearBuckets:
         if label is None:
             self.dropped_pre_1996 += 1
         else:
-            self._add((label, domain_key(url.host), url.text), self._rows)
-        self._rows += 1
+            self._add((label, domain_key(url.host), url.text), self.row)
+        self.row += 1
+
+    def part(self, fh, row: int) -> FirstYearBuckets:
+        return FirstYearBuckets(self._sort.spill_dir, row)
+
+    def export(self, fh) -> tuple[int, int]:
+        self._sort.export(fh)
+        return self.row, self.dropped_pre_1996
+
+    def take(self, fh, state: tuple[int, int]) -> None:
+        self._sort.take(fh)
+        self.row = max(self.row, state[0])
+        self.dropped_pre_1996 += state[1]
 
     def buckets(self) -> Iterator[tuple[str, Counter, Iterator[DomainCount]]]:
         """Each bucket's label, how many of its domains hold each number of
@@ -177,11 +193,12 @@ class MissingRoots:
     root, and for a deep link twice its row number plus 1 for http or 2 for
     https. The sort keeps a host's least number, which says whether it has
     a root and, if not, gives its first deep link's row and scheme;
-    ``roots`` reads them by row.
+    ``roots`` reads them by row. URLs may be added in parts, as to
+    FirstYearBuckets.
     """
 
-    def __init__(self, spill_dir: str | None = None):
-        self._rows = 0  # URLs added
+    def __init__(self, spill_dir: str | None = None, row: int = 0):
+        self.row = row  # the next URL's row number
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
 
@@ -196,8 +213,19 @@ class MissingRoots:
         if path == "/" and query is None:
             self._add((host,), 0)
         else:
-            self._add((host,), 2 * self._rows + (1 if scheme == "http" else 2))
-        self._rows += 1
+            self._add((host,), 2 * self.row + (1 if scheme == "http" else 2))
+        self.row += 1
+
+    def part(self, fh, row: int) -> MissingRoots:
+        return MissingRoots(self._sort.spill_dir, row)
+
+    def export(self, fh) -> int:
+        self._sort.export(fh)
+        return self.row
+
+    def take(self, fh, row: int) -> None:
+        self._sort.take(fh)
+        self.row = max(self.row, row)
 
     def roots(self) -> Iterator[CanonicalUrl]:
         for (host,), number in self._sort.by_number(1):

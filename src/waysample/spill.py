@@ -40,6 +40,9 @@ class SpillSort:
     of one merge level are merged into one file of the next, so a few dozen
     files are open at most. The first read ends the adding, and merges any
     files and the last run into one file; every read may be repeated.
+
+    A sort filled in another process hands its keys over as one file:
+    ``export`` writes it, and ``take`` adds it to this sort as a sorted run.
     """
 
     def __init__(self, spill_dir: str | None = None,
@@ -100,8 +103,11 @@ class SpillSort:
         import tempfile  # imported here: a sort that fits its budget writes no file
 
         fh = tempfile.TemporaryFile(dir=self.spill_dir)
-        self._files.append((level, fh))
         fh.writelines(lines)
+        self._file(level, fh)
+
+    def _file(self, level: int, fh: IO[bytes]) -> None:
+        self._files.append((level, fh))
         if len(self._files) >= FAN_IN and self._files[-FAN_IN][0] == level:
             # levels fall along the list, so the last FAN_IN files are all of this level
             self._merge(FAN_IN, (), level + 1)
@@ -111,16 +117,30 @@ class SpillSort:
         merged = [fh for _, fh in self._files[-n:]]
         del self._files[-n:]
         try:
-            # the lines of a key sort together, least number first; the key is
-            # the line without SEP, the digits and a newline
-            keys = groupby(heapq.merge(*map(_reread, merged), run),
-                           key=itemgetter(slice(None, -3 - self.digits)))
-            # min keeps a key's first line as it is
-            self._write(map(next, map(itemgetter(1), keys)) if self.fold is min
-                        else self._fold(keys), level)
+            self._write(self._merged(merged, run), level)
         finally:
             for fh in merged:
                 fh.close()
+
+    def _merged(self, files: list[IO[bytes]], run: Iterable[bytes]) -> Iterator[bytes]:
+        """One line for each key of ``files`` and the sorted ``run``, in key order."""
+        # the lines of a key sort together, least number first; the key is
+        # the line without SEP, the digits and a newline
+        keys = groupby(heapq.merge(*map(_reread, files), run),
+                       key=itemgetter(slice(None, -3 - self.digits)))
+        # min keeps a key's first line as it is
+        return map(next, map(itemgetter(1), keys)) if self.fold is min else self._fold(keys)
+
+    def export(self, fh: IO[bytes]) -> None:
+        """Write one line for each key, in key order, to ``fh``, whose file
+        another sort of the same fold and digits may ``take``."""
+        run = _run_lines(self._run, sorted(self._run), self.digits)
+        fh.writelines(self._merged([f for _, f in self._files], run) if self._files else run)
+
+    def take(self, fh: IO[bytes]) -> None:
+        """Add the keys of a file that ``export`` wrote, as a run already
+        sorted: the sort closes ``fh`` when it has merged it or is closed."""
+        self._file(0, fh)
 
     def _fold(self, keys: Iterable[tuple[bytes, Iterator[bytes]]]) -> Iterator[bytes]:
         """One line for each key, of its lines' numbers folded."""

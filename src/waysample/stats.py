@@ -40,6 +40,16 @@ class DomainCounts:
     def __exit__(self, *exc) -> None:
         self._sort.close()
 
+    def part(self, fh, row: int) -> DomainCounts:
+        """Empty counts that ``export`` writes to a file, which ``take`` adds."""
+        return DomainCounts(self._sort.spill_dir)
+
+    def export(self, fh) -> None:
+        self._sort.export(fh)
+
+    def take(self, fh, state: None) -> None:
+        self._sort.take(fh)
+
     def count(self, domains: Iterable[str], first: int, second: int) -> None:
         """Add ``first`` to the first count of each of ``domains`` and
         ``second`` to its second."""
@@ -63,11 +73,10 @@ class DomainCounts:
         return firsts, seconds
 
 
-def domain_counts(counts: DomainCounts, pre: Iterable[str], post: Iterable[str]) -> None:
-    """Count in ``counts`` each domain key of the hosts ``pre``, its first
-    count, and of the hosts ``post``, its second."""
-    counts.count(map(domain_key, pre), 1, 0)
-    counts.count(map(domain_key, post), 0, 1)
+def domain_counts(counts: DomainCounts, hosts: Iterable[str], first: int, second: int) -> None:
+    """Add ``first`` to the first count of each host's domain key in
+    ``counts``, and ``second`` to its second."""
+    counts.count(map(domain_key, hosts), first, second)
 
 
 def ccdf_points(tally: Counter) -> list[tuple[int, float]]:

@@ -1,3 +1,4 @@
+import os
 import random
 import string
 
@@ -89,3 +90,12 @@ def make_history(url, n, rng, start_year=1996, revisit_fraction=0.0):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_is_left():
+    """Every child process a test starts, a stage's forked workers included,
+    has ended and been reaped when the test ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -536,6 +536,13 @@ def _synthetic_first_captures(path, n_rows, seed=5, spread=False, repeats=1):
     write_lines(path, lines[:n_rows // repeats] * repeats)
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """A stage run in-process on one CPU, as tracemalloc sees it whole: a
+    stage split over forked children allocates in them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 # Peak traced bytes that `sample` adds per first-capture row between the two
 # sizes below, measured on CPython 3.11.7 (x86-64 Linux):
 # - clustered: 593 when the stage held every row as a (CanonicalUrl,
@@ -553,7 +560,8 @@ def _synthetic_first_captures(path, n_rows, seed=5, spread=False, repeats=1):
     (True, 1, 290),
     (False, 20, 11),
 ], ids=["clustered", "spread", "repeated"])
-def test_sample_memory_per_row_is_bounded(tmp_path, spread, repeats, bytes_per_row_bound):
+def test_sample_memory_per_row_is_bounded(tmp_path, one_cpu, spread, repeats,
+                                          bytes_per_row_bound):
     sizes = (10_000, 40_000)
     peaks = []
     for n_rows in sizes:
@@ -573,7 +581,7 @@ def test_sample_memory_per_row_is_bounded(tmp_path, spread, repeats, bytes_per_r
     assert bytes_per_row <= bytes_per_row_bound, bytes_per_row
 
 
-def test_sample_memory_is_flat_in_the_row_count(tmp_path):
+def test_sample_memory_is_flat_in_the_row_count(tmp_path, one_cpu):
     # past its run budget, sample's memory is that budget plus the largest
     # domain: it held 20 MB more at 160,000 rows than at 40,000 with a
     # table of every distinct URL
@@ -594,7 +602,7 @@ def test_sample_memory_is_flat_in_the_row_count(tmp_path):
     assert peaks[1] - peaks[0] < 2_000_000, peaks
 
 
-def test_stats_memory_is_flat_in_the_row_count(tmp_path):
+def test_stats_memory_is_flat_in_the_row_count(tmp_path, one_cpu):
     # past its run budget, stats' memory is that budget: with a Counter of
     # every domain key of each list it held 5.4 MB more at 160,000 URLs than
     # at 40,000

@@ -44,6 +44,32 @@ class TestSpillSort:
                 assert list(lines.by_number(least)) == sorted(
                     ((k, n) for k, n in want if n >= least), key=lambda kn: (kn[1], kn[0]))
 
+    @given(st.lists(st.tuples(FIELDS, st.integers(0, 99))), st.lists(st.integers(0, 40)),
+           st.sampled_from([4, 1 << 20]))
+    def test_parts_exported_and_taken_read_as_one_sort(self, items, cuts, budget):
+        # the items cut into parts, each exported to a file that one sort
+        # takes, beside the items of the last part, which it adds itself
+        import tempfile
+
+        bounds = [0, *sorted(min(cut, len(items)) for cut in cuts), len(items)]
+        parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        for fold in (min, add):
+            with mock.patch.object(spill, "RUN_BYTES", budget), \
+                    mock.patch.object(spill, "FAN_IN", 2), SpillSort(fold=fold) as whole, \
+                    SpillSort(fold=fold) as taken:
+                for part in parts[:-1]:
+                    with SpillSort(fold=fold) as sort:
+                        for key, n in part:
+                            sort.add(key, n)
+                        fh = tempfile.TemporaryFile()
+                        sort.export(fh)
+                    taken.take(fh)
+                for key, n in items[bounds[-2]:]:
+                    taken.add(key, n)
+                for key, n in items:
+                    whole.add(key, n)
+                assert list(taken.items()) == list(whole.items())
+
     def test_few_files_are_open_at_once_and_none_after(self, monkeypatch):
         import tempfile
         opened = []
