@@ -24,13 +24,13 @@ REVISIT_MIME = "warc/revisit"
 
 
 class CdxParseError(ValueError):
-    """A line that does not parse: ``reason`` says why, and ``line_no``, if
-    known, which line, from 1."""
+    """A line that does not parse: ``reason`` says why, ``line_no``, if
+    known, which line, from 1, and ``path``, if known, of which file."""
 
-    def __init__(self, reason: str, line_no: int | None = None):
-        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
-        self.reason = reason
-        self.line_no = line_no
+    def __init__(self, reason: str, line_no: int | None = None, path=None):
+        where = "" if line_no is None else f"line {line_no}: "
+        super().__init__(f"{path}: {where}{reason}" if path else where + reason)
+        self.reason, self.line_no, self.path = reason, line_no, path
 
 
 class MixedKeyError(ValueError):
@@ -135,7 +135,10 @@ def parse_cdx_line(line: str, line_no: int | None = None) -> CdxRecord:
     length = fields[6]
     if not (length.isascii() and length.isdigit() and (length[0] != "0" or length == "0")):
         _number(length, "length", line_no)  # which raises the error that says why
-    fields[1] = Timestamp14(fields[1])
+    try:
+        fields[1] = Timestamp14(fields[1])
+    except CdxParseError as exc:
+        raise CdxParseError(exc.reason, line_no) from None
     fields[6] = int(length)  # of digits only: never negative
     return tuple.__new__(CdxRecord, fields)
 
@@ -176,9 +179,9 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
     return ZipNumEntry(surt, Timestamp14(ts), part, offset, length, block)
 
 
-def _check_one_key(keys: set[str]) -> None:
+def _check_one_key(keys: set[str], what="TimeMap") -> None:
     if len(keys) > 1:
-        raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
+        raise MixedKeyError(f"{what} mixes urlkeys: {sorted(keys)}")
 
 
 class TimeMap(namedtuple("TimeMap", "uri_r records")):
@@ -238,22 +241,31 @@ def _timemap_lines(fh) -> Iterator[str]:
     return chain.from_iterable(map(str.splitlines, fh))
 
 
+def timemap_records(path) -> Iterator[CdxRecord]:
+    """The records of a TimeMap file, parsed a line at a time and none kept; an
+    error names the file, and the line of one that is malformed or not UTF-8."""
+    keys = set()  # the first urlkey, and one that differs
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for i, line in enumerate(_timemap_lines(fh), 1):
+            if line.strip():
+                try:
+                    if not line.isascii():
+                        line.encode("utf-8")  # a byte that is not UTF-8 reads as a lone surrogate
+                    record = parse_cdx_line(line, i)
+                except (CdxParseError, UnicodeEncodeError) as exc:
+                    reason = exc.reason if isinstance(exc, CdxParseError) else "not UTF-8"
+                    raise CdxParseError(reason, i, path) from None
+                if len(keys) < 2:
+                    keys.add(record.urlkey)
+                yield record
+    _check_one_key(keys, path)
+
+
 def read_timemap(path) -> TimeMap:
     """The TimeMap of a file, parsed a line at a time into one list of records."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return TimeMap._of("", parse_cdx_lines(_timemap_lines(fh)))
+    return TimeMap._of("", list(timemap_records(path)))
 
 
 def count_timemap(path) -> int:
-    """How many records a TimeMap file holds: each line is parsed and the file
-    refused as ``read_timemap`` would refuse it, but no record is kept."""
-    n, keys = 0, set()  # the first urlkey, and one that differs
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(_timemap_lines(fh), 1):
-            if line.strip():
-                urlkey = parse_cdx_line(line, i).urlkey
-                n += 1
-                if len(keys) < 2:
-                    keys.add(urlkey)
-    _check_one_key(keys)
-    return n
+    """How many records a TimeMap file holds, refused as ``read_timemap`` refuses it."""
+    return sum(1 for _ in timemap_records(path))

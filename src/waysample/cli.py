@@ -27,15 +27,13 @@ from contextlib import ExitStack, closing, contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from urllib.parse import quote
 
-from . import timemaps, urlfilter
+from . import urlfilter
 from .cdx import (
     CdxParseError,
     Timestamp14,
     atomic_open,
     count_timemap,
     parse_timestamp,
-    read_timemap,
-    write_timemap,
 )
 from .config import PipelineConfig
 from .surt import CanonicalUrl, SurtError, parse_host, parse_url, surt_text_for_url
@@ -442,9 +440,10 @@ def cmd_fetch(stage: Stage, args) -> None:
             return "skipped"
         if os.path.exists(path):
             return "resumed"
-        tm = cdx_client.fetch_timemap(url)
-        write_timemap(tm, path)
-        return "ok" if tm.records else "empty"
+        with atomic_open(path, "w+") as fh:  # written as each page arrives, renamed after the last
+            fh.reconfigure(write_through=True)  # each line encoded as written, not held as text
+            cdx_client.fetch_timemap(url, fh)
+            return "ok" if fh.tell() else "empty"
 
     report_path = args.report or os.path.join(args.out_dir, "fetch_report.tsv")
     with stage.open(report_path, "w") as report:
@@ -457,6 +456,8 @@ def cmd_fetch(stage: Stage, args) -> None:
 
 
 def cmd_rehydrate(stage: Stage, args) -> None:
+    from . import timemaps  # imported here, as in sample: the other stages do without its code
+
     os.makedirs(args.out_dir, exist_ok=True)
     counts = stage.counts
     counts.update(timemaps=0, revisits_resolved=0, revisits_unresolved=0)
@@ -466,15 +467,11 @@ def cmd_rehydrate(stage: Stage, args) -> None:
             if not name.endswith(".cdx"):
                 continue
             counts["timemaps"] += 1
-            tm = read_timemap(os.path.join(args.in_dir, name))
-            before = sum(1 for r in tm.records if r.is_revisit)
-            hydrated, unresolved = timemaps.rehydrate(tm, stage.cfg.cache_capacity)
-            counts["revisits_resolved"] += before - len(unresolved)
-            counts["revisits_unresolved"] += len(unresolved)
-            write_timemap(hydrated, os.path.join(args.out_dir, name))
-            for pos in unresolved:
-                record = tm.records[pos]
-                unresolved_out.write(f"{record.urlkey}\t{pos}\t{record.digest}\n")
+            with atomic_open(os.path.join(args.out_dir, name)) as out:
+                resolved, unresolved = timemaps.rehydrate_file(
+                    os.path.join(args.in_dir, name), stage.cfg.cache_capacity, out, unresolved_out)
+            counts["revisits_resolved"] += resolved
+            counts["revisits_unresolved"] += unresolved
 
 
 def cmd_stats(stage: Stage, args) -> None:

@@ -18,6 +18,7 @@ body that is not UTF-8 is a ``CdxResponseError``, as a malformed one is.
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import socket
@@ -28,8 +29,7 @@ from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
-from .cdx import CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
-from .timemaps import merge_pages
+from .cdx import CdxRecord, MixedKeyError, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
 
 TRANSIENT_STATUS_MIN = 500
 
@@ -328,13 +328,15 @@ class ArchiveClient:
             raise CdxResponseError(f"page count {body!r} for {url!r} is not ASCII digits")
         return int(body)
 
-    def fetch_timemap(self, url: str) -> TimeMap:
-        """Full TimeMap via the pagination protocol: page count first, then
-        every page, merged. Any permanently failing page raises instead of
-        silently truncating."""
+    def fetch_timemap(self, url: str, fh=None):
+        """Full TimeMap via the pagination protocol: page count first, then every page, as
+        ``merge_pages`` merges them; a permanently failing page raises instead of silently
+        truncating. With ``fh``, a text file open for update, the lines go to ``fh`` as each
+        page arrives: in the timestamp order CDX servers send, only one timestamp's are held."""
+        out = fh or io.StringIO()
         n_pages = self.fetch_page_count(url)
-        pages: list[list[CdxRecord]] = []
-        missing: list[int] = []
+        missing, key, ordered = [], None, True  # failed pages; the first urlkey
+        last, current, body = "", set(), ""  # the last timestamp written, and its records
         try:
             for page_no in range(n_pages):
                 try:
@@ -342,9 +344,29 @@ class ArchiveClient:
                 except TransportError:
                     missing.append(page_no)
                     continue
-                pages.append(TimeMap(url, parse_cdx_lines(body.splitlines())).records)
+                for i, line in enumerate(body.splitlines(), 1):
+                    if not line.strip():
+                        continue
+                    record = parse_cdx_line(line, i)
+                    key = key or record.urlkey
+                    if record.urlkey != key:
+                        raise MixedKeyError(f"the pages of {url!r} mix urlkeys")
+                    ts = record.timestamp.raw
+                    ordered = ordered and ts >= last
+                    if ts != last:
+                        last, current = ts, set()
+                    if record not in current:
+                        current.add(record)
+                        out.write(record.to_line() + "\n")
+                body = ""  # not held while the next page arrives
             if missing:
                 raise PartialFetchError(url, missing)
-            return merge_pages(pages, url)
-        except ValueError as exc:  # CdxParseError, or MixedKeyError within or across pages
+            if not ordered:  # what was written, merged in memory
+                from .timemaps import merge_pages  # imported here: only pages out of order need it
+                out.seek(0)
+                tm = merge_pages([parse_cdx_lines(out.read().splitlines())], url)
+                out.truncate(out.seek(0))
+                out.writelines(r.to_line() + "\n" for r in tm.records)
+        except ValueError as exc:  # CdxParseError, or a second urlkey
             raise self._unparseable(url, body) from exc
+        return None if fh else TimeMap(url, parse_cdx_lines(out.getvalue().splitlines()))

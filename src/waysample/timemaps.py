@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 
-from .cdx import REVISIT_MIME, CdxRecord, TimeMap
+from .cdx import REVISIT_MIME, CdxRecord, TimeMap, read_timemap, timemap_records
 
 DEFAULT_CACHE_CAPACITY = 1000
 
@@ -50,6 +50,18 @@ class LruDigestCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def hydrate(self, record: CdxRecord) -> CdxRecord | None:
+        """``record`` as one forward pass leaves it: a full record is cached, and
+        a revisit takes the status of the cached one of its digest, its MIME as
+        ``warc/revisit;orig=<mime>`` so provenance survives, or is None if none is."""
+        if _is_full_record(record):
+            self.put(record.digest, record)
+        elif record.is_revisit:
+            source = self.get(record.digest)
+            return source and record._replace(status=source.status,
+                                              mime=f"{REVISIT_MIME};orig={source.mime}")
+        return record
+
 
 def _is_full_record(record: CdxRecord) -> bool:
     # only true full captures feed the cache; already-rehydrated revisit
@@ -61,32 +73,48 @@ def _is_full_record(record: CdxRecord) -> bool:
 def rehydrate(
     tm: TimeMap, capacity: int = DEFAULT_CACHE_CAPACITY
 ) -> tuple[TimeMap, list[int]]:
-    """Restore revisit-record statuses from earlier records sharing their
-    content digest, in a single forward pass over the TimeMap.
-
-    A resolved revisit gains the source's status and carries the source
-    MIME as ``warc/revisit;orig=<mime>`` so provenance survives. Cache
-    misses are left untouched and reported as positions, not failures.
-    """
-    cache = LruDigestCache(capacity)
-    out: list[CdxRecord] = []
-    unresolved: list[int] = []
+    """Restore revisit-record statuses as ``LruDigestCache.hydrate`` does, in one
+    forward pass; cache misses are left untouched and reported as positions."""
+    cache, out, unresolved = LruDigestCache(capacity), [], []
     for i, record in enumerate(tm.records):
-        if _is_full_record(record):
-            cache.put(record.digest, record)
-            out.append(record)
-        elif record.is_revisit:
-            source = cache.get(record.digest)
-            if source is None:
-                unresolved.append(i)
-                out.append(record)
-            else:
-                out.append(record._replace(status=source.status,
-                                           mime=f"{REVISIT_MIME};orig={source.mime}"))
-        else:
-            out.append(record)
+        hydrated = cache.hydrate(record)
+        if hydrated is None:
+            unresolved.append(i)
+        out.append(hydrated or record)
     # in the order and of the urlkey of tm's records: a TimeMap without sorting again
     return tuple.__new__(TimeMap, (tm.uri_r, out)), unresolved
+
+
+def _hydrate_lines(records, capacity: int, out, report) -> tuple[int, int] | None:
+    """``rehydrate_file`` of ``records``; None at a record earlier than the one before."""
+    cache, resolved, unresolved, last = LruDigestCache(capacity), 0, 0, ""
+    for pos, record in enumerate(records):
+        if record.timestamp.raw < last:
+            return None
+        last = record.timestamp.raw
+        hydrated = cache.hydrate(record)
+        if hydrated is None:
+            unresolved += 1
+            report.write(f"{record.urlkey}\t{pos}\t{record.digest}\n")
+        elif hydrated is not record:
+            resolved += 1
+        out.write((hydrated or record).to_line() + "\n")
+    return resolved, unresolved
+
+
+def rehydrate_file(path, capacity: int, out, report) -> tuple[int, int]:
+    """Write the records of TimeMap file ``path`` to ``out`` as ``rehydrate`` leaves them,
+    and the urlkey, position and digest of each unresolved revisit to ``report``; returns
+    the revisits resolved and left. The file is read a line at a time; one out of timestamp
+    order, or any with a report that cannot seek, is read whole and sorted instead."""
+    mark = report.tell() if report.seekable() else None  # to cut off the rows of path
+    revisits = mark is not None and _hydrate_lines(timemap_records(path), capacity, out, report)
+    if not revisits:
+        out.truncate(out.seek(0))
+        if mark is not None:
+            report.truncate(report.seek(mark))
+        revisits = _hydrate_lines(read_timemap(path).records, capacity, out, report)
+    return revisits
 
 
 def revisit_gaps(tm: TimeMap) -> list[RevisitGap]:

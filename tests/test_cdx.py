@@ -18,6 +18,7 @@ from waysample.cdx import (
     parse_zipnum_line,
     count_timemap,
     read_timemap,
+    timemap_records,
     write_timemap,
 )
 
@@ -268,7 +269,8 @@ KEY, URL = "com,example)/", "http://example.com/"
 CDX_LINES = st.one_of(
     st.builds(lambda ts, n: f"{KEY}  {20000101000000 + ts} {URL} text/html 200 D{ts} {n}",
               st.integers(0, 9), st.integers(0, 99)),
-    st.sampled_from(["", " ", "\t", "two fields", f"{KEY} 20000101000000 {URL} a b c x"]))
+    st.sampled_from(["", " ", "\t", "two fields", f"{KEY} 20000101000000 {URL} a b c x",
+                     f"{KEY} 2000010100000 {URL} text/html 200 D 1"]))  # a 13-digit timestamp
 OTHER_KEY_LINES = st.just(f"org,example)/ 20000101000000 {URL} text/html 200 D 1")
 # what fh.read().splitlines() splits a line at, and what it does not
 LINE_BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028",
@@ -349,3 +351,30 @@ class TestTimeMapFiles:
         # the sort's list of keys: 16.7 bytes a record when a second list of
         # the records was sorted beside the parsed one
         assert (read_large - read_small) / 18_000 < 12
+
+    @pytest.mark.parametrize("bad, reason", [
+        (b"com,example)/ 2000010100000 http://example.com/ text/html 200 D 1",
+         "timestamp is not 14 digits: '2000010100000'"),
+        (b"com,example)/ 20000101000000 http://example.com/\xff text/html 200 D 1", "not UTF-8"),
+    ], ids=["13-digit timestamp", "0xff byte"])
+    @pytest.mark.parametrize("reader", [read_timemap, count_timemap, list])
+    def test_error_names_the_file_and_the_line(self, tmp_path, bad, reason, reader):
+        good = f"{KEY} 20000101000000 {URL} text/html 200 D 1".encode()
+        path = tmp_path / "t.cdx"
+        path.write_bytes(good + b"\n" + bad + b"\n" + good + b"\n")
+        with pytest.raises(CdxParseError) as error:
+            reader(timemap_records(path) if reader is list else path)
+        assert str(error.value) == f"{path}: line 2: {reason}"
+        assert (error.value.path, error.value.line_no, error.value.reason) == (path, 2, reason)
+
+    def test_records_are_read_a_line_at_a_time(self, tmp_path):
+        """The records come as the file is read, and are checked for a second
+        urlkey once the last has come."""
+        path = tmp_path / "t.cdx"
+        lines = [r.to_line() for r in make_history(URL, 3, random.Random(3))]
+        path.write_text("\n".join(lines + [lines[0].replace(KEY, "org,example)/")]) + "\n")
+        records = timemap_records(path)
+        assert [next(records).to_line() for _ in lines] == lines
+        with pytest.raises(MixedKeyError) as error:
+            list(records)
+        assert str(error.value).startswith(f"{path} mixes urlkeys")

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -7,13 +8,14 @@ import sys
 import threading
 import time
 import tracemalloc
-from types import SimpleNamespace
+from contextlib import contextmanager
+from typing import Callable
 from urllib.parse import parse_qs, quote, urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waysample import cdx, cli, sampler, spill
+from waysample import cdx, cli, sampler, spill, timemaps
 from waysample.cli import main, timemap_filename
 from waysample.config import PipelineConfig
 from waysample.mockserver import MockCdxServer
@@ -684,6 +686,34 @@ class TestReintegrate:
         assert (counts["candidates"], counts["unparseable"]) == (2, 2)
 
 
+def interrupting_timemap_writes(interrupt: Callable[[str], bool]) -> Callable:
+    """``cli.atomic_open``, but a file of a TimeMap path for which ``interrupt``
+    is true takes two writes and raises KeyboardInterrupt at the third, once
+    it has checked that its temporary sibling exists."""
+    real = cli.atomic_open
+
+    class Interrupting:
+        def __init__(self, fh, path):
+            self.fh, self.path, self.writes = fh, path, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:
+                siblings = os.listdir(os.path.dirname(self.path))
+                assert f"{os.path.basename(self.path)}.tmp." in " ".join(siblings)
+                raise KeyboardInterrupt
+            return self.fh.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    @contextmanager
+    def atomic_open(path, mode="w"):
+        with real(path, mode) as fh:
+            yield Interrupting(fh, path) if path.endswith(".cdx") and interrupt(path) else fh
+    return atomic_open
+
+
 class TestFetchAndRehydrate:
     def test_fetch_writes_timemaps_and_resumes(self, tmp_path, archive):
         server, histories = archive
@@ -750,17 +780,9 @@ class TestFetchAndRehydrate:
         write_lines(inp, [url])
         args = ["fetch", str(inp), "--out-dir", str(out_dir), "--endpoint", server.endpoint]
 
-        write_timemap = cli.write_timemap
-
-        def interrupted(tm, path):
-            def records():  # two lines into the temporary file, then an interrupt
-                yield from tm.records[:2]
-                assert f"{os.path.basename(path)}.tmp." in " ".join(os.listdir(out_dir))
-                raise KeyboardInterrupt
-            write_timemap(SimpleNamespace(records=records()), path)
-
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "write_timemap", interrupted)
+            # two lines into the temporary file of the TimeMap, then an interrupt
+            patch.setattr(cli, "atomic_open", interrupting_timemap_writes(lambda path: True))
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         assert os.listdir(out_dir) == []  # nor a partial report
@@ -887,6 +909,162 @@ class TestFetchAndRehydrate:
         assert unresolved("flag", "--config", str(config), "--capacity", "1000") == default
 
 
+# full and revisit records of one URL among few digests, so that a small
+# cache both resolves revisits and misses them, and with equal timestamps
+HYDRATE_RECORDS = st.lists(st.builds(
+    lambda second, digest, revisit: make_record(
+        "com,revisits)/", "http://revisits.com/", f"200101010000{second:02d}",
+        mime="warc/revisit" if revisit else "text/html", status="-" if revisit else "200",
+        digest=digest, length=0 if revisit else 1),
+    st.integers(0, 9), st.sampled_from("ABCD"), st.booleans()), max_size=20)
+
+
+class TestStreamedRehydrate:
+    """rehydrate reads, rehydrates and writes a TimeMap a line at a time; a file
+    out of timestamp order is read whole and sorted. Either way its outputs are
+    those of timemaps.rehydrate on read_timemap of the file."""
+
+    @staticmethod
+    def expected(in_dir, capacity: int) -> tuple[dict, str, int]:
+        """Each hydrated file's text, the unresolved rows and the resolved count."""
+        texts, rows, resolved = {}, "", 0
+        for name in sorted(os.listdir(in_dir)):
+            tm = cdx.read_timemap(in_dir / name)
+            hydrated, unresolved = timemaps.rehydrate(tm, capacity)
+            texts[name] = hydrated.to_text()
+            rows += "".join(f"{tm.records[pos].urlkey}\t{pos}\t{tm.records[pos].digest}\n"
+                            for pos in unresolved)
+            resolved += sum(r.is_revisit for r in tm.records) - len(unresolved)
+        return texts, rows, resolved
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(HYDRATE_RECORDS, st.booleans()), min_size=1, max_size=3),
+           st.integers(1, 3), st.randoms(use_true_random=False))
+    def test_equals_rehydrate_of_read_timemap(self, tmp_path_factory, files, capacity, rnd):
+        tmp = tmp_path_factory.mktemp("rehydrate")
+        (tmp / "in").mkdir()
+        for i, (records, in_order) in enumerate(files):
+            if in_order:
+                records.sort(key=lambda r: r.timestamp.raw)
+            else:
+                rnd.shuffle(records)
+            write_lines(tmp / "in" / f"{i}.cdx", [r.to_line() for r in records])
+        assert main(["rehydrate", "--in-dir", str(tmp / "in"), "--out-dir", str(tmp / "out"),
+                     "--capacity", str(capacity), "--manifest", str(tmp / "m.json")]) == 0
+        texts, rows, resolved = self.expected(tmp / "in", capacity)
+        assert {name: (tmp / "out" / name).read_text() for name in texts} == texts
+        assert (tmp / "out" / "unresolved.tsv").read_text() == rows
+        counts = json.loads((tmp / "m.json").read_text())["counts"]
+        assert (counts["revisits_resolved"], counts["revisits_unresolved"]) == (
+            resolved, rows.count("\n"))
+
+    def test_report_to_a_stream_that_cannot_seek(self, tmp_path, monkeypatch):
+        class Unseekable(io.StringIO):
+            def seekable(self):
+                return False
+
+        seeded = random.Random(0x5EE)
+        (tmp_path / "in").mkdir()
+        for i, in_order in enumerate((True, False, True)):
+            records = make_history(f"http://revisits{i}.com/", 30, seeded, revisit_fraction=0.5)
+            if not in_order:
+                seeded.shuffle(records)
+            write_lines(tmp_path / "in" / f"{i}.cdx", [r.to_line() for r in records])
+        monkeypatch.setattr(sys, "stdout", Unseekable())
+        assert main(["rehydrate", "--in-dir", str(tmp_path / "in"), "--out-dir",
+                     str(tmp_path / "out"), "--capacity", "2", "--unresolved", "-"]) == 0
+        texts, rows, _ = self.expected(tmp_path / "in", 2)
+        assert rows and sys.stdout.getvalue() == rows
+        assert {name: (tmp_path / "out" / name).read_text() for name in texts} == texts
+
+    @pytest.mark.parametrize("stage", ["rehydrate", "stats"])
+    @pytest.mark.parametrize("bad, reason", [
+        (b"com,a)/ 2001010100000 http://a.com/ text/html 200 D 1",
+         "timestamp is not 14 digits: '2001010100000'"),
+        (b"com,a)/ 20010101000000 http://a.com/\xff text/html 200 D 1", "not UTF-8"),
+    ], ids=["13-digit timestamp", "0xff byte"])
+    def test_error_names_the_file_and_the_line(self, tmp_path, stage, bad, reason):
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / "a.cdx"
+        path.write_bytes(b"com,a)/ 20000101000000 http://a.com/ text/html 200 D 1\n" + bad + b"\n")
+        argv = (["rehydrate", "--in-dir"] if stage == "rehydrate" else ["stats", "--timemap-dir"])
+        with pytest.raises(cdx.CdxParseError) as error:
+            main([*argv, str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")])
+        assert str(error.value) == f"{path}: line 2: {reason}"
+
+
+_SERVE_TWO_HISTORIES = """
+import sys, time
+from waysample.cdx import CdxRecord, Timestamp14
+from waysample.mockserver import MockCdxServer
+from waysample.surt import surt_text_for_url
+corpus = []
+for url, n in (("http://small.example/", 2_000), ("http://large.example/", 40_000)):
+    key = surt_text_for_url(url)
+    for i in range(n):
+        ts = time.strftime("%Y%m%d%H%M%S", time.gmtime(946684800 + 600 * i))
+        corpus.append(CdxRecord(key, Timestamp14(ts), url, "text/html", "200", f"D{i:031d}", i))
+with MockCdxServer(corpus, page_size=1000) as server:
+    print(server.endpoint, flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_fetch_memory_is_flat_in_the_capture_count(tmp_path):
+    # the archive runs in its own process, so that its corpus is not traced;
+    # holding each TimeMap whole, fetch peaked 23.9 MB higher for 40,000
+    # captures than for 2,000, and writing each page's lines as it came, 1 KB
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", _SERVE_TWO_HISTORIES], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=env) as server:
+        endpoint = server.stdout.readline().strip()
+
+        def fetch(name: str, run: str) -> None:
+            write_lines(tmp_path / f"{name}.txt", [f"http://{name}.example/"])
+            assert main(["fetch", str(tmp_path / f"{name}.txt"), "--out-dir",
+                         str(tmp_path / run / name), "--endpoint", endpoint]) == 0
+
+        for name in ("small", "large"):  # what a first fetch imports or caches is not measured
+            fetch(name, "warm-up")
+        peaks = []
+        tracemalloc.start()
+        try:
+            for name in ("small", "large"):
+                gc.collect()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fetch(name, "traced")
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        server.stdin.close()
+    large = tmp_path / "traced" / "large" / timemap_filename("http://large.example/")
+    assert len(read_lines(large)) == 40_000
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
+def test_rehydrate_memory_is_flat_in_the_record_count(tmp_path):
+    # the cache of 1,000 records is all rehydrate keeps: holding each TimeMap
+    # whole, it peaked 20.4 MB higher for 40,000 records than for 4,000, and a
+    # line at a time, 11 KB
+    peaks = []
+    for n in (4_000, 40_000):
+        (tmp_path / f"in{n}").mkdir()
+        history = make_history("http://revisits.com/", n, random.Random(n), revisit_fraction=0.3)
+        write_lines(tmp_path / f"in{n}" / "t.cdx", [r.to_line() for r in history])
+    tracemalloc.start()
+    try:
+        for n in (4_000, 40_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["rehydrate", "--in-dir", str(tmp_path / f"in{n}"),
+                         "--out-dir", str(tmp_path / f"out{n}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
 class TestStats:
     def test_reports(self, tmp_path):
         first = tmp_path / "first.tsv"
@@ -911,9 +1089,10 @@ class TestStats:
 
     @pytest.mark.parametrize("failing", ["sampled", "timemap"])
     def test_failure_after_spilling_leaves_only_the_manifest(self, tmp_path, monkeypatch,
-                                                             failing):
+                                                             one_cpu, failing):
         # the sampled list fails to open while the spill runs are being written;
-        # a malformed TimeMap fails once they are all written and closed
+        # a malformed TimeMap fails once they are all written and closed. On
+        # one CPU the runs are written in this process, where they are counted
         import tempfile
         opened = []
 
@@ -1291,20 +1470,15 @@ class TestFanOut:
         args = ["fetch", str(inp), "--out-dir", str(out_dir),
                 "--endpoint", server.endpoint, "--politeness", "2",
                 "--manifest", str(manifest), "--log", str(log)]
-        write_timemap, lock, calls = cli.write_timemap, threading.Lock(), []
+        lock, calls = threading.Lock(), []
 
-        def interrupted_third(tm, path):
+        def third(path):  # the third TimeMap gets two lines, then an interrupt
             with lock:
-                calls.append(tm)
-                third = len(calls) == 3
-
-            def records():  # the third TimeMap gets two lines, then an interrupt
-                yield from tm.records[:2]
-                raise KeyboardInterrupt
-            write_timemap(SimpleNamespace(records=records()) if third else tm, path)
+                calls.append(path)
+                return len(calls) == 3
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "write_timemap", interrupted_third)
+            patch.setattr(cli, "atomic_open", interrupting_timemap_writes(third))
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         # the stage failed, and its manifest and fetch log say so

@@ -16,7 +16,7 @@ from unittest import mock
 from urllib.parse import urlencode, urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from waysample import __version__
 from waysample.client import (
@@ -27,8 +27,10 @@ from waysample.client import (
     RetryPolicy,
     TransportError,
 )
+from waysample.cdx import CdxRecord, Timestamp14, atomic_open, write_timemap
 from waysample.mockserver import MockCdxServer
 from waysample.surt import surt_text_for_url
+from waysample.timemaps import merge_pages
 
 from conftest import make_history
 
@@ -135,6 +137,69 @@ class TestFetchTimemap:
             client.fetch_timemap(URL_A)
         assert exc.value.missing_pages == [2]
         assert exc.value.url == URL_A
+
+
+# records of one URL among few timestamps and digests: equal timestamps and
+# exact duplicates, within a page and across its boundaries
+PAGED_RECORDS = st.lists(st.builds(
+    lambda second, digest, status: CdxRecord(KEY_A, Timestamp14(f"200101010000{second:02d}"),
+                                             URL_A, "text/html", status, digest, 1),
+    st.integers(0, 3), st.sampled_from("AB"), st.sampled_from(["200", "404"])), max_size=30)
+
+
+def paged_client(pages: list[list[str]]) -> ArchiveClient:
+    """A client whose page count and page requests are answered from ``pages``,
+    each a list of CDX lines, without a server."""
+    def get(url, kind, page=None):
+        if kind == "numpages":
+            return f"{len(pages)}\n"
+        return "".join(line + "\n" for line in pages[page])
+
+    client = ArchiveClient("http://cdx.example/cdx")
+    client._get = get
+    return client
+
+
+class TestStreamedTimemap:
+    """fetch_timemap writes each page's lines to a file as the page arrives;
+    what it writes is what write_timemap writes of merge_pages of the pages."""
+
+    @settings(max_examples=300)
+    @given(PAGED_RECORDS, st.integers(1, 7), st.sampled_from(["sorted", "pages", "records"]),
+           st.randoms(use_true_random=False))
+    def test_equals_write_timemap_of_merge_pages(self, tmp_path_factory, records, size, order,
+                                                 rnd):
+        if order != "records":  # the order a CDX server sends; stable, so ties keep theirs
+            records.sort(key=lambda r: r.timestamp.raw)
+        else:
+            rnd.shuffle(records)
+        pages = [records[i:i + size] for i in range(0, len(records), size)]
+        if order == "pages":
+            rnd.shuffle(pages)
+        lines = [[r.to_line() for r in page] for page in pages]
+        if lines:  # a blank line, which is no record
+            lines[rnd.randrange(len(lines))].insert(0, " ")
+        directory = tmp_path_factory.mktemp("tm")
+        write_timemap(merge_pages(pages, URL_A), directory / "oracle.cdx")
+        client = paged_client(lines)
+        with atomic_open(directory / "streamed.cdx", "w+") as fh:
+            assert client.fetch_timemap(URL_A, fh) is None
+        assert (directory / "streamed.cdx").read_bytes() == (directory / "oracle.cdx").read_bytes()
+        assert client.fetch_timemap(URL_A) == merge_pages(pages, URL_A)
+
+    @given(PAGED_RECORDS.filter(bool), st.integers(1, 7), st.randoms(use_true_random=False))
+    def test_second_urlkey_is_a_response_error(self, tmp_path_factory, records, size, rnd):
+        records.sort(key=lambda r: r.timestamp.raw)
+        other = records[rnd.randrange(len(records))]._replace(urlkey="org,example)/")
+        records.insert(rnd.randrange(len(records) + 1), other)
+        client = paged_client([[r.to_line() for r in records[i:i + size]]
+                               for i in range(0, len(records), size)])
+        path = tmp_path_factory.mktemp("tm") / "t.cdx"
+        with pytest.raises(CdxResponseError), atomic_open(path, "w+") as fh:
+            client.fetch_timemap(URL_A, fh)
+        assert not path.exists()
+        with pytest.raises(CdxResponseError):
+            client.fetch_timemap(URL_A)
 
 
 class TestFetchLogs:
