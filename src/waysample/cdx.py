@@ -193,11 +193,7 @@ class TimeMap(namedtuple("TimeMap", "uri_r records")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, uri_r: str, records: Iterable[CdxRecord] = ()):
-        return cls._of(uri_r, list(records))  # a copy: the caller may keep its list
-
-    @classmethod
-    def _of(cls, uri_r: str, records: list[CdxRecord]) -> TimeMap:
-        """The TimeMap of ``records``, which it keeps, sorted in place."""
+        records = list(records)  # a copy: the caller may keep its list
         _check_one_key(set(map(attrgetter("urlkey"), records)))
         records.sort(key=attrgetter("timestamp.raw"))
         return tuple.__new__(cls, (uri_r, records))
@@ -242,9 +238,11 @@ def _timemap_lines(fh) -> Iterator[str]:
 
 
 def timemap_records(path) -> Iterator[CdxRecord]:
-    """The records of a TimeMap file, parsed a line at a time and none kept; an
-    error names the file, and the line of one that is malformed or not UTF-8."""
-    keys = set()  # the first urlkey, and one that differs
+    """The records of a TimeMap file, parsed a line at a time and none kept. The
+    file holds one urlkey, in timestamp order, as a CDX server sends it: an error
+    names the file, and the line of one that is malformed, not UTF-8, or earlier
+    than the record before."""
+    keys, last = set(), ""  # the first urlkey, and one that differs; the last timestamp
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(_timemap_lines(fh), 1):
             if line.strip():
@@ -252,9 +250,12 @@ def timemap_records(path) -> Iterator[CdxRecord]:
                     if not line.isascii():
                         line.encode("utf-8")  # a byte that is not UTF-8 reads as a lone surrogate
                     record = parse_cdx_line(line, i)
+                    if record.timestamp.raw < last:
+                        raise CdxParseError(f"timestamp earlier than the record before, {last}")
                 except (CdxParseError, UnicodeEncodeError) as exc:
                     reason = exc.reason if isinstance(exc, CdxParseError) else "not UTF-8"
                     raise CdxParseError(reason, i, path) from None
+                last = record.timestamp.raw
                 if len(keys) < 2:
                     keys.add(record.urlkey)
                 yield record
@@ -263,9 +264,9 @@ def timemap_records(path) -> Iterator[CdxRecord]:
 
 def read_timemap(path) -> TimeMap:
     """The TimeMap of a file, parsed a line at a time into one list of records."""
-    return TimeMap._of("", list(timemap_records(path)))
+    return tuple.__new__(TimeMap, ("", list(timemap_records(path))))
 
 
 def count_timemap(path) -> int:
-    """How many records a TimeMap file holds, refused as ``read_timemap`` refuses it."""
+    """How many records a TimeMap file holds, refused as ``timemap_records`` refuses it."""
     return sum(1 for _ in timemap_records(path))

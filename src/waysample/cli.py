@@ -440,7 +440,7 @@ def cmd_fetch(stage: Stage, args) -> None:
             return "skipped"
         if os.path.exists(path):
             return "resumed"
-        with atomic_open(path, "w+") as fh:  # written as each page arrives, renamed after the last
+        with atomic_open(path) as fh:  # written as each page arrives, renamed after the last
             fh.reconfigure(write_through=True)  # each line encoded as written, not held as text
             cdx_client.fetch_timemap(url, fh)
             return "ok" if fh.tell() else "empty"

@@ -29,7 +29,7 @@ from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
-from .cdx import CdxRecord, MixedKeyError, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
+from .cdx import CdxParseError, CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
 
 TRANSIENT_STATUS_MIN = 500
 
@@ -329,13 +329,15 @@ class ArchiveClient:
         return int(body)
 
     def fetch_timemap(self, url: str, fh=None):
-        """Full TimeMap via the pagination protocol: page count first, then every page, as
-        ``merge_pages`` merges them; a permanently failing page raises instead of silently
-        truncating. With ``fh``, a text file open for update, the lines go to ``fh`` as each
-        page arrives: in the timestamp order CDX servers send, only one timestamp's are held."""
+        """Full TimeMap via the pagination protocol: page count first, then every page, with
+        exact duplicates dropped. Its records are of one urlkey in the timestamp order CDX
+        servers send; a record of another, or earlier than the one before, is a
+        ``CdxResponseError``, and a permanently failing page raises instead of silently
+        truncating. With ``fh``, a text file, the lines go to ``fh`` as each page arrives;
+        only one timestamp's are held."""
         out = fh or io.StringIO()
         n_pages = self.fetch_page_count(url)
-        missing, key, ordered = [], None, True  # failed pages; the first urlkey
+        missing, key = [], None  # failed pages; the first urlkey
         last, current, body = "", set(), ""  # the last timestamp written, and its records
         try:
             for page_no in range(n_pages):
@@ -348,11 +350,9 @@ class ArchiveClient:
                     if not line.strip():
                         continue
                     record = parse_cdx_line(line, i)
-                    key = key or record.urlkey
-                    if record.urlkey != key:
-                        raise MixedKeyError(f"the pages of {url!r} mix urlkeys")
-                    ts = record.timestamp.raw
-                    ordered = ordered and ts >= last
+                    key, ts = key or record.urlkey, record.timestamp.raw
+                    if record.urlkey != key or ts < last:  # one urlkey, in timestamp order
+                        raise CdxParseError(f"{record.urlkey} {ts} follows {key} {last}", i)
                     if ts != last:
                         last, current = ts, set()
                     if record not in current:
@@ -361,12 +361,6 @@ class ArchiveClient:
                 body = ""  # not held while the next page arrives
             if missing:
                 raise PartialFetchError(url, missing)
-            if not ordered:  # what was written, merged in memory
-                from .timemaps import merge_pages  # imported here: only pages out of order need it
-                out.seek(0)
-                tm = merge_pages([parse_cdx_lines(out.read().splitlines())], url)
-                out.truncate(out.seek(0))
-                out.writelines(r.to_line() + "\n" for r in tm.records)
-        except ValueError as exc:  # CdxParseError, or a second urlkey
+        except CdxParseError as exc:
             raise self._unparseable(url, body) from exc
         return None if fh else TimeMap(url, parse_cdx_lines(out.getvalue().splitlines()))

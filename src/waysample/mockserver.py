@@ -62,6 +62,7 @@ class MockCdxServer:
                 server._handle(self)
 
         class Server(ThreadingHTTPServer):
+            daemon_threads = False  # so that server_close() joins every handler thread
             # process_request runs on the serving thread: stop() sees every connection
             def process_request(self, request, client_address):
                 with server._lock:
@@ -91,14 +92,16 @@ class MockCdxServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, then hang up every open keep-alive connection."""
+        """Stop accepting, hang up every open keep-alive connection, and wait
+        for the serving thread and every handler thread to end."""
         self._httpd.shutdown()
-        self._httpd.server_close()
         with self._lock:
             self._stopped = True
             for sock in self._connections:  # wakes each handler blocked on a read
                 with suppress(OSError):
                     sock.shutdown(socket.SHUT_RDWR)
+        self._httpd.server_close()
+        self._thread.join()
 
     def __enter__(self) -> "MockCdxServer":
         return self.start()

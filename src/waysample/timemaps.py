@@ -2,14 +2,15 @@
 
 Revisit rehydration with a bounded LRU digest cache, page merging and
 revisit-distance measurement. One TimeMap is processed by one worker;
-the LRU pass is inherently sequential.
+the LRU pass is inherently sequential. A TimeMap file is rehydrated in one
+pass, a line at a time: one out of timestamp order is refused, not sorted.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 
-from .cdx import REVISIT_MIME, CdxRecord, TimeMap, read_timemap, timemap_records
+from .cdx import REVISIT_MIME, CdxRecord, TimeMap, timemap_records
 
 DEFAULT_CACHE_CAPACITY = 1000
 
@@ -85,13 +86,13 @@ def rehydrate(
     return tuple.__new__(TimeMap, (tm.uri_r, out)), unresolved
 
 
-def _hydrate_lines(records, capacity: int, out, report) -> tuple[int, int] | None:
-    """``rehydrate_file`` of ``records``; None at a record earlier than the one before."""
-    cache, resolved, unresolved, last = LruDigestCache(capacity), 0, 0, ""
-    for pos, record in enumerate(records):
-        if record.timestamp.raw < last:
-            return None
-        last = record.timestamp.raw
+def rehydrate_file(path, capacity: int, out, report) -> tuple[int, int]:
+    """Write the records of TimeMap file ``path`` to ``out`` as ``rehydrate`` leaves them,
+    and the urlkey, position and digest of each unresolved revisit to ``report``; returns
+    the revisits resolved and left. The file is read a line at a time, as
+    ``timemap_records`` reads it, and refused as it refuses it."""
+    cache, resolved, unresolved = LruDigestCache(capacity), 0, 0
+    for pos, record in enumerate(timemap_records(path)):
         hydrated = cache.hydrate(record)
         if hydrated is None:
             unresolved += 1
@@ -100,21 +101,6 @@ def _hydrate_lines(records, capacity: int, out, report) -> tuple[int, int] | Non
             resolved += 1
         out.write((hydrated or record).to_line() + "\n")
     return resolved, unresolved
-
-
-def rehydrate_file(path, capacity: int, out, report) -> tuple[int, int]:
-    """Write the records of TimeMap file ``path`` to ``out`` as ``rehydrate`` leaves them,
-    and the urlkey, position and digest of each unresolved revisit to ``report``; returns
-    the revisits resolved and left. The file is read a line at a time; one out of timestamp
-    order, or any with a report that cannot seek, is read whole and sorted instead."""
-    mark = report.tell() if report.seekable() else None  # to cut off the rows of path
-    revisits = mark is not None and _hydrate_lines(timemap_records(path), capacity, out, report)
-    if not revisits:
-        out.truncate(out.seek(0))
-        if mark is not None:
-            report.truncate(report.seek(mark))
-        revisits = _hydrate_lines(read_timemap(path).records, capacity, out, report)
-    return revisits
 
 
 def revisit_gaps(tm: TimeMap) -> list[RevisitGap]:

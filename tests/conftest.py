@@ -1,6 +1,7 @@
 import os
 import random
 import string
+import threading
 
 import pytest
 
@@ -99,3 +100,13 @@ def no_child_process_is_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_is_left():
+    """Every thread a test starts, a server's handler threads included, has
+    ended when the test ends."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    assert not left, f"threads still running: {left}"

@@ -286,16 +286,27 @@ class TestTimeMapFiles:
         path.write_bytes((text if ends else text.rstrip("\r\n")).encode("utf-8"))
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        try:  # the records, or the line number of the error, of the whole text
-            expected = TimeMap("", [parse_cdx_line(line, i + 1)
-                                    for i, line in enumerate(lines) if line.strip()])
-        except CdxParseError as exc:
+        # the records of the whole text, or the first line that is malformed or
+        # earlier than the record before
+        records, error_line = [], None
+        for i, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                record = parse_cdx_line(line, i)
+            except CdxParseError:
+                error_line = i
+                break
+            if records and record.timestamp < records[-1].timestamp:
+                error_line = i
+                break
+            records.append(record)
+        if error_line is not None:
             with pytest.raises(CdxParseError) as error:
                 read_timemap(path)
-            assert exc.line_no is not None
-            assert error.value.line_no == exc.line_no
+            assert error.value.line_no == error_line
         else:
-            assert read_timemap(path) == expected
+            assert read_timemap(path) == TimeMap("", records)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.one_of(CDX_LINES, OTHER_KEY_LINES), LINE_BREAKS), max_size=12))
@@ -328,8 +339,7 @@ class TestTimeMapFiles:
     def test_memory_beyond_the_records_is_flat_in_their_count(self, tmp_path):
         """Neither holds the file's text: what writing allocates stays within
         its buffers, and what reading allocates beyond the TimeMap it returns
-        is the key list of the sort, in place, of its one list of records:
-        8 bytes a record."""
+        is what its one list of records takes to grow."""
         def traced(n: int) -> tuple[int, int]:
             tm = TimeMap(URL, make_history(URL, n, random.Random(n)))
             tracemalloc.start()
@@ -356,7 +366,9 @@ class TestTimeMapFiles:
         (b"com,example)/ 2000010100000 http://example.com/ text/html 200 D 1",
          "timestamp is not 14 digits: '2000010100000'"),
         (b"com,example)/ 20000101000000 http://example.com/\xff text/html 200 D 1", "not UTF-8"),
-    ], ids=["13-digit timestamp", "0xff byte"])
+        (b"com,example)/ 19991231235959 http://example.com/ text/html 200 D 1",
+         "timestamp earlier than the record before, 20000101000000"),
+    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before"])
     @pytest.mark.parametrize("reader", [read_timemap, count_timemap, list])
     def test_error_names_the_file_and_the_line(self, tmp_path, bad, reason, reader):
         good = f"{KEY} 20000101000000 {URL} text/html 200 D 1".encode()
@@ -372,7 +384,7 @@ class TestTimeMapFiles:
         urlkey once the last has come."""
         path = tmp_path / "t.cdx"
         lines = [r.to_line() for r in make_history(URL, 3, random.Random(3))]
-        path.write_text("\n".join(lines + [lines[0].replace(KEY, "org,example)/")]) + "\n")
+        path.write_text("\n".join(lines + [lines[-1].replace(KEY, "org,example)/")]) + "\n")
         records = timemap_records(path)
         assert [next(records).to_line() for _ in lines] == lines
         with pytest.raises(MixedKeyError) as error:

@@ -772,6 +772,26 @@ class TestFetchAndRehydrate:
         assert counts_adding_up(manifest)["error"] == 1
         assert not (out_dir / timemap_filename(bad)).exists()
 
+    def test_reply_back_in_time_is_an_error_row(self, tmp_path, archive):
+        server, histories = archive
+        urls = sorted(histories)[-3:]
+        # each page of the second URL in timestamp order, but its second page the earlier
+        records = server._index[surt_text_for_url(urls[1])]
+        assert len(records) == 2 * server.page_size
+        records[:] = records[server.page_size:] + records[:server.page_size]
+        inp, out_dir, manifest = tmp_path / "urls.txt", tmp_path / "timemaps", tmp_path / "m.json"
+        write_lines(inp, urls)
+        assert main(["fetch", str(inp), "--out-dir", str(out_dir),
+                     "--endpoint", server.endpoint, "--manifest", str(manifest)]) == 0
+        assert read_lines(out_dir / "fetch_report.tsv") == [
+            f"{urls[0]}\tok", f"{urls[1]}\terror", f"{urls[2]}\tok"]
+        counts = counts_adding_up(manifest)
+        assert (counts["fetched"], counts["error"]) == (2, 1)
+        assert not (out_dir / timemap_filename(urls[1])).exists()
+        for url in (urls[0], urls[2]):
+            assert read_lines(out_dir / timemap_filename(url)) == [
+                r.to_line() for r in histories[url]]
+
     def test_failed_write_leaves_no_timemap(self, tmp_path, archive, monkeypatch):
         server, histories = archive
         url = sorted(histories)[0]
@@ -920,9 +940,10 @@ HYDRATE_RECORDS = st.lists(st.builds(
 
 
 class TestStreamedRehydrate:
-    """rehydrate reads, rehydrates and writes a TimeMap a line at a time; a file
-    out of timestamp order is read whole and sorted. Either way its outputs are
-    those of timemaps.rehydrate on read_timemap of the file."""
+    """rehydrate reads, rehydrates and writes a TimeMap a line at a time, and
+    its outputs are those of timemaps.rehydrate on read_timemap of the file.
+    A file out of timestamp order is an error, which leaves neither its
+    hydrated file nor the report."""
 
     @staticmethod
     def expected(in_dir, capacity: int) -> tuple[dict, str, int]:
@@ -949,8 +970,17 @@ class TestStreamedRehydrate:
             else:
                 rnd.shuffle(records)
             write_lines(tmp / "in" / f"{i}.cdx", [r.to_line() for r in records])
-        assert main(["rehydrate", "--in-dir", str(tmp / "in"), "--out-dir", str(tmp / "out"),
-                     "--capacity", str(capacity), "--manifest", str(tmp / "m.json")]) == 0
+        argv = ["rehydrate", "--in-dir", str(tmp / "in"), "--out-dir", str(tmp / "out"),
+                "--capacity", str(capacity), "--manifest", str(tmp / "m.json")]
+        disordered = [i for i, (records, _) in enumerate(files)
+                      if records != sorted(records, key=lambda r: r.timestamp.raw)]
+        if disordered:  # the files before the first of them are hydrated, and no more
+            with pytest.raises(cdx.CdxParseError) as error:
+                main(argv)
+            assert error.value.path == os.path.join(tmp / "in", f"{disordered[0]}.cdx")
+            assert sorted(os.listdir(tmp / "out")) == [f"{i}.cdx" for i in range(disordered[0])]
+            return
+        assert main(argv) == 0
         texts, rows, resolved = self.expected(tmp / "in", capacity)
         assert {name: (tmp / "out" / name).read_text() for name in texts} == texts
         assert (tmp / "out" / "unresolved.tsv").read_text() == rows
@@ -965,10 +995,8 @@ class TestStreamedRehydrate:
 
         seeded = random.Random(0x5EE)
         (tmp_path / "in").mkdir()
-        for i, in_order in enumerate((True, False, True)):
+        for i in range(3):
             records = make_history(f"http://revisits{i}.com/", 30, seeded, revisit_fraction=0.5)
-            if not in_order:
-                seeded.shuffle(records)
             write_lines(tmp_path / "in" / f"{i}.cdx", [r.to_line() for r in records])
         monkeypatch.setattr(sys, "stdout", Unseekable())
         assert main(["rehydrate", "--in-dir", str(tmp_path / "in"), "--out-dir",
@@ -982,7 +1010,9 @@ class TestStreamedRehydrate:
         (b"com,a)/ 2001010100000 http://a.com/ text/html 200 D 1",
          "timestamp is not 14 digits: '2001010100000'"),
         (b"com,a)/ 20010101000000 http://a.com/\xff text/html 200 D 1", "not UTF-8"),
-    ], ids=["13-digit timestamp", "0xff byte"])
+        (b"com,a)/ 19991231235959 http://a.com/ text/html 200 D 1",
+         "timestamp earlier than the record before, 20000101000000"),
+    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before"])
     def test_error_names_the_file_and_the_line(self, tmp_path, stage, bad, reason):
         (tmp_path / "in").mkdir()
         path = tmp_path / "in" / "a.cdx"
@@ -1043,26 +1073,31 @@ def test_fetch_memory_is_flat_in_the_capture_count(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
 
-def test_rehydrate_memory_is_flat_in_the_record_count(tmp_path):
+def test_rehydrate_memory_is_flat_in_the_record_count(tmp_path, monkeypatch):
     # the cache of 1,000 records is all rehydrate keeps: holding each TimeMap
     # whole, it peaked 20.4 MB higher for 40,000 records than for 4,000, and a
-    # line at a time, 11 KB
-    peaks = []
+    # line at a time, 11 KB. The report goes to a file, or to a stdout that
+    # cannot seek and keeps nothing
     for n in (4_000, 40_000):
         (tmp_path / f"in{n}").mkdir()
         history = make_history("http://revisits.com/", n, random.Random(n), revisit_fraction=0.3)
         write_lines(tmp_path / f"in{n}" / "t.cdx", [r.to_line() for r in history])
-    tracemalloc.start()
-    try:
-        for n in (4_000, 40_000):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            assert main(["rehydrate", "--in-dir", str(tmp_path / f"in{n}"),
-                         "--out-dir", str(tmp_path / f"out{n}")]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(devnull, "seekable", lambda: False)
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for report in ([], ["--unresolved", "-"]):
+            peaks = []
+            tracemalloc.start()
+            try:
+                for n in (4_000, 40_000):
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    assert main(["rehydrate", "--in-dir", str(tmp_path / f"in{n}"),
+                                 "--out-dir", str(tmp_path / f"out{n}"), *report]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 64 * 1024, (report, peaks)
 
 
 class TestStats:

@@ -162,7 +162,8 @@ def paged_client(pages: list[list[str]]) -> ArchiveClient:
 
 class TestStreamedTimemap:
     """fetch_timemap writes each page's lines to a file as the page arrives;
-    what it writes is what write_timemap writes of merge_pages of the pages."""
+    what it writes of pages in timestamp order is what write_timemap writes of
+    merge_pages of them, and pages out of that order are a response error."""
 
     @settings(max_examples=300)
     @given(PAGED_RECORDS, st.integers(1, 7), st.sampled_from(["sorted", "pages", "records"]),
@@ -180,9 +181,17 @@ class TestStreamedTimemap:
         if lines:  # a blank line, which is no record
             lines[rnd.randrange(len(lines))].insert(0, " ")
         directory = tmp_path_factory.mktemp("tm")
-        write_timemap(merge_pages(pages, URL_A), directory / "oracle.cdx")
         client = paged_client(lines)
-        with atomic_open(directory / "streamed.cdx", "w+") as fh:
+        stamps = [r.timestamp.raw for page in pages for r in page]
+        if stamps != sorted(stamps):  # a record earlier than the one before
+            with pytest.raises(CdxResponseError), atomic_open(directory / "streamed.cdx") as fh:
+                client.fetch_timemap(URL_A, fh)
+            assert not os.listdir(directory)
+            with pytest.raises(CdxResponseError):
+                client.fetch_timemap(URL_A)
+            return
+        write_timemap(merge_pages(pages, URL_A), directory / "oracle.cdx")
+        with atomic_open(directory / "streamed.cdx") as fh:
             assert client.fetch_timemap(URL_A, fh) is None
         assert (directory / "streamed.cdx").read_bytes() == (directory / "oracle.cdx").read_bytes()
         assert client.fetch_timemap(URL_A) == merge_pages(pages, URL_A)
@@ -409,6 +418,15 @@ class TestMockServerStop:
             # the handler writes to the dead socket, fails, and lets it go
             self._wait(lambda: not server._connections)
         assert capfd.readouterr().err == ""
+
+    def test_stop_ends_every_thread_of_the_server(self, server):
+        before = set(threading.enumerate())  # the serving thread among them
+        server.schedule_delay(surt_text_for_url(URL_B), "limit", 0.2)
+        with self._send(server, URL_A) as idle, self._send(server, URL_B):
+            assert idle.recv(1)  # answered; the connection is kept alive, its handler waits
+            self._wait(lambda: server.request_count == 2)  # the other's handler is answering
+            server.stop()
+            assert set(threading.enumerate()) <= before - {server._thread}
 
     def test_failing_handler_is_still_reported(self, server, capfd, monkeypatch):
         monkeypatch.setattr(server, "_respond", mock.Mock(side_effect=RuntimeError("boom")))
