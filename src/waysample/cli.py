@@ -294,17 +294,16 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timesta
             yield url_text, first_capture
 
 
-def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets,
-                 missing: sampler.MissingRoots) -> None:
+def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets) -> None:
     """Add each archived row of ``--first-captures`` whose URL parses to
-    ``buckets`` and ``missing``, the file's byte ranges split over CPUs, then
-    to ``buckets`` the root of each host seen only through deep links that
-    ``--endpoint`` finds archived, at its first capture."""
-    from . import partition
+    ``buckets``, the byte ranges split over CPUs, then the root of each host
+    seen only through deep links that ``--endpoint`` finds archived, at its
+    first capture, after every row in the order of its first deep link."""
+    from . import partition, sampler
 
     counts = stage.counts
 
-    def add_rows(source, buckets, missing) -> None:
+    def add_rows(source, buckets, missing) -> int:
         for url_text, first_capture in _read_first_captures(stage, source):
             try:
                 url = parse_url(url_text)
@@ -313,22 +312,27 @@ def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets,
                 continue
             counts["input"] += 1
             missing.add(url)
-            buckets.add(url, first_capture)
+            if buckets.add(url, first_capture) is None:
+                counts["dropped_pre_1996"] += 1
+        return buckets.row
 
-    partition.split(counts, args.first_captures, add_rows, buckets, missing,
-                    spill_dir=args.out_dir)
-    roots = missing.roots()
-    if not stage.cfg.endpoint:
-        counts["missing_roots"] = sum(1 for _ in roots)
-        return
-    cdx_client = stage.client
-    for root, record, error in stage.map_urls(
-            lambda root: cdx_client.fetch_first_record(root.text), roots):
-        counts["missing_roots"] += 1
-        counts["roots_added" if record else
-               "root_errors" if error else "roots_unarchived"] += 1
-        if record is not None:
-            buckets.add(root, record.timestamp)
+    with sampler.MissingRoots(args.out_dir) as missing:
+        first = max(partition.split(counts, args.first_captures, add_rows, buckets, missing,
+                                    spill_dir=args.out_dir))
+        roots = missing.roots()
+        if not stage.cfg.endpoint:
+            counts["missing_roots"] = sum(1 for _ in roots)
+            return
+        cdx_client = stage.client
+        for (root, row), record, error in stage.map_urls(
+                lambda item: cdx_client.fetch_first_record(item[0].text), roots):
+            counts["missing_roots"] += 1
+            counts["roots_added" if record else
+                   "root_errors" if error else "roots_unarchived"] += 1
+            if record is not None:
+                buckets.row = first + row
+                if buckets.add(root, record.timestamp) is None:
+                    counts["dropped_pre_1996"] += 1
 
 
 def cmd_sample(stage: Stage, args) -> None:
@@ -339,12 +343,11 @@ def cmd_sample(stage: Stage, args) -> None:
     cfg, counts = stage.cfg, stage.counts
     os.makedirs(args.out_dir, exist_ok=True)
     stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    counts.update(input=0, missing_roots=0, roots_added=0, roots_unarchived=0, root_errors=0)
+    counts.update(input=0, dropped_pre_1996=0, missing_roots=0, roots_added=0,
+                  roots_unarchived=0, root_errors=0)
     # the sorted rows spill to anonymous files in the out-dir
     with sampler.FirstYearBuckets(args.out_dir) as buckets:
-        with sampler.MissingRoots(args.out_dir) as missing:
-            _bucket_rows(stage, args, buckets, missing)
-        counts["dropped_pre_1996"] = buckets.dropped_pre_1996
+        _bucket_rows(stage, args, buckets)
         bucket_reports = counts["buckets"] = []
         counts["selected_total"] = 0
         for label, domain_sizes, domains in buckets.buckets():
@@ -647,6 +650,8 @@ def main(argv=None) -> int:
     try:
         args.func(stage, args)
         status = "ok"
+    except OSError as exc:  # a missing or unreadable input, say: the error names the path
+        raise SystemExit(f"error: {exc}") from None
     finally:
         stage.finish(status)
     return 0

@@ -30,12 +30,12 @@ def split(counts: dict, path: str, work: Callable, *sinks, spill_dir: str | None
     ``Stage.open`` reads, and each part is ``sink.part(fh, start)``, for an
     anonymous file in ``spill_dir`` made here and the range's first byte,
     which every row number of the ranges before it stays below. The child
-    ends by ``part.export(fh)`` and sends its result, the states that
-    ``export`` returns and its ``counts`` over a pipe. In range order, each
-    range's counts are added to ``counts`` and ``sink.take(fh, state)``
-    takes its files. The first range to fail raises its error here, after
-    its counts up to the error are added; a CdxParseError names the file's
-    line, not the range's. Every child is reaped, however the stage ends.
+    ends by ``part.export(fh)`` and hands back three things: its result and
+    its ``counts``, over a pipe, and one file per sink. In range order, each
+    range's counts are added to ``counts`` and ``sink.take(fh)`` takes its
+    file. The first range to fail raises its error here, after its counts
+    up to the error are added; a CdxParseError names the file's line, not
+    the range's. Every child is reaped, however the stage ends.
     """
     if path == "-" or not hasattr(os, "fork") or threading.active_count() > 1:
         cuts = []
@@ -70,7 +70,7 @@ def split(counts: dict, path: str, work: Callable, *sinks, spill_dir: str | None
             if not data:
                 raise ChildProcessError(f"bytes {start}-{end} of {path}: the worker ended "
                                         f"with {os.waitstatus_to_exitcode(status)}")
-            ok, result, states, range_counts = marshal.loads(data)
+            ok, result, range_counts = marshal.loads(data)
             for key, n in range_counts.items():
                 if n != before.get(key):
                     counts[key] = counts.get(key, 0) + n - before.get(key, 0)
@@ -82,8 +82,8 @@ def split(counts: dict, path: str, work: Callable, *sinks, spill_dir: str | None
                     with read_range(path, 0, start) as fh:
                         exc = CdxParseError(exc.reason, exc.line_no + sum(1 for _ in fh))
                 raise exc
-            for sink, fh, state in zip(sinks, child[2], states):
-                sink.take(fh, state)
+            for sink, fh in zip(sinks, child[2]):
+                sink.take(fh)
             child[2] = ()
             results.append(result)
         return results
@@ -172,7 +172,7 @@ class Output:
     def export(self, fh: IO[bytes]) -> None:
         self.fh.flush()
 
-    def take(self, fh: IO[bytes], state: None) -> None:
+    def take(self, fh: IO[bytes]) -> None:
         import shutil
 
         with fh:
@@ -205,14 +205,14 @@ def _run_range(pipe: int, work: Callable, source: tuple[str, int, int], sinks: t
         try:
             parts = [sink.part(fh, source[1]) for sink, fh in zip(sinks, files)]
             result = work(source, *parts)
-            states = [part.export(fh) for part, fh in zip(parts, files)]
-            for fh in files:
+            for part, fh in zip(parts, files):
+                part.export(fh)
                 fh.flush()
-            outcome = marshal.dumps((True, result, states, counts))
+            outcome = marshal.dumps((True, result, counts))
         except BaseException as exc:
             import pickle
 
-            outcome = marshal.dumps((False, pickle.dumps(exc.with_traceback(None)), None, counts))
+            outcome = marshal.dumps((False, pickle.dumps(exc.with_traceback(None)), counts))
         with open(pipe, "wb") as fh:
             fh.write(outcome)
     finally:

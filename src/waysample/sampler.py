@@ -15,15 +15,17 @@ so parallel scheduling cannot change results.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections import Counter, namedtuple
 from contextlib import closing
 from itertools import starmap
+from operator import itemgetter
 from typing import Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
-from .spill import SpillSort
+from .spill import SpillSort, Table
 from .surt import CanonicalUrl, domain_key
 
 FIRST_ARCHIVE_YEAR = 1996
@@ -108,52 +110,37 @@ def year_bucket_label(year: int) -> str | None:
 BucketingResult = namedtuple("BucketingResult", "buckets dropped_pre_1996")
 
 
-class FirstYearBuckets:
+class FirstYearBuckets(Table):
     """The distinct URLs of each first-capture year bucket, by domain, as a
     SpillSort: memory is its budget plus the largest domain, whatever the
     number of rows. A row is a key of its bucket label, domain key and URL
     text with its row number; of a repeat in a bucket the first row is kept,
-    and the row numbers restore first-occurrence order.
+    and the row numbers restore first-occurrence order. ``add`` gives a row
+    the number ``row`` and returns its label: None for a pre-1996 row, which
+    is numbered but not kept.
 
     Rows may be added in parts, each numbered from a ``row`` that the
     numbers of every earlier part stay below: ``part`` makes one, which
-    ``export`` writes to a file and whose file and state ``take`` adds."""
+    ``export`` writes to a file that ``take`` adds."""
 
     def __init__(self, spill_dir: str | None = None, row: int = 0):
-        self.row = row  # the next row's number: pre-1996 rows are numbered too
-        self.dropped_pre_1996 = 0
+        self.row = row  # the next row's number
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
         self._labels: dict[str, str | None] = {}  # year_bucket_label by the year's digits
 
-    def __enter__(self) -> FirstYearBuckets:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sort.close()
-
-    def add(self, url: CanonicalUrl, first_capture: Timestamp14) -> None:
+    def add(self, url: CanonicalUrl, first_capture: Timestamp14) -> str | None:
         year = first_capture.raw[:4]
         label = self._labels.get(year, False)
         if label is False:
             label = self._labels[year] = year_bucket_label(int(year))
-        if label is None:
-            self.dropped_pre_1996 += 1
-        else:
+        if label is not None:
             self._add((label, domain_key(url.host), url.text), self.row)
         self.row += 1
+        return label
 
     def part(self, fh, row: int) -> FirstYearBuckets:
         return FirstYearBuckets(self._sort.spill_dir, row)
-
-    def export(self, fh) -> tuple[int, int]:
-        self._sort.export(fh)
-        return self.row, self.dropped_pre_1996
-
-    def take(self, fh, state: tuple[int, int]) -> None:
-        self._sort.take(fh)
-        self.row = max(self.row, state[0])
-        self.dropped_pre_1996 += state[1]
 
     def buckets(self) -> Iterator[tuple[str, Counter, Iterator[DomainCount]]]:
         """Each bucket's label, how many of its domains hold each number of
@@ -178,35 +165,26 @@ def bucket_by_first_year(
     the path no ``?``, a query is never ``""``), so duplicate texts are
     exactly duplicate URLs. Spill files, if any, go in ``spill_dir``."""
     with FirstYearBuckets(spill_dir) as buckets:
-        for url, first_capture in entries:
-            buckets.add(url, first_capture)
+        dropped = sum(buckets.add(url, first_capture) is None for url, first_capture in entries)
         return BucketingResult([YearBucket(label, list(domains))
-                                for label, _, domains in buckets.buckets()],
-                               buckets.dropped_pre_1996)
+                                for label, _, domains in buckets.buckets()], dropped)
 
 
-class MissingRoots:
-    """One root URL per host seen only through deep links, in the order of
-    each host's first deep link; ``add`` takes one URL at a time.
+class MissingRoots(Table):
+    """One root URL per host seen only through deep links; ``add`` takes one
+    URL at a time.
 
     Each URL is a key of its host in a SpillSort, with a number: 0 for a
     root, and for a deep link twice its row number plus 1 for http or 2 for
     https. The sort keeps a host's least number, which says whether it has
-    a root and, if not, gives its first deep link's row and scheme;
-    ``roots`` reads them by row. URLs may be added in parts, as to
-    FirstYearBuckets.
+    a root and, if not, gives its first deep link's row and scheme. URLs may
+    be added in parts, as to FirstYearBuckets.
     """
 
     def __init__(self, spill_dir: str | None = None, row: int = 0):
         self.row = row  # the next URL's row number
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
-
-    def __enter__(self) -> MissingRoots:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sort.close()
 
     def add(self, url: CanonicalUrl) -> None:
         scheme, host, path, query = url
@@ -219,25 +197,21 @@ class MissingRoots:
     def part(self, fh, row: int) -> MissingRoots:
         return MissingRoots(self._sort.spill_dir, row)
 
-    def export(self, fh) -> int:
-        self._sort.export(fh)
-        return self.row
-
-    def take(self, fh, row: int) -> None:
-        self._sort.take(fh)
-        self.row = max(self.row, row)
-
-    def roots(self) -> Iterator[CanonicalUrl]:
-        for (host,), number in self._sort.by_number(1):
-            yield CanonicalUrl("http" if number % 2 else "https", host, "/", None)
+    def roots(self) -> Iterator[tuple[CanonicalUrl, int]]:
+        """Each missing root, in host order, with its first deep link's row
+        number, in one read of the sort."""
+        for (host,), number in self._sort.items(1):
+            scheme = "http" if number % 2 else "https"
+            yield CanonicalUrl(scheme, host, "/", None), (number - 1) // 2
 
 
 def extract_missing_roots(urls: Iterable[CanonicalUrl]) -> list[CanonicalUrl]:
-    """One root URL per host that appears only via deep links."""
+    """One root URL per host that appears only via deep links, in the order
+    of each host's first deep link."""
     with MissingRoots() as missing:
         for url in urls:
             missing.add(url)
-        return list(missing.roots())
+        return [root for root, _ in sorted(missing.roots(), key=itemgetter(1))]
 
 
 class ReintegrationResult(namedtuple("ReintegrationResult", "per_year unmet_years")):
@@ -337,9 +311,9 @@ def calibrate_sizes(sizes: Counter, c: int, target: int) -> CalibrationResult:
     the largest achievable total not exceeding the target; ``sizes`` holds,
     for each URL count, how many of the bucket's domains have it.
 
-    The total is nondecreasing in K, so binary search applies. If even
-    K = 1 overshoots the target, K = 1 is returned with the overshoot
-    flag set. Each probe costs one step per distinct domain size.
+    The total is nondecreasing in K, so bisection applies. If even K = 1
+    overshoots the target, K = 1 is returned with the overshoot flag set.
+    Each probe costs one step per distinct domain size.
     """
     if not any(sizes.values()):
         raise ValueError("bucket has no domains")
@@ -350,28 +324,16 @@ def calibrate_sizes(sizes: Counter, c: int, target: int) -> CalibrationResult:
         # downsample_count summed over the domains, m domains of size n at a time
         return sum(m * _reduced_count(n, k, c) for n, m in sizes.items())
 
-    t1 = total(1)
-    if t1 > target:
-        return CalibrationResult(1, t1, overshoot=True)
     # with C >= 1, K = the largest domain size keeps every URL of every
     # domain, so the largest K whose total fits under the target is at most that
-    lo, hi = 1, max(sizes) + 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if total(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    best_total = total(lo)
+    ks = range(1, max(sizes) + 1)
+    k = bisect.bisect_right(ks, target, key=total)  # how many K fit: the largest that does
+    if not k:
+        return CalibrationResult(1, total(1), overshoot=True)
+    best_total = total(k)
     # smallest K reaching that total (ties collapse toward the smallest K)
-    lo, hi = 0, lo
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if total(mid) >= best_total:
-            hi = mid
-        else:
-            lo = mid
-    return CalibrationResult(hi, best_total, overshoot=False)
+    k = bisect.bisect_left(ks, best_total, hi=k, key=total) + 1
+    return CalibrationResult(k, best_total, overshoot=False)
 
 
 def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:

@@ -162,32 +162,18 @@ class SpillSort:
             return _reread(self._files[0][1])
         return _run_lines(self._run, self._keys, self.digits)
 
-    def _kept(self, least: int) -> Iterator[bytes]:
-        """The lines whose number is at least ``least``."""
-        digits = self.digits
-        floor = b"%0*d" % (digits, least)  # of as many digits, so byte order is number order
-        return (line for line in self._lines() if line[-1 - digits:-1] >= floor)
-
     def items(self, least: int = 0) -> Iterator[tuple[tuple[str, ...], int]]:
         """The fields and number of each key whose number is at least ``least``, in key order."""
-        for line in self._kept(least):
-            *fields, number = line.split(SEP)
-            yield tuple(map(_text, fields)), int(number)
+        digits = self.digits
+        floor = b"%0*d" % (digits, least)  # of as many digits, so byte order is number order
+        for line in self._lines():
+            if line[-1 - digits:-1] >= floor:
+                *fields, number = line.split(SEP)
+                yield tuple(map(_text, fields)), int(number)
 
     def numbers(self) -> Iterator[int]:
         """The number of each key, in key order."""
         return map(int, map(itemgetter(slice(-1 - self.digits, None)), self._lines()))
-
-    def by_number(self, least: int = 0) -> Iterator[tuple[tuple[str, ...], int]]:
-        """``items(least)`` in number order, and in key order within a number:
-        sorted again by a SpillSort in the same memory."""
-        digits = self.digits
-        with SpillSort(self.spill_dir, digits=digits) as by_number:
-            for line in self._kept(least):
-                by_number._new(line[-1 - digits:-1] + SEP + line[:-3 - digits], 0)
-            for line in by_number._lines():
-                number, *fields, _ = line.split(SEP)
-                yield tuple(map(_text, fields)), int(number)
 
     def groups(self, whole: bool = True) -> Iterator[tuple[str, Iterator]]:
         """For keys of three fields or more: each first field, in order, and
@@ -199,6 +185,26 @@ class SpillSort:
         for first, rows_of_first in groupby(rows, key=itemgetter(0)):
             seconds = groupby(rows_of_first, key=itemgetter(1))
             yield _text(first), map(_last_fields if whole else _size, seconds)
+
+
+class Table:
+    """A table kept in a SpillSort, ``_sort``, closed with it. A part of it
+    filled in another process, as ``partition.split`` fills one, hands its
+    rows over as one file: ``export`` writes it, ``take`` adds it here."""
+
+    _sort: SpillSort
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._sort.close()
+
+    def export(self, fh: IO[bytes]) -> None:
+        self._sort.export(fh)
+
+    def take(self, fh: IO[bytes]) -> None:
+        self._sort.take(fh)
 
 
 def _size(group: tuple[bytes, Iterable[list[bytes]]]) -> int:

@@ -8,11 +8,11 @@ import heapq
 import math
 from collections import Counter
 from itertools import repeat
-from operator import add, attrgetter, itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from operator import add, attrgetter, itemgetter
+from typing import Iterable, Iterator
 
 from .cdx import Timestamp14
-from .spill import SpillSort
+from .spill import SpillSort, Table
 from .surt import domain_key
 
 
@@ -23,7 +23,7 @@ def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]
     return {int(year): n for year, n in sorted(counts.items())}
 
 
-class DomainCounts:
+class DomainCounts(Table):
     """The URLs of each domain key in two lists, in domain order, in a
     SpillSort that adds: a domain's number is its count in the first list
     times FIRST plus its count in the second. Iterating gives each domain's
@@ -34,21 +34,9 @@ class DomainCounts:
     def __init__(self, spill_dir: str | None = None):
         self._sort = SpillSort(spill_dir, add, digits=24)
 
-    def __enter__(self) -> DomainCounts:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sort.close()
-
     def part(self, fh, row: int) -> DomainCounts:
         """Empty counts that ``export`` writes to a file, which ``take`` adds."""
         return DomainCounts(self._sort.spill_dir)
-
-    def export(self, fh) -> None:
-        self._sort.export(fh)
-
-    def take(self, fh, state: None) -> None:
-        self._sort.take(fh)
 
     def count(self, domains: Iterable[str], first: int, second: int) -> None:
         """Add ``first`` to the first count of each of ``domains`` and
@@ -116,32 +104,24 @@ def _average_ranks(tally: Counter) -> dict[int, float]:
 def rank_correlation(counts: Iterable[tuple[int, int]]) -> float:
     """Pearson correlation of domain ranks before and after downsampling,
     over domains present in both rankings. ``counts``, each domain's (count
-    before, count after) in domain order, 0 if not in that ranking, are read
-    four times: to tally the distinct pairs, then once for each sum of terms
-    in domain order. Memory is a few tables of distinct counts and pairs."""
-    pairs = Counter(counts)  # domains by (count before, count after)
-    xt, yt = Counter(), Counter()
-    for (x, y), m in pairs.items():
-        if x and y:
-            xt[x] += m
-            yt[y] += m
+    before, count after), 0 if not in that ranking, are read once, to tally
+    the distinct pairs. Each sum weighs a pair's term by its number of
+    domains and is rounded once, so it is that of the exact terms in any
+    order. Memory is a few tables of distinct counts and pairs."""
+    pairs = [(x, y, m) for (x, y), m in Counter(counts).items() if x and y]
+    xt, yt = Counter(), Counter()  # common domains by count before, and by count after
+    for x, y, m in pairs:
+        xt[x] += m
+        yt[y] += m
     n = xt.total()
     if n < 2:
         return 1.0
     mean = (n + 1) / 2  # tied or not, the ranks add up to 1 + ... + n: exactly sum(ranks) / n
     dx = {c: r - mean for c, r in _average_ranks(xt).items()}
     dy = {c: r - mean for c, r in _average_ranks(yt).items()}
-
-    def total(term: Callable[[float, float], float]) -> float:
-        # one sum() over the domains in domain order, so that it is the float of
-        # sum() over the common domains' terms on any Python: the 0.0 of a
-        # domain in one ranking leaves a float sum, never -0.0, as it was
-        terms = {p: term(dx[p[0]], dy[p[1]]) if all(p) else 0.0 for p in pairs}
-        return sum(map(terms.__getitem__, counts))
-
-    cov = total(mul)
-    vx = total(lambda a, _: a ** 2)
-    vy = total(lambda _, b: b ** 2)
+    cov = math.fsum(m * dx[x] * dy[y] for x, y, m in pairs)
+    vx = math.fsum(m * dx[x] ** 2 for x, m in xt.items())
+    vy = math.fsum(m * dy[y] ** 2 for y, m in yt.items())
     if vx == 0 or vy == 0:
         return 1.0
     return cov / math.sqrt(vx * vy)

@@ -1148,7 +1148,8 @@ class TestStats:
                 "--sampled", str(timemaps if failing == "sampled" else urls),
                 "--timemap-dir", str(timemaps), "--out-dir", str(out_dir),
                 "--manifest", str(out_dir / "manifest.json")]
-        with pytest.raises(IsADirectoryError if failing == "sampled" else cdx.CdxParseError):
+        # a list that cannot be read is a one-line error, a malformed TimeMap a traceback
+        with pytest.raises(SystemExit if failing == "sampled" else cdx.CdxParseError):
             main(argv)
         assert len(opened) > 2
         assert all(fh.closed for fh in opened)
@@ -1546,6 +1547,24 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
     paths = {"IN": str(inp), "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path)}
     with pytest.raises(SystemExit, match="unknown config keys"):
         main([paths.get(a, a) for a in argv] + ["--config", str(config)])
+    assert not (tmp_path / "out.tsv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "MISSING", "-o", "OUT"],
+    ["sample", "--first-captures", "MISSING", "--out-dir", "DIR"],
+    ["stats", "--first-captures", "MISSING", "--out-dir", "DIR"],
+    ["stats", "--urls", "A_DIR", "--out-dir", "DIR"],
+])
+def test_missing_or_unreadable_input_is_a_one_line_error(tmp_path, argv):
+    paths = {"MISSING": str(tmp_path / "missing.tsv"), "A_DIR": str(tmp_path),
+             "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv] + ["--manifest", str(tmp_path / "m.json")])
+    message = str(exc.value.code)
+    assert message.startswith("error: ") and "\n" not in message
+    assert paths[argv[-3]] in message
+    assert json.loads((tmp_path / "m.json").read_text())["status"] == "failed"
     assert not (tmp_path / "out.tsv").exists()
 
 

@@ -15,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from waysample import cli, partition, spill, urlfilter
 from waysample.cdx import CdxParseError
 from waysample.cli import main
+from waysample.mockserver import MockCdxServer
+from waysample.surt import surt_text_for_url
 
+from conftest import make_record
 from test_cli import _synthetic_first_captures, read_lines, write_lines
 
 
@@ -191,3 +194,72 @@ def test_forked_ranges_take_no_more_memory_than_one_process(tmp_path):
         name: (tmp_path / "out2" / name).read_bytes()
         for name in os.listdir(tmp_path / "out2") if name != "manifest.json"}
     assert peaks[2] - peaks[1] < 1024, peaks  # KB
+
+
+# a stage forks no range while a thread runs in its process, so it runs in a
+# process of its own, away from the mock server's threads; each os.fork of
+# the stage is told on stderr
+_BOOT = """
+import os, sys
+from waysample import spill
+from waysample.cli import main
+n = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(n))
+spill.RUN_BYTES = 2048
+fork = os.fork
+def told_fork():
+    pid = fork()
+    if pid:
+        print("forked", file=sys.stderr, flush=True)
+    return pid
+os.fork = told_fork
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_roots_added_across_forked_ranges_are_those_of_one_process(tmp_path):
+    # each pair of hosts shares a domain key, www.dN.com and dN.com, and is
+    # seen only through deep links; both roots are archived in 2003, or in
+    # 1995 for every tenth pair, and the root of the host whose deep link
+    # came first is listed first in the domain. The roots of every seventh
+    # pair are not archived, and every fourth pair comes with a host of
+    # another domain that has its root, so that no root of it is missing
+    rows, corpus, first_hosts = [], [], {}
+    for d in range(300):
+        hosts = [f"www.d{d}.com", f"d{d}.com"][::1 if d % 3 else -1]
+        first_hosts[f"d{d}.com"] = hosts[0]
+        for i, host in enumerate(hosts * 2):
+            rows.append(f"http://{host}/dir/p{i}.html\t2005010100000{i}\ttext/html\tok")
+        if d % 4 == 0:
+            rows.append(f"http://e{d}.com/\t20040101000000\ttext/html\tok")
+        if d % 7:
+            root = f"http://{hosts[0]}/"
+            corpus.append(make_record(surt_text_for_url(root), root,
+                                      "19950101000000" if d % 10 == 0 else "20030101000000"))
+    first = tmp_path / "first.tsv"
+    write_lines(first, rows)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    outputs = {}
+    with MockCdxServer(corpus, page_size=10) as server:
+        for n in (1, 2, 3):
+            out = tmp_path / f"out{n}"
+            run = subprocess.run([sys.executable, "-c", _BOOT, str(n), "sample",
+                                  "--first-captures", str(first), "--out-dir", str(out),
+                                  "--endpoint", server.endpoint],
+                                 capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            assert run.stderr.count("forked") == (n if n > 1 else 0)
+            outputs[n] = ({name: (out / name).read_bytes() for name in sorted(os.listdir(out))
+                           if name != "manifest.json"},
+                          json.loads((out / "manifest.json").read_text())["counts"])
+    assert outputs[1] == outputs[2] == outputs[3]
+    counts = outputs[1][1]
+    assert counts["missing_roots"] == 600  # both hosts of every pair
+    archived = [d for d in range(300) if d % 7]
+    assert counts["roots_added"] == 2 * len(archived)
+    assert counts["roots_unarchived"] == 600 - 2 * len(archived)
+    assert counts["dropped_pre_1996"] == 2 * sum(1 for d in archived if d % 10 == 0)
+    roots = [line.split("//")[1][:-1] for line in read_lines(out / "bucket_2003.txt")]
+    assert len(roots) == 2 * sum(1 for d in archived if d % 10)
+    for pair in zip(roots[::2], roots[1::2]):
+        assert pair[0] == first_hosts[pair[1].removeprefix("www.")]
