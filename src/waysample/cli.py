@@ -298,12 +298,12 @@ def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets) -> None:
     """Add each archived row of ``--first-captures`` whose URL parses to
     ``buckets``, the byte ranges split over CPUs, then the root of each host
     seen only through deep links that ``--endpoint`` finds archived, at its
-    first capture, after every row in the order of its first deep link."""
+    first capture."""
     from . import partition, sampler
 
     counts = stage.counts
 
-    def add_rows(source, buckets, missing) -> int:
+    def add_rows(source, buckets, missing) -> None:
         for url_text, first_capture in _read_first_captures(stage, source):
             try:
                 url = parse_url(url_text)
@@ -314,25 +314,22 @@ def _bucket_rows(stage: Stage, args, buckets: sampler.FirstYearBuckets) -> None:
             missing.add(url)
             if buckets.add(url, first_capture) is None:
                 counts["dropped_pre_1996"] += 1
-        return buckets.row
 
     with sampler.MissingRoots(args.out_dir) as missing:
-        first = max(partition.split(counts, args.first_captures, add_rows, buckets, missing,
-                                    spill_dir=args.out_dir))
+        partition.split(counts, args.first_captures, add_rows, buckets, missing,
+                        spill_dir=args.out_dir)
         roots = missing.roots()
         if not stage.cfg.endpoint:
             counts["missing_roots"] = sum(1 for _ in roots)
             return
         cdx_client = stage.client
-        for (root, row), record, error in stage.map_urls(
-                lambda item: cdx_client.fetch_first_record(item[0].text), roots):
+        for root, record, error in stage.map_urls(
+                lambda root: cdx_client.fetch_first_record(root.text), roots):
             counts["missing_roots"] += 1
             counts["roots_added" if record else
                    "root_errors" if error else "roots_unarchived"] += 1
-            if record is not None:
-                buckets.row = first + row
-                if buckets.add(root, record.timestamp) is None:
-                    counts["dropped_pre_1996"] += 1
+            if record is not None and buckets.add(root, record.timestamp) is None:
+                counts["dropped_pre_1996"] += 1
 
 
 def cmd_sample(stage: Stage, args) -> None:

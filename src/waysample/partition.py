@@ -27,11 +27,10 @@ def split(counts: dict, path: str, work: Callable, *sinks, spill_dir: str | None
     ``-``, without ``os.fork`` or with a thread running, ``work`` reads
     ``path`` here, and its parts are ``sinks`` themselves. Otherwise each
     range runs in a forked child: ``source`` is the range, which
-    ``Stage.open`` reads, and each part is ``sink.part(fh, start)``, for an
-    anonymous file in ``spill_dir`` made here and the range's first byte,
-    which every row number of the ranges before it stays below. The child
-    ends by ``part.export(fh)`` and hands back three things: its result and
-    its ``counts``, over a pipe, and one file per sink. In range order, each
+    ``Stage.open`` reads, and each part is ``sink.part(fh)``, for an
+    anonymous file in ``spill_dir`` made here. The child ends by
+    ``part.export(fh)`` and hands back three things: its result and its
+    ``counts``, over a pipe, and one file per sink. In range order, each
     range's counts are added to ``counts`` and ``sink.take(fh)`` takes its
     file. The first range to fail raises its error here, after its counts
     up to the error are added; a CdxParseError names the file's line, not
@@ -166,7 +165,7 @@ class Output:
         self.fh = fh
         self.writelines = fh.writelines
 
-    def part(self, fh: IO[bytes], row: int) -> Output:
+    def part(self, fh: IO[bytes]) -> Output:
         return Output(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape"))
 
     def export(self, fh: IO[bytes]) -> None:
@@ -203,7 +202,7 @@ def _run_range(pipe: int, work: Callable, source: tuple[str, int, int], sinks: t
     flushes or closes nothing that it shares with the parent but ``files``."""
     try:
         try:
-            parts = [sink.part(fh, source[1]) for sink, fh in zip(sinks, files)]
+            parts = [sink.part(fh) for sink, fh in zip(sinks, files)]
             result = work(source, *parts)
             for part, fh in zip(parts, files):
                 part.export(fh)

@@ -21,7 +21,6 @@ import random
 from collections import Counter, namedtuple
 from contextlib import closing
 from itertools import starmap
-from operator import itemgetter
 from typing import Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
@@ -48,7 +47,7 @@ class DownsampleParams(namedtuple("DownsampleParams", "k c")):
 
 
 class DomainCount(namedtuple("DomainCount", "domain urls")):
-    """A domain and the list of its distinct URL texts in first-occurrence order."""
+    """A domain and the list of its distinct URL texts in text order."""
 
     __slots__ = ()
 
@@ -114,17 +113,14 @@ class FirstYearBuckets(Table):
     """The distinct URLs of each first-capture year bucket, by domain, as a
     SpillSort: memory is its budget plus the largest domain, whatever the
     number of rows. A row is a key of its bucket label, domain key and URL
-    text with its row number; of a repeat in a bucket the first row is kept,
-    and the row numbers restore first-occurrence order. ``add`` gives a row
-    the number ``row`` and returns its label: None for a pre-1996 row, which
-    is numbered but not kept.
+    text, so a URL repeated in a bucket is one key, and the rows hold the
+    same buckets in whatever order they are added. ``add`` returns a row's
+    label: None for a pre-1996 row, which is not kept.
 
-    Rows may be added in parts, each numbered from a ``row`` that the
-    numbers of every earlier part stay below: ``part`` makes one, which
-    ``export`` writes to a file that ``take`` adds."""
+    Rows may be added in parts: ``part`` makes one, which ``export`` writes
+    to a file that ``take`` adds."""
 
-    def __init__(self, spill_dir: str | None = None, row: int = 0):
-        self.row = row  # the next row's number
+    def __init__(self, spill_dir: str | None = None):
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
         self._labels: dict[str, str | None] = {}  # year_bucket_label by the year's digits
@@ -135,19 +131,15 @@ class FirstYearBuckets(Table):
         if label is False:
             label = self._labels[year] = year_bucket_label(int(year))
         if label is not None:
-            self._add((label, domain_key(url.host), url.text), self.row)
-        self.row += 1
+            self._add((label, domain_key(url.host), url.text), 0)
         return label
-
-    def part(self, fh, row: int) -> FirstYearBuckets:
-        return FirstYearBuckets(self._sort.spill_dir, row)
 
     def buckets(self) -> Iterator[tuple[str, Counter, Iterator[DomainCount]]]:
         """Each bucket's label, how many of its domains hold each number of
         URLs, and its domains: in label and then domain-key order, each
-        domain's URLs in first-occurrence order. The sizes of every bucket
-        take one pass over the sorted rows, before the first is yielded,
-        and the domains a second."""
+        domain's URLs in text order. The sizes of every bucket take one pass
+        over the sorted rows, before the first is yielded, and the domains a
+        second."""
         sizes = {label: Counter(domains) for label, domains in self._sort.groups(whole=False)}
         for label, domains in self._sort.groups():
             yield label, sizes[label], starmap(DomainCount, domains)
@@ -160,10 +152,11 @@ def bucket_by_first_year(
     """Group URLs by first-capture year: pre-1996 dropped and counted,
     1996-2000 merged into one bucket, each later year on its own. Buckets
     are in label order, their domains in domain-key order, and the URLs of a
-    domain in first-occurrence order. ``entries`` is read once, and a URL is
-    kept as its text, which determines it (the host holds no ``/`` or ``?``,
-    the path no ``?``, a query is never ``""``), so duplicate texts are
-    exactly duplicate URLs. Spill files, if any, go in ``spill_dir``."""
+    domain in text order, whatever the order of ``entries``. ``entries`` is
+    read once, and a URL is kept as its text, which determines it (the host
+    holds no ``/`` or ``?``, the path no ``?``, a query is never ``""``), so
+    duplicate texts are exactly duplicate URLs. Spill files, if any, go in
+    ``spill_dir``."""
     with FirstYearBuckets(spill_dir) as buckets:
         dropped = sum(buckets.add(url, first_capture) is None for url, first_capture in entries)
         return BucketingResult([YearBucket(label, list(domains))
@@ -172,46 +165,37 @@ def bucket_by_first_year(
 
 class MissingRoots(Table):
     """One root URL per host seen only through deep links; ``add`` takes one
-    URL at a time.
+    URL at a time, in any order.
 
     Each URL is a key of its host in a SpillSort, with a number: 0 for a
-    root, and for a deep link twice its row number plus 1 for http or 2 for
-    https. The sort keeps a host's least number, which says whether it has
-    a root and, if not, gives its first deep link's row and scheme. URLs may
-    be added in parts, as to FirstYearBuckets.
+    root, 1 for an http deep link and 2 for an https one. The sort keeps a
+    host's least number, which says whether it has a root and, if not,
+    whether any of its deep links is http. URLs may be added in parts, as
+    to FirstYearBuckets.
     """
 
-    def __init__(self, spill_dir: str | None = None, row: int = 0):
-        self.row = row  # the next URL's row number
+    def __init__(self, spill_dir: str | None = None):
         self._sort = SpillSort(spill_dir)
         self._add = self._sort.add
 
     def add(self, url: CanonicalUrl) -> None:
         scheme, host, path, query = url
-        if path == "/" and query is None:
-            self._add((host,), 0)
-        else:
-            self._add((host,), 2 * self.row + (1 if scheme == "http" else 2))
-        self.row += 1
+        self._add((host,), 0 if path == "/" and query is None else 1 if scheme == "http" else 2)
 
-    def part(self, fh, row: int) -> MissingRoots:
-        return MissingRoots(self._sort.spill_dir, row)
-
-    def roots(self) -> Iterator[tuple[CanonicalUrl, int]]:
-        """Each missing root, in host order, with its first deep link's row
-        number, in one read of the sort."""
+    def roots(self) -> Iterator[CanonicalUrl]:
+        """Each missing root, in host order, in one read of the sort: an http
+        root if any of the host's deep links is http, else an https one."""
         for (host,), number in self._sort.items(1):
-            scheme = "http" if number % 2 else "https"
-            yield CanonicalUrl(scheme, host, "/", None), (number - 1) // 2
+            yield CanonicalUrl("http" if number == 1 else "https", host, "/", None)
 
 
 def extract_missing_roots(urls: Iterable[CanonicalUrl]) -> list[CanonicalUrl]:
-    """One root URL per host that appears only via deep links, in the order
-    of each host's first deep link."""
+    """One root URL per host that appears only via deep links, in host
+    order, as ``MissingRoots.roots`` gives them."""
     with MissingRoots() as missing:
         for url in urls:
             missing.add(url)
-        return [root for root, _ in sorted(missing.roots(), key=itemgetter(1))]
+        return list(missing.roots())
 
 
 class ReintegrationResult(namedtuple("ReintegrationResult", "per_year unmet_years")):

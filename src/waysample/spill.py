@@ -178,7 +178,7 @@ class SpillSort:
     def groups(self, whole: bool = True) -> Iterator[tuple[str, Iterator]]:
         """For keys of three fields or more: each first field, in order, and
         each of its second fields, in order, with the last fields of its keys
-        in number order; or, not ``whole``, with how many keys it has, which
+        in key order; or, not ``whole``, with how many keys it has, which
         reads no more of a line than its first two fields."""
         # map calls bytes.split without the argument tuple methodcaller builds per line
         rows = map(bytes.split, self._lines(), repeat(SEP), repeat(-1 if whole else 2))
@@ -190,7 +190,8 @@ class SpillSort:
 class Table:
     """A table kept in a SpillSort, ``_sort``, closed with it. A part of it
     filled in another process, as ``partition.split`` fills one, hands its
-    rows over as one file: ``export`` writes it, ``take`` adds it here."""
+    rows over as one file: ``part`` makes the part, empty, whose ``export``
+    writes the file, and ``take`` adds it here."""
 
     _sort: SpillSort
 
@@ -199,6 +200,9 @@ class Table:
 
     def __exit__(self, *exc) -> None:
         self._sort.close()
+
+    def part(self, fh: IO[bytes]) -> Table:
+        return type(self)(self._sort.spill_dir)
 
     def export(self, fh: IO[bytes]) -> None:
         self._sort.export(fh)
@@ -212,14 +216,9 @@ def _size(group: tuple[bytes, Iterable[list[bytes]]]) -> int:
 
 
 def _last_fields(group: tuple[bytes, Iterable[list[bytes]]]) -> tuple[str, list[str]]:
-    """A second field and the last fields of its lines in number order,
-    decoded at once."""
+    """A second field and the last fields of its lines, decoded at once."""
     second, rows = group
-    rows = list(rows)
-    if len(rows) > 1:
-        rows.sort(key=itemgetter(-1))  # the numbers, of as many digits
     texts = b"\n".join(map(itemgetter(-2), rows)).decode()
-    del rows  # before the split, so that a large group is held once at a time
     if "\0" in texts:
         texts = texts.replace("\0\2", "\0")
     return _text(second), texts.split("\n")

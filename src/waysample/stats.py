@@ -34,10 +34,6 @@ class DomainCounts(Table):
     def __init__(self, spill_dir: str | None = None):
         self._sort = SpillSort(spill_dir, add, digits=24)
 
-    def part(self, fh, row: int) -> DomainCounts:
-        """Empty counts that ``export`` writes to a file, which ``take`` adds."""
-        return DomainCounts(self._sort.spill_dir)
-
     def count(self, domains: Iterable[str], first: int, second: int) -> None:
         """Add ``first`` to the first count of each of ``domains`` and
         ``second`` to its second."""

@@ -1470,6 +1470,10 @@ class TestFanOut:
             unshuffled, _, _, _ = self._run(tmp_path, world, 1, None)
             for name in ("first.tsv", "timemaps/fetch_report.tsv"):
                 assert sorted(base[name].splitlines()) == sorted(unshuffled[name].splitlines())
+            # and the sample is the one drawn from the rows in input order
+            assert ({name: text for name, text in base.items() if name.startswith("sample/")}
+                    == {name: text for name, text in unshuffled.items()
+                        if name.startswith("sample/")})
 
     @pytest.mark.parametrize("limit", [2, 4])
     def test_fetch_fills_the_politeness_limit(self, tmp_path, archive, limit):

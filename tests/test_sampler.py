@@ -137,7 +137,7 @@ class TestBucketing:
         elapsed = time.perf_counter() - start
         (bucket,) = result.buckets
         (domain,) = bucket.domains
-        assert domain.urls == texts
+        assert domain.urls == sorted(texts)
         assert elapsed < 1.0
 
 
@@ -470,20 +470,24 @@ def _oracle_bucket(entries):
         if key not in domains:
             domains[key] = _OracleDomain(key)
         domains[key].urls.append(url)
+    for domains in by_label.values():  # each domain's URLs in text order
+        for domain in domains.values():
+            domain.urls.sort(key=lambda url: url.text)
     buckets = [(label, [domains[k] for k in sorted(domains)])
                for label, domains in sorted(by_label.items())]
     return buckets, dropped
 
 
 def _oracle_missing_roots(urls):
-    hosts_with_root, roots_by_host = set(), {}
+    # in host order; http if any of the host's deep links is http
+    hosts_with_root, schemes_by_host = set(), {}
     for url in urls:
         if url.is_root:
             hosts_with_root.add(url.host)
-            roots_by_host.pop(url.host, None)
-        elif url.host not in hosts_with_root and url.host not in roots_by_host:
-            roots_by_host[url.host] = parse_url(f"{url.scheme}://{url.host}/")
-    return list(roots_by_host.values())
+        else:
+            schemes_by_host.setdefault(url.host, set()).add(url.scheme)
+    return [parse_url(f"{'http' if 'http' in schemes else 'https'}://{host}/")
+            for host, schemes in sorted(schemes_by_host.items()) if host not in hosts_with_root]
 
 
 def _oracle_select(domain, k, seed):
@@ -528,6 +532,11 @@ _CONTROL_HOSTS = ["a\x00.com", "a\x01.com", "a\x00\x01.com", "a\x01\x00.com", "a
 def _check_against_oracle(rows, seed):
     entries = [(parse_url(url), ts(year + "0101000000")) for url, year in rows]
     result = bucket_by_first_year(iter(entries))
+    # the same buckets and roots from the rows in another order
+    shuffled = random.Random(seed).sample(entries, len(entries))
+    assert bucket_by_first_year(iter(shuffled)) == result
+    assert (extract_missing_roots(url for url, _ in shuffled)
+            == extract_missing_roots(url for url, _ in entries))
     buckets, dropped = _oracle_bucket(entries)
     assert result.dropped_pre_1996 == dropped
     assert [b.label for b in result.buckets] == [label for label, _ in buckets]

@@ -10,7 +10,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waysample import cli, partition, spill, urlfilter
 from waysample.cdx import CdxParseError
@@ -76,6 +76,10 @@ def _run(root, argv):
 @settings(max_examples=25, deadline=None)
 @given(URL_FILES, URL_FILES, ROWS, st.one_of(st.none(), st.integers(0, 14)),
        st.sampled_from([2, 3, 64]), st.sampled_from([1, 8]))
+# a domain of three URLs in one bucket, which a target of 3 keeps whole
+@example(b"", b"", [b"http://a.com/x.html\t20050101000000\n",
+                    b"https://www.a.com/y\t20050101000000\n",
+                    b"http://a.com/\t20050101000000\n"], None, 2, 1)
 def test_every_stage_splits_to_what_it_does_in_process(tmp_path_factory, urls, sampled, rows,
                                                        malformed_at, n_cpus, run_bytes):
     # 64 CPUs with a run of 1 byte cut after every line break; a row without a
@@ -83,10 +87,11 @@ def test_every_stage_splits_to_what_it_does_in_process(tmp_path_factory, urls, s
     if malformed_at is not None:
         rows.insert(min(malformed_at, len(rows)), b"http://no-tab.com/\r\n")
     tmp = tmp_path_factory.mktemp("split")
-    inputs = {"urls": urls, "sampled": sampled, "first": b"".join(rows)}
+    inputs = {"urls": urls, "sampled": sampled, "first": b"".join(rows),
+              "reversed": b"".join(reversed(rows))}
     for name, data in inputs.items():
         (tmp / name).write_bytes(data)
-    urls, sampled, first = (str(tmp / name) for name in inputs)
+    urls, sampled, first, reversed_first = (str(tmp / name) for name in inputs)
     runs = {
         "filter": [urls, "-o", "OUT/verdicts.tsv"],
         "classify": [urls, "-o", "OUT/classes.tsv"],
@@ -104,6 +109,11 @@ def test_every_stage_splits_to_what_it_does_in_process(tmp_path_factory, urls, s
         assert split == in_process, stage
         if stage in ("sample", "stats") and malformed_at is not None:
             assert in_process[2] is not None
+        if stage == "sample" and in_process[2] is None:  # the same sample from the rows reversed
+            argv = [reversed_first if arg == first else arg for arg in argv]
+            for n in (1, n_cpus):
+                with mock.patch.object(spill, "RUN_BYTES", run_bytes), cpus(n):
+                    assert _run(tmp / f"reversed{n}", [stage, *argv]) == in_process
 
 
 def test_a_malformed_row_names_its_line_in_the_file(tmp_path):
@@ -220,14 +230,13 @@ sys.exit(main(sys.argv[1:]))
 def test_roots_added_across_forked_ranges_are_those_of_one_process(tmp_path):
     # each pair of hosts shares a domain key, www.dN.com and dN.com, and is
     # seen only through deep links; both roots are archived in 2003, or in
-    # 1995 for every tenth pair, and the root of the host whose deep link
-    # came first is listed first in the domain. The roots of every seventh
+    # 1995 for every tenth pair, and are listed in text order in the domain,
+    # whichever host's deep link came first. The roots of every seventh
     # pair are not archived, and every fourth pair comes with a host of
     # another domain that has its root, so that no root of it is missing
-    rows, corpus, first_hosts = [], [], {}
+    rows, corpus = [], []
     for d in range(300):
         hosts = [f"www.d{d}.com", f"d{d}.com"][::1 if d % 3 else -1]
-        first_hosts[f"d{d}.com"] = hosts[0]
         for i, host in enumerate(hosts * 2):
             rows.append(f"http://{host}/dir/p{i}.html\t2005010100000{i}\ttext/html\tok")
         if d % 4 == 0:
@@ -262,4 +271,4 @@ def test_roots_added_across_forked_ranges_are_those_of_one_process(tmp_path):
     roots = [line.split("//")[1][:-1] for line in read_lines(out / "bucket_2003.txt")]
     assert len(roots) == 2 * sum(1 for d in archived if d % 10)
     for pair in zip(roots[::2], roots[1::2]):
-        assert pair[0] == first_hosts[pair[1].removeprefix("www.")]
+        assert pair[1] == "www." + pair[0]
