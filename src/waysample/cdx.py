@@ -179,32 +179,26 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
     return ZipNumEntry(surt, Timestamp14(ts), part, offset, length, block)
 
 
-def _check_one_key(keys: set[str], what="TimeMap") -> None:
-    if len(keys) > 1:
-        raise MixedKeyError(f"{what} mixes urlkeys: {sorted(keys)}")
-
-
 class TimeMap(namedtuple("TimeMap", "uri_r records")):
     """The ordered capture history of one original URL: its records, of one
     urlkey, as a new list sorted by timestamp (stably, so equal timestamps
-    keep their order)."""
+    keep their order); records of more than one urlkey are a ``MixedKeyError``.
+    ``read_timemap`` and ``fetch_timemap``, which check both as they read,
+    build theirs without checking again."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, uri_r: str, records: Iterable[CdxRecord] = ()):
         records = list(records)  # a copy: the caller may keep its list
-        _check_one_key(set(map(attrgetter("urlkey"), records)))
+        keys = set(map(attrgetter("urlkey"), records))
+        if len(keys) > 1:
+            raise MixedKeyError(f"TimeMap mixes urlkeys: {sorted(keys)}")
         records.sort(key=attrgetter("timestamp.raw"))
         return tuple.__new__(cls, (uri_r, records))
 
     def to_text(self) -> str:
         return "".join(r.to_line() + "\n" for r in self.records)
-
-
-def parse_cdx_lines(lines: Iterable[str]) -> list[CdxRecord]:
-    """The records of CDX lines that are not blank; an error names its line from 1."""
-    return [parse_cdx_line(line, i) for i, line in enumerate(lines, 1) if line.strip()]
 
 
 @contextmanager
@@ -240,9 +234,9 @@ def _timemap_lines(fh) -> Iterator[str]:
 def timemap_records(path) -> Iterator[CdxRecord]:
     """The records of a TimeMap file, parsed a line at a time and none kept. The
     file holds one urlkey, in timestamp order, as a CDX server sends it: an error
-    names the file, and the line of one that is malformed, not UTF-8, or earlier
-    than the record before."""
-    keys, last = set(), ""  # the first urlkey, and one that differs; the last timestamp
+    names the file, and the line of one that is malformed, not UTF-8, earlier
+    than the record before, or of another urlkey than the first record's."""
+    key = last = ""  # the first urlkey; the last timestamp
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for i, line in enumerate(_timemap_lines(fh), 1):
             if line.strip():
@@ -250,16 +244,16 @@ def timemap_records(path) -> Iterator[CdxRecord]:
                     if not line.isascii():
                         line.encode("utf-8")  # a byte that is not UTF-8 reads as a lone surrogate
                     record = parse_cdx_line(line, i)
+                    key = key or record.urlkey
                     if record.timestamp.raw < last:
                         raise CdxParseError(f"timestamp earlier than the record before, {last}")
+                    if record.urlkey != key:
+                        raise CdxParseError(f"urlkey other than the first record's, {key}")
                 except (CdxParseError, UnicodeEncodeError) as exc:
                     reason = exc.reason if isinstance(exc, CdxParseError) else "not UTF-8"
                     raise CdxParseError(reason, i, path) from None
                 last = record.timestamp.raw
-                if len(keys) < 2:
-                    keys.add(record.urlkey)
                 yield record
-    _check_one_key(keys, path)
 
 
 def read_timemap(path) -> TimeMap:

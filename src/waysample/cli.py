@@ -180,20 +180,16 @@ class Stage:
 
 
 def _parse_urls(stage: Stage, path: str, parse: Callable = parse_url) -> Iterator:
-    """The non-blank lines of ``path`` that ``parse`` (``parse_url`` or
-    ``parse_host``) takes, as it returns them; the others count as
-    ``unparseable``."""
+    """The URLs that ``stage.urls`` reads from ``path``, each counted as
+    ``input``, that ``parse`` (``parse_url`` or ``parse_host``) takes, as it
+    returns them; the others count as ``unparseable``."""
     counts = stage.counts
     counts.setdefault("unparseable", 0)
-    with stage.open(path) as fh:
-        for line in fh:
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                yield parse(text)
-            except SurtError:
-                counts["unparseable"] += 1
+    for text in stage.urls(path):
+        try:
+            yield parse(text)
+        except SurtError:
+            counts["unparseable"] += 1
 
 
 def timemap_filename(url: str) -> str:

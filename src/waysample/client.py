@@ -18,7 +18,6 @@ body that is not UTF-8 is a ``CdxResponseError``, as a malformed one is.
 
 from __future__ import annotations
 
-import io
 import os
 import random
 import socket
@@ -29,9 +28,12 @@ from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
-from .cdx import CdxParseError, CdxRecord, TimeMap, atomic_open, parse_cdx_line, parse_cdx_lines
+from .cdx import CdxParseError, CdxRecord, TimeMap, atomic_open, parse_cdx_line
 
 TRANSIENT_STATUS_MIN = 500
+TIMEOUT = 30.0  # seconds a connection may take to open, and a read to get its next bytes
+# the digits a body size may be written in, by base
+_DIGITS = {10: b"0123456789", 16: b"0123456789abcdefABCDEF"}
 
 # what each request kind appends to its quoted url; a page request adds its number
 QUERY_SUFFIX = {"limit": "&limit=1", "numpages": "&showNumPages=true", "page": "&page="}
@@ -101,8 +103,8 @@ class _Connection:
     ignored) or up to the close; after that, ``Connection: close`` or an HTTP/1.0
     reply without keep-alive, the connection closes."""
 
-    def __init__(self, host: str, port: int, netloc: str, timeout: float, tls=None):
-        self._address, self._timeout, self._tls = (host, port), timeout, tls
+    def __init__(self, host: str, port: int, netloc: str, tls=None):
+        self._address, self._tls = (host, port), tls
         self._head = (f" HTTP/1.1\r\nHost: {netloc}\r\nUser-Agent: waysample/{__version__}"
                       "\r\nAccept-Encoding: identity\r\n\r\n").encode("ascii")
         self.sock = self._rfile = None
@@ -117,7 +119,7 @@ class _Connection:
         """Status, body and Location of a GET of ``target``; a reply that ends
         before its status line is a ``ConnectionResetError``."""
         if self.sock is None:
-            sock = socket.create_connection(self._address, self._timeout)
+            sock = socket.create_connection(self._address, TIMEOUT)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # a failed handshake closes the socket, which wrap_socket took over from sock
             self.sock = (self._tls.wrap_socket(sock, server_hostname=self._address[0])
@@ -158,11 +160,9 @@ class _Connection:
         return fields
 
     def _read(self, size: bytes, base: int) -> bytes:
-        """The next ``size`` bytes, ``size`` written in ASCII ``base`` digits."""
-        try:
-            n = int(size, base) if size.isalnum() else -1  # no sign, "_" or space
-        except ValueError:
-            n = -1
+        """The next ``size`` bytes, ``size`` written in ASCII ``base`` digits
+        alone: no sign, ``_``, space or ``0x``."""
+        n = int(size, base) if size and not size.strip(_DIGITS[base]) else -1
         data = self._rfile.read(n) if n >= 0 else b""
         if len(data) < n or n < 0:
             raise _BadResponse(f"body of size {size[:80]!r} ended after {len(data)} bytes")
@@ -175,11 +175,11 @@ class ArchiveClient:
 
     def __init__(self, base_url: str, retry: RetryPolicy = RetryPolicy(),
                  politeness_limit: int = 4, request_delay: float = 0.0,
-                 storage_dir: str | None = None, timeout: float = 30.0,
+                 storage_dir: str | None = None,
                  log: Callable[[FetchLog], None] | None = None):
         import queue  # imported here: the offline stages build no client and do without it
         self.base_url, self.retry, self.politeness_limit = base_url, retry, politeness_limit
-        self.request_delay, self.storage_dir, self.timeout = request_delay, storage_dir, timeout
+        self.request_delay, self.storage_dir = request_delay, storage_dir
         self.log = log
         parts = urlsplit(self.base_url)
         if (parts.scheme not in ("http", "https") or not parts.hostname or "@" in parts.netloc
@@ -201,7 +201,7 @@ class ArchiveClient:
         # last in, first out keeps a lone caller on one warm connection
         self._pool: queue.LifoQueue = queue.LifoQueue()
         for _ in range(self.politeness_limit):
-            self._pool.put(_Connection(parts.hostname, port, parts.netloc, self.timeout, tls))
+            self._pool.put(_Connection(parts.hostname, port, parts.netloc, tls))
         self._answered = False  # some request got an HTTP response
         self._lock = threading.Lock()
         self._next_start = 0.0  # monotonic time before which no request may start
@@ -334,8 +334,9 @@ class ArchiveClient:
         servers send; a record of another, or earlier than the one before, is a
         ``CdxResponseError``, and a permanently failing page raises instead of silently
         truncating. With ``fh``, a text file, the lines go to ``fh`` as each page arrives;
-        only one timestamp's are held."""
-        out = fh or io.StringIO()
+        only one timestamp's are held. Without it, the records checked are kept, in the
+        order they came, and returned as the TimeMap of ``url``."""
+        records = []  # without fh, the records kept
         n_pages = self.fetch_page_count(url)
         missing, key = [], None  # failed pages; the first urlkey
         last, current, body = "", set(), ""  # the last timestamp written, and its records
@@ -357,10 +358,14 @@ class ArchiveClient:
                         last, current = ts, set()
                     if record not in current:
                         current.add(record)
-                        out.write(record.to_line() + "\n")
+                        if fh is None:
+                            records.append(record)
+                        else:
+                            fh.write(record.to_line() + "\n")
                 body = ""  # not held while the next page arrives
             if missing:
                 raise PartialFetchError(url, missing)
         except CdxParseError as exc:
             raise self._unparseable(url, body) from exc
-        return None if fh else TimeMap(url, parse_cdx_lines(out.getvalue().splitlines()))
+        # of one urlkey, in timestamp order, as checked: a TimeMap without sorting again
+        return None if fh else tuple.__new__(TimeMap, (url, records))

@@ -59,6 +59,9 @@ class PipelineConfig(namedtuple("PipelineConfig", _DEFAULTS, defaults=_DEFAULTS.
         if path:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"a config file holds a JSON object of config keys, "
+                                 f"got {data!r:.80}")
             unknown = set(data) - set(cls._fields)
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")

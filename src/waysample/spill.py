@@ -73,31 +73,14 @@ class SpillSort:
         key = key.replace("\n", "\0\1").encode()
         run = self._run
         kept = run.get(key)
-        if kept is None:
-            self._new(key, number)
+        if kept is None:  # a new key, which may fill the run
+            run[key] = number
+            self._run_bytes += len(key) + 3 + self.digits  # SEP, the digits and a newline
+            if self._run_bytes >= RUN_BYTES:
+                self._run, self._run_bytes = {}, 0
+                self._write(_run_lines(run, sorted(run), self.digits), 0)
         elif self.fold is not min or number < kept:  # else min would keep what is kept
             run[key] = self.fold(kept, number)
-
-    def count(self, keys: Iterable[str], number: int) -> None:
-        """Add ``number`` to each of ``keys``, each of one field, when the fold
-        is addition: a key already in the run is added to in place."""
-        run = self._run
-        # each NUL escaped by str.replace, mapped without a Python call per key
-        for key in map(str.encode, map(str.replace, keys, repeat("\0"), repeat("\0\2"))):
-            if key in run:
-                run[key] += number
-            else:  # a new key, which may fill the run
-                self._new(key, number)
-                run = self._run
-
-    def _new(self, key: bytes, number: int) -> None:
-        """Put a key that is not in the run into it, and spill the run if that fills it."""
-        run = self._run
-        run[key] = number
-        self._run_bytes += len(key) + 3 + self.digits  # SEP, the digits and a newline
-        if self._run_bytes >= RUN_BYTES:
-            self._run, self._run_bytes = {}, 0
-            self._write(_run_lines(run, sorted(run), self.digits), 0)
 
     def _write(self, lines: Iterable[bytes], level: int) -> None:
         import tempfile  # imported here: a sort that fits its budget writes no file

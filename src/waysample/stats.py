@@ -36,8 +36,10 @@ class DomainCounts(Table):
 
     def count(self, domains: Iterable[str], first: int, second: int) -> None:
         """Add ``first`` to the first count of each of ``domains`` and
-        ``second`` to its second."""
-        self._sort.count(domains, first * self.FIRST + second)
+        ``second`` to its second, adding each domain to the sort as one key."""
+        number = first * self.FIRST + second
+        for domain in domains:
+            self._sort.add((domain,), number)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return map(divmod, self._sort.numbers(), repeat(self.FIRST))

@@ -13,7 +13,6 @@ from waysample.cdx import (
     Timestamp14,
     ZipNumEntry,
     parse_cdx_line,
-    parse_cdx_lines,
     parse_timestamp,
     parse_zipnum_line,
     count_timemap,
@@ -261,7 +260,7 @@ class TestTimeMap:
 
     def test_text_round_trip(self, rng):
         tm = TimeMap("http://example.com/", make_history("http://example.com/", 20, rng))
-        assert parse_cdx_lines(tm.to_text().splitlines()) == tm.records
+        assert [parse_cdx_line(line) for line in tm.to_text().splitlines()] == tm.records
 
 
 # CDX lines of one key, and lines that do not parse, for TimeMap files
@@ -368,7 +367,9 @@ class TestTimeMapFiles:
         (b"com,example)/ 20000101000000 http://example.com/\xff text/html 200 D 1", "not UTF-8"),
         (b"com,example)/ 19991231235959 http://example.com/ text/html 200 D 1",
          "timestamp earlier than the record before, 20000101000000"),
-    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before"])
+        (b"org,example)/ 20000101000000 http://example.com/ text/html 200 D 1",
+         f"urlkey other than the first record's, {KEY}"),
+    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before", "second urlkey"])
     @pytest.mark.parametrize("reader", [read_timemap, count_timemap, list])
     def test_error_names_the_file_and_the_line(self, tmp_path, bad, reason, reader):
         good = f"{KEY} 20000101000000 {URL} text/html 200 D 1".encode()
@@ -380,13 +381,13 @@ class TestTimeMapFiles:
         assert (error.value.path, error.value.line_no, error.value.reason) == (path, 2, reason)
 
     def test_records_are_read_a_line_at_a_time(self, tmp_path):
-        """The records come as the file is read, and are checked for a second
-        urlkey once the last has come."""
+        """The records come as the file is read, and a record of a second
+        urlkey is refused at its line."""
         path = tmp_path / "t.cdx"
         lines = [r.to_line() for r in make_history(URL, 3, random.Random(3))]
         path.write_text("\n".join(lines + [lines[-1].replace(KEY, "org,example)/")]) + "\n")
         records = timemap_records(path)
         assert [next(records).to_line() for _ in lines] == lines
-        with pytest.raises(MixedKeyError) as error:
+        with pytest.raises(CdxParseError) as error:
             list(records)
-        assert str(error.value).startswith(f"{path} mixes urlkeys")
+        assert str(error.value) == f"{path}: line 4: urlkey other than the first record's, {KEY}"

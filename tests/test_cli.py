@@ -684,6 +684,7 @@ class TestReintegrate:
                          "--manifest", str(manifest)]) == 0
         counts = json.loads(manifest.read_text())["counts"]
         assert (counts["candidates"], counts["unparseable"]) == (2, 2)
+        assert counts["input"] == 4
 
 
 def interrupting_timemap_writes(interrupt: Callable[[str], bool]) -> Callable:
@@ -1012,7 +1013,9 @@ class TestStreamedRehydrate:
         (b"com,a)/ 20010101000000 http://a.com/\xff text/html 200 D 1", "not UTF-8"),
         (b"com,a)/ 19991231235959 http://a.com/ text/html 200 D 1",
          "timestamp earlier than the record before, 20000101000000"),
-    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before"])
+        (b"com,b)/ 20010101000000 http://b.com/ text/html 200 D 1",
+         "urlkey other than the first record's, com,a)/"),
+    ], ids=["13-digit timestamp", "0xff byte", "earlier than the line before", "second urlkey"])
     def test_error_names_the_file_and_the_line(self, tmp_path, stage, bad, reason):
         (tmp_path / "in").mkdir()
         path = tmp_path / "in" / "a.cdx"
@@ -1605,6 +1608,10 @@ def test_config_defaults_in_manifest_order():
     (["fetch-first", "IN", "-o", "OUT"], {"endpoint": 5}),
     (["fetch", "IN", "--out-dir", "DIR", "--endpoint", "http://127.0.0.1:9/cdx"],
      {"storage_dir": ["x"]}),
+    (["filter", "IN", "-o", "OUT"], None),
+    (["filter", "IN", "-o", "OUT"], 3),
+    (["filter", "IN", "-o", "OUT"], [1]),
+    (["filter", "IN", "-o", "OUT"], "x"),
 ])
 def test_out_of_range_config_fails_before_any_output(tmp_path, argv, config):
     inp = tmp_path / "in.tsv"

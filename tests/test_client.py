@@ -773,6 +773,7 @@ class TestExchange:
         (b"Content-Length: 1_01", b""), (b"Content-Length: +101", b""),
         (b"Content-Length: -0", b""),
         (b"Transfer-Encoding: chunked\r\n\r\n6_5", b"\r\n0\r\n\r\n"),  # int(b"6_5", 16)
+        (b"Transfer-Encoding: chunked\r\n\r\n0x65", b"\r\n0\r\n\r\n"),  # int(b"0x65", 16)
     ])
     def test_size_of_other_than_ascii_digits_is_a_failed_attempt(self, scripted, logs,
                                                                   head, tail):

@@ -255,6 +255,7 @@ def counter_stats(url_lists, top_n):
     def parsed(lines):
         for line in lines:
             if line.strip():
+                counts["input"] += 1
                 try:
                     yield parse_url(line.strip())
                 except SurtError:
@@ -263,6 +264,7 @@ def counter_stats(url_lists, top_n):
     domains = {}
     for which, lines, suffix in zip(("pre", "post"), url_lists, ("", "_sampled")):
         if lines is not None:
+            counts.setdefault("input", 0)
             counts.setdefault("unparseable", 0)
             domains[which] = counter_domain_counts(parsed(lines))
             csv(f"urls_per_domain_ccdf{suffix}.csv", "urls_per_domain,percent_of_domains",
