@@ -204,12 +204,18 @@ class TimeMap(namedtuple("TimeMap", "uri_r records")):
 @contextmanager
 def atomic_open(path, mode: str = "w"):
     """Write to a temporary sibling that replaces ``path`` when the block
-    ends, or is removed if it raises: ``path`` is never partly written."""
+    ends, or is removed if it raises: ``path`` is never partly written. An
+    error opening the sibling names ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     text = "b" not in mode  # UTF-8 in which a lone surrogate is written as the byte it stands for
     try:
-        with open(tmp, mode, encoding="utf-8" if text else None,
-                  errors="surrogateescape" if text else None) as fh:
+        fh = open(tmp, mode, encoding="utf-8" if text else None,
+                  errors="surrogateescape" if text else None)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -224,36 +230,40 @@ def write_timemap(tm: TimeMap, path) -> None:
         fh.writelines(r.to_line() + "\n" for r in tm.records)
 
 
-def _timemap_lines(fh) -> Iterator[str]:
-    """The lines of a TimeMap file that ``str.splitlines`` gives of its whole
-    text: reading turns ``\\r\\n`` and ``\\r`` into ``\\n``, so no line break
-    spans two of the lines that iterating the file gives."""
-    return chain.from_iterable(map(str.splitlines, fh))
+def checked_records(texts: Iterable[str], path=None) -> Iterator[CdxRecord]:
+    """The records of the lines of ``texts`` (a reply's pages, a file's lines:
+    no line break spans two), split as ``str.splitlines`` splits them, blank
+    lines skipped, parsed a line at a time and none kept. They are of one
+    urlkey, in timestamp order, as a CDX server sends them: a line that is
+    malformed, not UTF-8, earlier than the record before or of another urlkey
+    than the first record's is a ``CdxParseError`` naming ``path`` and its
+    line, counted over all the texts."""
+    key = last = ""  # the first urlkey; the last timestamp
+    for i, line in enumerate(chain.from_iterable(map(str.splitlines, texts)), 1):
+        try:
+            if not line.isascii():
+                line.encode("utf-8")  # a byte that is not UTF-8 reads as a lone surrogate
+            record = parse_cdx_line(line, i)
+            ts = record.timestamp.raw
+            key = key or record.urlkey
+            if ts < last:
+                raise CdxParseError(f"timestamp earlier than the record before, {last}")
+            if record.urlkey != key:
+                raise CdxParseError(f"urlkey other than the first record's, {key}")
+        except (CdxParseError, UnicodeEncodeError) as exc:
+            if not line.strip():
+                continue  # a blank line, which parses as no fields
+            reason = exc.reason if isinstance(exc, CdxParseError) else "not UTF-8"
+            raise CdxParseError(reason, i, path) from None
+        last = ts
+        yield record
 
 
 def timemap_records(path) -> Iterator[CdxRecord]:
-    """The records of a TimeMap file, parsed a line at a time and none kept. The
-    file holds one urlkey, in timestamp order, as a CDX server sends it: an error
-    names the file, and the line of one that is malformed, not UTF-8, earlier
-    than the record before, or of another urlkey than the first record's."""
-    key = last = ""  # the first urlkey; the last timestamp
+    """The records of a TimeMap file, an error naming it, as ``checked_records``
+    reads its lines, in which reading turns ``\\r\\n`` and ``\\r`` into ``\\n``."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for i, line in enumerate(_timemap_lines(fh), 1):
-            if line.strip():
-                try:
-                    if not line.isascii():
-                        line.encode("utf-8")  # a byte that is not UTF-8 reads as a lone surrogate
-                    record = parse_cdx_line(line, i)
-                    key = key or record.urlkey
-                    if record.timestamp.raw < last:
-                        raise CdxParseError(f"timestamp earlier than the record before, {last}")
-                    if record.urlkey != key:
-                        raise CdxParseError(f"urlkey other than the first record's, {key}")
-                except (CdxParseError, UnicodeEncodeError) as exc:
-                    reason = exc.reason if isinstance(exc, CdxParseError) else "not UTF-8"
-                    raise CdxParseError(reason, i, path) from None
-                last = record.timestamp.raw
-                yield record
+        yield from checked_records(fh, path)
 
 
 def read_timemap(path) -> TimeMap:

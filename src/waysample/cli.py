@@ -53,7 +53,8 @@ class Stage:
     without closing it; and, once the subcommand returns or fails, writes the
     manifest. Before the subcommand opens any file, it raises ``ValueError``
     for an unusable config or client setting and ``OSError`` for a
-    ``--config`` or ``--log`` that cannot be opened.
+    ``--config`` or ``--log`` that cannot be opened, or for a ``--manifest``
+    whose directory neither exists nor is made with the stage's ``--out-dir``.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -63,6 +64,11 @@ class Stage:
         self.params = self.cfg.to_dict()
         self.counts: dict = {}
         self.manifest = args.manifest
+        if self.manifest:  # its directory is there, or is made with the stage's --out-dir
+            where = os.path.dirname(os.path.abspath(self.manifest))
+            made = os.path.abspath(getattr(args, "out_dir", None) or ".")
+            if os.path.commonpath([where, made]) != where:
+                os.stat(where)  # a FileNotFoundError naming the directory if it is not there
         self._client: ArchiveClient | None = None
         self._resources = ExitStack()  # the client and its log, closed by finish
         if hasattr(args, "endpoint") and self.cfg.endpoint:
@@ -266,7 +272,8 @@ def cmd_fetch_first(stage: Stage, args) -> None:
 def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timestamp14]]:
     """The URL text and first capture of each archived row of a fetch-first
     TSV; rows without a capture count as ``no_capture``, rows whose timestamp
-    does not parse as ``unparseable``. The URL is left to the caller to parse."""
+    does not parse as ``unparseable``. The URL is left to the caller to parse.
+    A row without a tab is a ``CdxParseError`` naming the file and its line."""
     counts = stage.counts
     counts.setdefault("no_capture", 0)
     counts.setdefault("unparseable", 0)
@@ -277,7 +284,7 @@ def _read_first_captures(stage: Stage, path: str) -> Iterator[tuple[str, Timesta
                 continue
             fields = line.split("\t", 2)
             if len(fields) < 2:
-                raise CdxParseError("expected at least url<TAB>timestamp", i + 1)
+                raise CdxParseError("expected at least url<TAB>timestamp", i + 1, fh.name)
             url_text, ts = fields[0], fields[1]
             if ts == "-":
                 counts["no_capture"] += 1
@@ -643,7 +650,7 @@ def main(argv=None) -> int:
     try:
         args.func(stage, args)
         status = "ok"
-    except OSError as exc:  # a missing or unreadable input, say: the error names the path
+    except (OSError, CdxParseError) as exc:  # an input or output at fault: the error names it
         raise SystemExit(f"error: {exc}") from None
     finally:
         stage.finish(status)

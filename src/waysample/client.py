@@ -28,7 +28,7 @@ from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
-from .cdx import CdxParseError, CdxRecord, TimeMap, atomic_open, parse_cdx_line
+from .cdx import CdxParseError, CdxRecord, TimeMap, atomic_open, checked_records
 
 TRANSIENT_STATUS_MIN = 500
 TIMEOUT = 30.0  # seconds a connection may take to open, and a read to get its next bytes
@@ -311,15 +311,12 @@ class ArchiveClient:
             f"unparseable CDX body for {url!r} (raw body at {stored_at})", stored_at)
 
     def fetch_first_record(self, url: str) -> CdxRecord | None:
-        """First capture of a URL via a limit-1 query; None when the
-        response body is empty (unarchived URL)."""
+        """First capture of a URL via a limit-1 query: the first record that
+        ``checked_records`` reads of the body; None if none (unarchived URL)."""
         body = self._get(url, "limit")
-        line = body.strip().splitlines()[0] if body.strip() else None
-        if line is None:
-            return None
         try:
-            return parse_cdx_line(line)
-        except ValueError as exc:
+            return next(checked_records([body]), None)
+        except CdxParseError as exc:
             raise self._unparseable(url, body) from exc
 
     def fetch_page_count(self, url: str) -> int:
@@ -329,40 +326,38 @@ class ArchiveClient:
         return int(body)
 
     def fetch_timemap(self, url: str, fh=None):
-        """Full TimeMap via the pagination protocol: page count first, then every page, with
-        exact duplicates dropped. Its records are of one urlkey in the timestamp order CDX
-        servers send; a record of another, or earlier than the one before, is a
-        ``CdxResponseError``, and a permanently failing page raises instead of silently
-        truncating. With ``fh``, a text file, the lines go to ``fh`` as each page arrives;
-        only one timestamp's are held. Without it, the records checked are kept, in the
-        order they came, and returned as the TimeMap of ``url``."""
+        """Full TimeMap via the pagination protocol: page count first, then every page, whose
+        lines ``checked_records`` reads as one reply's, exact repeats at a timestamp dropped.
+        A line it refuses is a ``CdxResponseError``, and a permanently failing page raises
+        instead of silently truncating. With ``fh``, a text file, the lines go to ``fh`` as
+        each page arrives; only one timestamp's are held. Without it, the records are kept,
+        in the order they came, and returned as the TimeMap of ``url``."""
         records = []  # without fh, the records kept
         n_pages = self.fetch_page_count(url)
-        missing, key = [], None  # failed pages; the first urlkey
-        last, current, body = "", set(), ""  # the last timestamp written, and its records
-        try:
+        missing, body = [], ""  # failed pages; the page being read
+
+        def pages():
+            nonlocal body
             for page_no in range(n_pages):
+                body = ""  # not held while the next page arrives
                 try:
-                    body = self._get(url, "page", page_no)
+                    yield (body := self._get(url, "page", page_no))
                 except TransportError:
                     missing.append(page_no)
-                    continue
-                for i, line in enumerate(body.splitlines(), 1):
-                    if not line.strip():
-                        continue
-                    record = parse_cdx_line(line, i)
-                    key, ts = key or record.urlkey, record.timestamp.raw
-                    if record.urlkey != key or ts < last:  # one urlkey, in timestamp order
-                        raise CdxParseError(f"{record.urlkey} {ts} follows {key} {last}", i)
-                    if ts != last:
-                        last, current = ts, set()
-                    if record not in current:
-                        current.add(record)
-                        if fh is None:
-                            records.append(record)
-                        else:
-                            fh.write(record.to_line() + "\n")
-                body = ""  # not held while the next page arrives
+
+        last, current = "", set()  # the last timestamp, and its records
+        try:
+            for record in checked_records(pages()):
+                if (ts := record.timestamp.raw) != last:
+                    last, current = ts, {record}
+                elif record in current:
+                    continue  # an exact repeat at its timestamp
+                else:
+                    current.add(record)
+                if fh is None:
+                    records.append(record)
+                else:
+                    fh.write(record.to_line() + "\n")
             if missing:
                 raise PartialFetchError(url, missing)
         except CdxParseError as exc:

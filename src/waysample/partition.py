@@ -79,7 +79,7 @@ def split(counts: dict, path: str, work: Callable, *sinks, spill_dir: str | None
                 exc = pickle.loads(result)
                 if isinstance(exc, CdxParseError) and exc.line_no and start:
                     with read_range(path, 0, start) as fh:
-                        exc = CdxParseError(exc.reason, exc.line_no + sum(1 for _ in fh))
+                        exc = CdxParseError(exc.reason, exc.line_no + sum(1 for _ in fh), exc.path)
                 raise exc
             for sink, fh in zip(sinks, child[2]):
                 sink.take(fh)
@@ -140,6 +140,7 @@ def read_range(path: str, start: int, end: int) -> IO[str]:
 
 class _ByteRange(io.RawIOBase):
     def __init__(self, path: str, start: int, end: int):
+        self.name = path  # so that an error names the file, as when it is read whole
         self._file = open(path, "rb", buffering=0)
         self._file.seek(start)
         self._left = end - start

@@ -24,7 +24,7 @@ from itertools import starmap
 from typing import Callable, Generator, Iterable, Iterator
 
 from .cdx import Timestamp14
-from .spill import SpillSort, Table
+from .spill import SpillSort
 from .surt import CanonicalUrl, domain_key
 
 FIRST_ARCHIVE_YEAR = 1996
@@ -109,20 +109,17 @@ def year_bucket_label(year: int) -> str | None:
 BucketingResult = namedtuple("BucketingResult", "buckets dropped_pre_1996")
 
 
-class FirstYearBuckets(Table):
-    """The distinct URLs of each first-capture year bucket, by domain, as a
-    SpillSort: memory is its budget plus the largest domain, whatever the
-    number of rows. A row is a key of its bucket label, domain key and URL
-    text, so a URL repeated in a bucket is one key, and the rows hold the
-    same buckets in whatever order they are added. ``add`` returns a row's
-    label: None for a pre-1996 row, which is not kept.
-
-    Rows may be added in parts: ``part`` makes one, which ``export`` writes
-    to a file that ``take`` adds."""
+class FirstYearBuckets(SpillSort):
+    """The distinct URLs of each first-capture year bucket, by domain, in a
+    SpillSort of the ``min`` fold: memory is its budget plus the largest
+    domain, whatever the number of rows. A row is a key of its bucket label,
+    domain key and URL text, so a URL repeated in a bucket is one key, and
+    the rows hold the same buckets in whatever order they are added. ``add``
+    returns a row's label: None for a pre-1996 row, which is not kept."""
 
     def __init__(self, spill_dir: str | None = None):
-        self._sort = SpillSort(spill_dir)
-        self._add = self._sort.add
+        super().__init__(spill_dir)
+        self._add = super().add  # SpillSort.add, which add overrides
         self._labels: dict[str, str | None] = {}  # year_bucket_label by the year's digits
 
     def add(self, url: CanonicalUrl, first_capture: Timestamp14) -> str | None:
@@ -140,8 +137,8 @@ class FirstYearBuckets(Table):
         domain's URLs in text order. The sizes of every bucket take one pass
         over the sorted rows, before the first is yielded, and the domains a
         second."""
-        sizes = {label: Counter(domains) for label, domains in self._sort.groups(whole=False)}
-        for label, domains in self._sort.groups():
+        sizes = {label: Counter(domains) for label, domains in self.groups(whole=False)}
+        for label, domains in self.groups():
             yield label, sizes[label], starmap(DomainCount, domains)
 
 
@@ -163,20 +160,18 @@ def bucket_by_first_year(
                                 for label, _, domains in buckets.buckets()], dropped)
 
 
-class MissingRoots(Table):
+class MissingRoots(SpillSort):
     """One root URL per host seen only through deep links; ``add`` takes one
     URL at a time, in any order.
 
-    Each URL is a key of its host in a SpillSort, with a number: 0 for a
-    root, 1 for an http deep link and 2 for an https one. The sort keeps a
-    host's least number, which says whether it has a root and, if not,
-    whether any of its deep links is http. URLs may be added in parts, as
-    to FirstYearBuckets.
-    """
+    Each URL is a key of its host in this SpillSort, with a number: 0 for a
+    root, 1 for an http deep link and 2 for an https one. The ``min`` fold
+    keeps a host's least number, which says whether it has a root and, if
+    not, whether any of its deep links is http."""
 
     def __init__(self, spill_dir: str | None = None):
-        self._sort = SpillSort(spill_dir)
-        self._add = self._sort.add
+        super().__init__(spill_dir)
+        self._add = super().add
 
     def add(self, url: CanonicalUrl) -> None:
         scheme, host, path, query = url
@@ -185,7 +180,7 @@ class MissingRoots(Table):
     def roots(self) -> Iterator[CanonicalUrl]:
         """Each missing root, in host order, in one read of the sort: an http
         root if any of the host's deep links is http, else an https one."""
-        for (host,), number in self._sort.items(1):
+        for (host,), number in self.items(1):
             yield CanonicalUrl("http" if number == 1 else "https", host, "/", None)
 
 

@@ -41,8 +41,9 @@ class SpillSort:
     files are open at most. The first read ends the adding, and merges any
     files and the last run into one file; every read may be repeated.
 
-    A sort filled in another process hands its keys over as one file:
-    ``export`` writes it, and ``take`` adds it to this sort as a sorted run.
+    A part of the sort filled in another process, as ``partition.split``
+    fills one, hands its keys over as one file: ``part`` makes the part,
+    whose ``export`` writes the file, and ``take`` adds it as a sorted run.
     """
 
     def __init__(self, spill_dir: str | None = None,
@@ -114,6 +115,10 @@ class SpillSort:
         # min keeps a key's first line as it is
         return map(next, map(itemgetter(1), keys)) if self.fold is min else self._fold(keys)
 
+    def part(self, fh: IO[bytes]) -> SpillSort:
+        """An empty sort of this one's type, made of ``spill_dir`` alone, to fill a part of it."""
+        return type(self)(self.spill_dir)
+
     def export(self, fh: IO[bytes]) -> None:
         """Write one line for each key, in key order, to ``fh``, whose file
         another sort of the same fold and digits may ``take``."""
@@ -168,30 +173,6 @@ class SpillSort:
         for first, rows_of_first in groupby(rows, key=itemgetter(0)):
             seconds = groupby(rows_of_first, key=itemgetter(1))
             yield _text(first), map(_last_fields if whole else _size, seconds)
-
-
-class Table:
-    """A table kept in a SpillSort, ``_sort``, closed with it. A part of it
-    filled in another process, as ``partition.split`` fills one, hands its
-    rows over as one file: ``part`` makes the part, empty, whose ``export``
-    writes the file, and ``take`` adds it here."""
-
-    _sort: SpillSort
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sort.close()
-
-    def part(self, fh: IO[bytes]) -> Table:
-        return type(self)(self._sort.spill_dir)
-
-    def export(self, fh: IO[bytes]) -> None:
-        self._sort.export(fh)
-
-    def take(self, fh: IO[bytes]) -> None:
-        self._sort.take(fh)
 
 
 def _size(group: tuple[bytes, Iterable[list[bytes]]]) -> int:

@@ -12,7 +12,7 @@ from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 from .cdx import Timestamp14
-from .spill import SpillSort, Table
+from .spill import SpillSort
 from .surt import domain_key
 
 
@@ -23,36 +23,36 @@ def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]
     return {int(year): n for year, n in sorted(counts.items())}
 
 
-class DomainCounts(Table):
-    """The URLs of each domain key in two lists, in domain order, in a
-    SpillSort that adds: a domain's number is its count in the first list
-    times FIRST plus its count in the second. Iterating gives each domain's
-    (first, second) counts, again each time."""
+class DomainCounts(SpillSort):
+    """The URLs of each domain key in two lists, in domain order: a
+    SpillSort that adds, where a domain's number is its count in the first
+    list times FIRST plus its count in the second. Iterating gives each
+    domain's (first, second) counts, again each time."""
 
     FIRST = 10 ** 12
 
     def __init__(self, spill_dir: str | None = None):
-        self._sort = SpillSort(spill_dir, add, digits=24)
+        super().__init__(spill_dir, add, digits=24)
 
     def count(self, domains: Iterable[str], first: int, second: int) -> None:
         """Add ``first`` to the first count of each of ``domains`` and
         ``second`` to its second, adding each domain to the sort as one key."""
         number = first * self.FIRST + second
         for domain in domains:
-            self._sort.add((domain,), number)
+            self.add((domain,), number)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return map(divmod, self._sort.numbers(), repeat(self.FIRST))
+        return map(divmod, self.numbers(), repeat(self.FIRST))
 
     def rows(self, least: int = 0) -> Iterator[tuple[str, int, int]]:
         """(domain, first, second) of the domains whose first count is at least ``least``."""
-        for (domain,), number in self._sort.items(least * self.FIRST):
+        for (domain,), number in self.items(least * self.FIRST):
             yield (domain, *divmod(number, self.FIRST))
 
     def tallies(self) -> tuple[Counter, Counter]:
         """How many domains have each first count, and each second count."""
         firsts, seconds = Counter(), Counter()
-        for number, m in Counter(self._sort.numbers()).items():  # domains by their two counts
+        for number, m in Counter(self.numbers()).items():  # domains by their two counts
             first, second = divmod(number, self.FIRST)
             firsts[first] += m
             seconds[second] += m

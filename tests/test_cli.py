@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -502,7 +503,7 @@ class TestSample:
         with open(first, "a", encoding="utf-8") as fh:
             fh.write("http://one-column.com/\n")  # no timestamp column
         out_dir = tmp_path / "sample"
-        with pytest.raises(cdx.CdxParseError):
+        with pytest.raises(SystemExit, match="^error: .*: expected at least url<TAB>timestamp$"):
             main(["sample", "--first-captures", str(first), "--out-dir", str(out_dir)])
         assert len(opened) > 2  # spill runs of rows and of roots
         assert all(fh.closed for fh in opened)
@@ -976,9 +977,10 @@ class TestStreamedRehydrate:
         disordered = [i for i, (records, _) in enumerate(files)
                       if records != sorted(records, key=lambda r: r.timestamp.raw)]
         if disordered:  # the files before the first of them are hydrated, and no more
-            with pytest.raises(cdx.CdxParseError) as error:
+            with pytest.raises(SystemExit) as error:
                 main(argv)
-            assert error.value.path == os.path.join(tmp / "in", f"{disordered[0]}.cdx")
+            path = os.path.join(tmp / "in", f"{disordered[0]}.cdx")
+            assert str(error.value).startswith(f"error: {path}: line ")
             assert sorted(os.listdir(tmp / "out")) == [f"{i}.cdx" for i in range(disordered[0])]
             return
         assert main(argv) == 0
@@ -1021,9 +1023,9 @@ class TestStreamedRehydrate:
         path = tmp_path / "in" / "a.cdx"
         path.write_bytes(b"com,a)/ 20000101000000 http://a.com/ text/html 200 D 1\n" + bad + b"\n")
         argv = (["rehydrate", "--in-dir"] if stage == "rehydrate" else ["stats", "--timemap-dir"])
-        with pytest.raises(cdx.CdxParseError) as error:
+        with pytest.raises(SystemExit) as error:
             main([*argv, str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")])
-        assert str(error.value) == f"{path}: line 2: {reason}"
+        assert str(error.value) == f"error: {path}: line 2: {reason}"
 
 
 _SERVE_TWO_HISTORIES = """
@@ -1151,8 +1153,9 @@ class TestStats:
                 "--sampled", str(timemaps if failing == "sampled" else urls),
                 "--timemap-dir", str(timemaps), "--out-dir", str(out_dir),
                 "--manifest", str(out_dir / "manifest.json")]
-        # a list that cannot be read is a one-line error, a malformed TimeMap a traceback
-        with pytest.raises(SystemExit if failing == "sampled" else cdx.CdxParseError):
+        # a list that cannot be read and a malformed TimeMap are each a one-line error
+        with pytest.raises(SystemExit, match="^error: " if failing == "sampled" else
+                           f"^error: {re.escape(str(timemaps / 'bad.cdx'))}: line 1: "):
             main(argv)
         assert len(opened) > 2
         assert all(fh.closed for fh in opened)
@@ -1562,17 +1565,57 @@ def test_unknown_config_key_fails_every_stage(tmp_path, argv):
     ["sample", "--first-captures", "MISSING", "--out-dir", "DIR"],
     ["stats", "--first-captures", "MISSING", "--out-dir", "DIR"],
     ["stats", "--urls", "A_DIR", "--out-dir", "DIR"],
+    ["sample", "--first-captures", "NO_TAB", "--out-dir", "DIR"],
+    ["stats", "--first-captures", "NO_TAB", "--out-dir", "DIR"],
+    ["rehydrate", "--in-dir", "BAD_TIMEMAPS", "--out-dir", "DIR"],
+    ["stats", "--timemap-dir", "BAD_TIMEMAPS", "--out-dir", "DIR"],
 ])
 def test_missing_or_unreadable_input_is_a_one_line_error(tmp_path, argv):
+    # a row without a tab, or a malformed TimeMap, is named by its file and line
     paths = {"MISSING": str(tmp_path / "missing.tsv"), "A_DIR": str(tmp_path),
+             "NO_TAB": str(tmp_path / "first.tsv"), "BAD_TIMEMAPS": str(tmp_path / "tm"),
              "OUT": str(tmp_path / "out.tsv"), "DIR": str(tmp_path / "out")}
+    write_lines(tmp_path / "first.tsv", ["http://a.com/\t20050101000000", "http://b.com/"])
+    (tmp_path / "tm").mkdir()
+    write_lines(tmp_path / "tm" / "a.cdx", [f"com,a)/ {ts} http://a.com/ text/html 200 D 1"
+                                            for ts in ("20050101000000", "2005")])
     with pytest.raises(SystemExit) as exc:
         main([paths.get(a, a) for a in argv] + ["--manifest", str(tmp_path / "m.json")])
     message = str(exc.value.code)
     assert message.startswith("error: ") and "\n" not in message
     assert paths[argv[-3]] in message
+    if argv[-3] in ("NO_TAB", "BAD_TIMEMAPS"):
+        assert re.search(r": line 2: (expected at least url<TAB>|timestamp is not)", message)
     assert json.loads((tmp_path / "m.json").read_text())["status"] == "failed"
     assert not (tmp_path / "out.tsv").exists()
+    assert not os.path.exists(tmp_path / "out") or not os.listdir(tmp_path / "out")
+
+
+def test_an_unwritable_output_is_named_by_its_own_path(tmp_path):
+    write_lines(tmp_path / "urls.txt", ["http://a.com/"])
+    out = tmp_path / "missing" / "out.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", str(tmp_path / "urls.txt"), "-o", str(out),
+              "--manifest", str(tmp_path / "m.json")])
+    assert str(exc.value.code) == f"error: [Errno 2] No such file or directory: {str(out)!r}"
+    assert json.loads((tmp_path / "m.json").read_text())["status"] == "failed"
+
+
+def test_a_manifest_in_a_missing_directory_fails_before_any_work(tmp_path):
+    first = tmp_path / "first.tsv"
+    _synthetic_first_captures(first, 300)
+    manifest = tmp_path / "missing" / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--first-captures", str(first), "--out-dir", str(tmp_path / "out"),
+              "--manifest", str(manifest)])
+    assert str(exc.value.code) == (
+        f"configuration error: [Errno 2] No such file or directory: {str(manifest.parent)!r}")
+    assert os.listdir(tmp_path) == ["first.tsv"]  # no output, no manifest
+    # a manifest in the --out-dir that the stage makes is written there
+    manifest = tmp_path / "out" / "sub" / "m.json"
+    assert main(["sample", "--first-captures", str(first), "--out-dir", str(manifest.parent),
+                 "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["status"] == "ok"
 
 
 def test_config_defaults_in_manifest_order():

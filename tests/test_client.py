@@ -1,6 +1,7 @@
 import concurrent.futures
 import datetime
 import gc
+import io
 import ipaddress
 import os
 import random
@@ -27,7 +28,14 @@ from waysample.client import (
     RetryPolicy,
     TransportError,
 )
-from waysample.cdx import CdxRecord, Timestamp14, atomic_open, write_timemap
+from waysample.cdx import (
+    CdxParseError,
+    CdxRecord,
+    Timestamp14,
+    atomic_open,
+    read_timemap,
+    write_timemap,
+)
 from waysample.mockserver import MockCdxServer
 from waysample.surt import surt_text_for_url
 from waysample.timemaps import merge_pages
@@ -141,10 +149,31 @@ class TestFetchTimemap:
 
 # records of one URL among few timestamps and digests: equal timestamps and
 # exact duplicates, within a page and across its boundaries
-PAGED_RECORDS = st.lists(st.builds(
+PAGED_RECORD = st.builds(
     lambda second, digest, status: CdxRecord(KEY_A, Timestamp14(f"200101010000{second:02d}"),
                                              URL_A, "text/html", status, digest, 1),
-    st.integers(0, 3), st.sampled_from("AB"), st.sampled_from(["200", "404"])), max_size=30)
+    st.integers(0, 3), st.sampled_from("AB"), st.sampled_from(["200", "404"]))
+PAGED_RECORDS = st.lists(PAGED_RECORD, max_size=30)
+# the lines of a reply or a file: records of PAGED_RECORD, with their repeats,
+# in timestamp order or not, and among them a record of another urlkey, a
+# malformed line or a blank one, each ended by a break that str.splitlines
+# breaks at, of which reading a file turns "\r" and "\r\n" into "\n"
+ODD_LINES = st.sampled_from([
+    "org,example)/ 20010101000001 http://example.org/ text/html 200 A 1",
+    "com,example)/ 2001010100000 http://example.com/ text/html 200 A 1",
+    "com,example)/ 20010101000001 http://example.com/ text/html 200 A",
+    "com,example)/ 20010101000001 http://example.com/ text/html 200 A 01",
+    "", " ", "\t"])
+
+
+@st.composite
+def text_lines(draw) -> list[str]:
+    lines = draw(st.lists(PAGED_RECORD.map(CdxRecord.to_line), max_size=12))
+    if draw(st.booleans()):
+        lines.sort(key=lambda line: line.split()[1])
+    for odd in draw(st.lists(ODD_LINES, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return [line + draw(st.sampled_from(["\n", "\r", "\r\n", "\x85"])) for line in lines]
 
 
 def paged_client(pages: list[list[str]]) -> ArchiveClient:
@@ -209,6 +238,35 @@ class TestStreamedTimemap:
         assert not path.exists()
         with pytest.raises(CdxResponseError):
             client.fetch_timemap(URL_A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_lines(), st.lists(st.integers(0, 15), max_size=4))
+def test_pages_and_a_file_of_the_same_lines_read_alike(tmp_path_factory, lines, cuts):
+    # what a fetch keeps of its pages is what read_timemap reads of a file of
+    # their lines without the exact repeats at a timestamp, and the fetch
+    # refuses the lines exactly when the file read does
+    cuts = sorted(min(cut, len(lines)) for cut in cuts)
+    pages = ["".join(lines[start:end]) for start, end in zip([0, *cuts], [*cuts, len(lines)])]
+    path = tmp_path_factory.mktemp("tm") / "t.cdx"
+    path.write_bytes("".join(lines).encode())
+
+    def get(self, url, kind, page=None):
+        return f"{len(pages)}\n" if kind == "numpages" else pages[page]
+
+    with mock.patch.object(ArchiveClient, "_get", get), \
+            ArchiveClient("http://cdx.example/cdx") as client:
+        try:
+            records = list(dict.fromkeys(read_timemap(path).records))
+        except CdxParseError:
+            for fh in (None, io.StringIO()):
+                with pytest.raises(CdxResponseError):
+                    client.fetch_timemap(URL_A, fh)
+            return
+        assert client.fetch_timemap(URL_A).records == records
+        fh = io.StringIO()
+        assert client.fetch_timemap(URL_A, fh) is None
+        assert fh.getvalue() == "".join(r.to_line() + "\n" for r in records)
 
 
 class TestFetchLogs:
