@@ -205,7 +205,7 @@ class TimeMap(namedtuple("TimeMap", "uri_r records")):
 def atomic_open(path, mode: str = "w"):
     """Write to a temporary sibling that replaces ``path`` when the block
     ends, or is removed if it raises: ``path`` is never partly written. An
-    error opening the sibling names ``path``."""
+    error opening the sibling or replacing ``path`` names ``path`` alone."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     text = "b" not in mode  # UTF-8 in which a lone surrogate is written as the byte it stands for
     try:
@@ -217,7 +217,10 @@ def atomic_open(path, mode: str = "w"):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # it names the sibling too
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)

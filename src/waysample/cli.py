@@ -9,8 +9,9 @@
     rehydrate   restore revisit statuses across a TimeMap directory
     stats       CSV reports (histograms, CCDFs, top domains, correlation)
 
-Each subcommand writes a JSON run manifest recording parameters, seeds,
-and per-stage counts so composed stages can be audited end to end.
+With ``--manifest``, a subcommand writes a JSON run manifest recording
+parameters, seeds and per-stage counts, so composed stages can be audited
+end to end; ``sample`` writes one to its ``--out-dir`` by default.
 """
 
 from __future__ import annotations

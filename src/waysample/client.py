@@ -24,6 +24,8 @@ import socket
 import threading
 import time
 from collections import namedtuple
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable
 from urllib.parse import quote_plus, urlsplit
 
@@ -63,13 +65,6 @@ class TransportError(FetchError):
         self.last_status = last_status
 
 
-class PartialFetchError(FetchError):
-    def __init__(self, url: str, missing_pages: list[int]):
-        super().__init__(f"pages {missing_pages} permanently failed for {url}")
-        self.url = url
-        self.missing_pages = missing_pages
-
-
 class CdxResponseError(FetchError):
     def __init__(self, message: str, stored_at: str | None = None):
         super().__init__(message)
@@ -77,7 +72,7 @@ class CdxResponseError(FetchError):
 
 
 class RetryPolicy(namedtuple("RetryPolicy", "max_attempts backoff_base jitter")):
-    """Retry on 5xx and connection failures only; 4xx is permanent.
+    """Retry on 5xx, 429 and connection failures only; any other 4xx is permanent.
     Backoff doubles from the base with jitter, capped at max_attempts."""
 
     __slots__ = ()
@@ -256,9 +251,11 @@ class ArchiveClient:
     def _get(self, url: str, kind: str, page: int | None = None) -> str:
         """The body of one logical request of ``kind`` (a key of ``QUERY_SUFFIX``):
         retries transient failures, logs every attempt, persists each received
-        body. 3xx and 4xx are permanent, and so is a refused or unresolvable
-        endpoint that has never answered; a 2xx body that is not UTF-8 is a
-        ``CdxResponseError``."""
+        body. 3xx and 4xx other than 429 are permanent, and so is a refused or
+        unresolvable endpoint that has never answered; a 2xx body that is not
+        UTF-8 is a ``CdxResponseError``. Errors name the request as ``kind`` or
+        ``page N``."""
+        label = kind if page is None else f"{kind} {page}"
         target = (f"{self._path}?url={quote_plus(url, safe='')}{QUERY_SUFFIX[kind]}"
                   f"{'' if page is None else page}")
         last_status: int | None = None
@@ -287,21 +284,21 @@ class ArchiveClient:
                 try:
                     return body.decode("utf-8")
                 except UnicodeDecodeError:
-                    raise CdxResponseError(f"CDX body for {url!r} ({kind}) is not UTF-8 "
+                    raise CdxResponseError(f"CDX body for {url!r} ({label}) is not UTF-8 "
                                            f"(raw body at {stored_at})", stored_at) from None
             last_status = status
             if unreachable:
-                raise TransportError(f"cannot reach {self.base_url} for {url!r} ({kind})", 0)
+                raise TransportError(f"cannot reach {self.base_url} for {url!r} ({label})", 0)
             if 300 <= status < 400:
                 raise TransportError(f"HTTP {status} redirect to {location} for {url!r} "
-                                     f"({kind}); configure that endpoint instead", status)
-            if 400 <= status < TRANSIENT_STATUS_MIN:
-                raise TransportError(f"permanent HTTP {status} for {url!r} ({kind})", status)
+                                     f"({label}); configure that endpoint instead", status)
+            if 400 <= status < TRANSIENT_STATUS_MIN and status != 429:  # 429: rate limited
+                raise TransportError(f"permanent HTTP {status} for {url!r} ({label})", status)
             if attempt < self.retry.max_attempts:
                 time.sleep(self.retry.delay(attempt, self._rng))
         raise TransportError(
             f"gave up after {self.retry.max_attempts} attempts "
-            f"for {url!r} ({kind}) (last status {last_status})",
+            f"for {url!r} ({label}) (last status {last_status})",
             last_status,
         )
 
@@ -328,38 +325,27 @@ class ArchiveClient:
     def fetch_timemap(self, url: str, fh=None):
         """Full TimeMap via the pagination protocol: page count first, then every page, whose
         lines ``checked_records`` reads as one reply's, exact repeats at a timestamp dropped.
-        A line it refuses is a ``CdxResponseError``, and a permanently failing page raises
-        instead of silently truncating. With ``fh``, a text file, the lines go to ``fh`` as
-        each page arrives; only one timestamp's are held. Without it, the records are kept,
-        in the order they came, and returned as the TimeMap of ``url``."""
+        A line it refuses is a ``CdxResponseError``; a page that fails for good ends the fetch
+        with its ``TransportError``, and no later page is requested. With ``fh``, a text file,
+        the lines go to ``fh`` as each page arrives; only one timestamp's are held. Without it,
+        the records are kept, in the order they came, and returned as the TimeMap of ``url``."""
         records = []  # without fh, the records kept
         n_pages = self.fetch_page_count(url)
-        missing, body = [], ""  # failed pages; the page being read
+        body = ""  # the page being read
 
         def pages():
             nonlocal body
             for page_no in range(n_pages):
                 body = ""  # not held while the next page arrives
-                try:
-                    yield (body := self._get(url, "page", page_no))
-                except TransportError:
-                    missing.append(page_no)
+                yield (body := self._get(url, "page", page_no))
 
-        last, current = "", set()  # the last timestamp, and its records
         try:
-            for record in checked_records(pages()):
-                if (ts := record.timestamp.raw) != last:
-                    last, current = ts, {record}
-                elif record in current:
-                    continue  # an exact repeat at its timestamp
-                else:
-                    current.add(record)
-                if fh is None:
-                    records.append(record)
-                else:
-                    fh.write(record.to_line() + "\n")
-            if missing:
-                raise PartialFetchError(url, missing)
+            for _, same in groupby(checked_records(pages()), attrgetter("timestamp.raw")):
+                for record in dict.fromkeys(same):  # an exact repeat at its timestamp dropped
+                    if fh is None:
+                        records.append(record)
+                    else:
+                        fh.write(record.to_line() + "\n")
         except CdxParseError as exc:
             raise self._unparseable(url, body) from exc
         # of one urlkey, in timestamp order, as checked: a TimeMap without sorting again

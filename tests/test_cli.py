@@ -794,6 +794,36 @@ class TestFetchAndRehydrate:
             assert read_lines(out_dir / timemap_filename(url)) == [
                 r.to_line() for r in histories[url]]
 
+    def test_page_failing_for_good_ends_its_url_only(self, tmp_path):
+        seeded = random.Random(0x5709)
+        histories = {url: make_history(url, 9, seeded) for url in
+                     ("http://ok.com/", "http://flaky.com/")}
+        inp, config = tmp_path / "urls.txt", tmp_path / "config.json"
+        write_lines(inp, histories)
+        config.write_text(json.dumps({"backoff_base": 0.001}))
+        runs = {}
+        for faulted in (False, True):
+            run = tmp_path / f"faulted-{faulted}"
+            with MockCdxServer([r for h in histories.values() for r in h], page_size=3) as server:
+                assert server.page_count_for("http://flaky.com/") == 3
+                if faulted:  # its middle page fails every attempt
+                    server.schedule_faults(surt_text_for_url("http://flaky.com/"), 1, [503] * 5)
+                assert main(["fetch", str(inp), "--out-dir", str(run), "--endpoint",
+                             server.endpoint, "--config", str(config),
+                             "--log", str(tmp_path / f"log-{faulted}.tsv")]) == 0
+            runs[faulted] = run
+        run = runs[True]
+        assert read_lines(run / "fetch_report.tsv") == [
+            "http://ok.com/\tok", "http://flaky.com/\terror"]
+        assert not (run / timemap_filename("http://flaky.com/")).exists()
+        # the failing page's five attempts are the URL's last requests
+        assert [line.split("\t")[1:5] for line in read_lines(tmp_path / "log-True.tsv")
+                if line.startswith("http://flaky.com/\t")] == [
+            ["numpages", "-", "200", "1"], ["page", "0", "200", "1"],
+            *(["page", "1", "503", str(attempt)] for attempt in range(1, 6))]
+        name = timemap_filename("http://ok.com/")
+        assert (run / name).read_bytes() == (runs[False] / name).read_bytes()
+
     def test_failed_write_leaves_no_timemap(self, tmp_path, archive, monkeypatch):
         server, histories = archive
         url = sorted(histories)[0]
@@ -1599,6 +1629,21 @@ def test_an_unwritable_output_is_named_by_its_own_path(tmp_path):
               "--manifest", str(tmp_path / "m.json")])
     assert str(exc.value.code) == f"error: [Errno 2] No such file or directory: {str(out)!r}"
     assert json.loads((tmp_path / "m.json").read_text())["status"] == "failed"
+
+
+@pytest.mark.parametrize("stage", ["filter", "fetch-first"])
+def test_an_output_that_is_a_directory_is_named_by_its_own_path(tmp_path, archive, stage):
+    server, _ = archive
+    write_lines(tmp_path / "urls.txt", ["http://site0.com/"])
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main([stage, str(tmp_path / "urls.txt"), "-o", str(out), "--manifest",
+              str(tmp_path / "m.json"), *(["--endpoint", server.endpoint] * (stage != "filter"))])
+    assert str(exc.value.code) == f"error: [Errno 21] Is a directory: {str(out)!r}"
+    assert json.loads((tmp_path / "m.json").read_text())["status"] == "failed"
+    assert sorted(os.listdir(tmp_path)) == ["m.json", "out", "urls.txt"]  # no temporary file
+    assert not os.listdir(out)
 
 
 def test_a_manifest_in_a_missing_directory_fails_before_any_work(tmp_path):

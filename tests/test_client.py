@@ -24,7 +24,6 @@ from waysample.client import (
     ArchiveClient,
     CdxResponseError,
     FetchLog,
-    PartialFetchError,
     RetryPolicy,
     TransportError,
 )
@@ -141,10 +140,42 @@ class TestFetchTimemap:
 
     def test_persistent_page_failure_names_page(self, server, client):
         server.schedule_faults(KEY_A, 2, [500] * 10)
-        with pytest.raises(PartialFetchError) as exc:
+        with pytest.raises(TransportError, match=r"\(page 2\)") as exc:
             client.fetch_timemap(URL_A)
-        assert exc.value.missing_pages == [2]
-        assert exc.value.url == URL_A
+        assert exc.value.last_status == 500
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("failing", [0, 1, 2])  # the first, a middle and the last of 3
+    def test_page_failing_for_good_is_the_last_request(self, server, client, logs, tmp_path,
+                                                       failing, streamed):
+        assert server.page_count_for(URL_A) == 3
+        server.schedule_faults(KEY_A, failing, [500] * FAST_RETRY.max_attempts)
+        with pytest.raises(TransportError, match=rf"\(page {failing}\)"):
+            if streamed:
+                with atomic_open(tmp_path / "t.cdx") as fh:
+                    client.fetch_timemap(URL_A, fh)
+            else:
+                client.fetch_timemap(URL_A)
+        # the page count, each earlier page once, then every attempt of the failing page
+        assert [(log.kind, log.page, log.attempt) for log in logs] == [
+            ("numpages", None, 1), *(("page", page, 1) for page in range(failing)),
+            *(("page", failing, attempt) for attempt in range(1, FAST_RETRY.max_attempts + 1))]
+        assert not os.listdir(tmp_path)
+
+    def test_rate_limited_page_is_retried(self, server, client, logs, corpus):
+        server.schedule_faults(KEY_A, 1, [429, 429])
+        assert client.fetch_timemap(URL_A).records == corpus[URL_A]
+        assert [(log.page, log.http_status) for log in logs if log.kind == "page"] == [
+            (0, 200), (1, 429), (1, 429), (1, 200), (2, 200)]
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_other_4xx_page_is_not_retried(self, server, client, logs, status):
+        server.schedule_faults(KEY_A, 1, [status])
+        with pytest.raises(TransportError, match=r"\(page 1\)") as exc:
+            client.fetch_timemap(URL_A)
+        assert exc.value.last_status == status
+        assert [(log.page, log.http_status) for log in logs if log.kind == "page"] == [
+            (0, 200), (1, status)]
 
 
 # records of one URL among few timestamps and digests: equal timestamps and
