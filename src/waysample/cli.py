@@ -37,7 +37,7 @@ from .cdx import (
     parse_timestamp,
 )
 from .config import PipelineConfig
-from .surt import CanonicalUrl, SurtError, parse_host, parse_url, surt_text_for_url
+from .surt import SurtError, parse_host, parse_url, surt_text_for_url
 
 if TYPE_CHECKING:
     from . import sampler
@@ -349,44 +349,12 @@ def cmd_sample(stage: Stage, args) -> None:
     # the sorted rows spill to anonymous files in the out-dir
     with sampler.FirstYearBuckets(args.out_dir) as buckets:
         _bucket_rows(stage, args, buckets)
-        bucket_reports = counts["buckets"] = []
+        reports = counts["buckets"] = []
         counts["selected_total"] = 0
-        for label, domain_sizes, domains in buckets.buckets():
-            kept = sampler.tail_survivors(label, domain_sizes.total(), domain_sizes[1],
-                                          cfg.tail_threshold, cfg.tail_keep_fraction, cfg.seed)
-            reduced = domain_sizes.copy()
-            if kept is not None:
-                reduced[1] = len(kept)
-            if reduced.total():
-                calibration = sampler.calibrate_sizes(reduced, cfg.c, cfg.target)
-                params = sampler.DownsampleParams(k=calibration.k, c=cfg.c)
-            else:  # the tail rule drops every domain, each a single: no K to find
-                calibration = sampler.CalibrationResult(None, 0, overshoot=False)
-            selected = 0
-            single = -1  # the domain's position among the bucket's single-URL domains
+        for label, sizes, domains in buckets.buckets():
             with stage.open(os.path.join(args.out_dir, f"bucket_{label}.txt"), "w") as fh:
-                for domain in domains:  # in domain-key order
-                    n = len(domain.urls)
-                    if n == 1:  # kept whole, as select_urls would keep it
-                        single += 1
-                        if kept is None or single in kept:
-                            fh.write(domain.urls[0] + "\n")
-                            selected += 1
-                        continue
-                    k = sampler.downsample_count(n, params)
-                    fh.write("\n".join(sampler.select_urls(domain, k, cfg.seed)) + "\n")
-                    selected += k
-            counts["selected_total"] += selected
-            bucket_reports.append({
-                "label": label,
-                "domains": domain_sizes.total(),
-                "domains_after_tail": reduced.total(),
-                "urls": sum(n * m for n, m in domain_sizes.items()),
-                "k": calibration.k,
-                "calibrated_total": calibration.total,
-                "overshoot": calibration.overshoot,
-                "selected": selected,
-            })
+                reports.append(sampler.sample_bucket(label, sizes, domains, cfg, fh))
+            counts["selected_total"] += reports[-1]["selected"]
 
 
 def cmd_reintegrate(stage: Stage, args) -> None:
@@ -395,16 +363,16 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     cfg, cdx_client = stage.cfg, stage.client
     first, last = args.years
     years = list(range(first, last + 1))
-    candidates = list(_parse_urls(stage, args.input))
+    candidates = [url.text for url in _parse_urls(stage, args.input)]  # texts are smaller
     # the draws whose first capture the quota loop read, and those of them whose lookup
     # failed, read as no capture; not the look-ahead lookups, whose number is the timing's
     stage.counts.update(lookups=0, lookup_errors=0)
 
-    def lookup(url: CanonicalUrl) -> Timestamp14 | None:
-        record = cdx_client.fetch_first_record(url.text)
+    def lookup(url: str) -> Timestamp14 | None:
+        record = cdx_client.fetch_first_record(url)
         return record.timestamp if record else None
 
-    def first_captures(draws: list[CanonicalUrl]):
+    def first_captures(draws: list[str]):
         with closing(stage.map_urls(lookup, draws)) as results:
             for _, first, error in results:
                 stage.counts["lookups"] += 1
@@ -416,7 +384,7 @@ def cmd_reintegrate(stage: Stage, args) -> None:
     with stage.open(args.output, "w") as fout:
         for year in years:
             for url in result.per_year[year]:
-                fout.write(f"{year}\t{url.text}\n")
+                fout.write(f"{year}\t{url}\n")
     if result.exhausted:
         print(f"candidate pool exhausted before quotas met for years: "
               f"{result.unmet_years}", file=sys.stderr)
@@ -558,33 +526,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_parser(name: str, func: Callable, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--manifest", help="write a JSON run manifest here")
         p.add_argument("--config", help="JSON config file (flags override it)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("filter", help="URL validity / alias / wildcard verdicts")
+    p = add_parser("filter", cmd_filter, "URL validity / alias / wildcard verdicts")
     p.add_argument("input", help="newline-delimited URLs ('-' for stdin)")
     p.add_argument("-o", "--output", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("classify", help="likely-HTML heuristic per URL")
+    p = add_parser("classify", cmd_classify, "likely-HTML heuristic per URL")
     p.add_argument("input")
     p.add_argument("-o", "--output", default="-")
-    add_common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("fetch-first", help="first capture timestamp+MIME per URL")
+    p = add_parser("fetch-first", cmd_fetch_first, "first capture timestamp+MIME per URL")
     p.add_argument("input")
     p.add_argument("-o", "--output", default="-")
     p.add_argument("--endpoint")
     p.add_argument("--politeness", type=int, dest="politeness_limit")
     p.add_argument("--backoff-base", type=float)
     p.add_argument("--log", help="write the fetch log TSV here")
-    add_common(p)
-    p.set_defaults(func=cmd_fetch_first)
 
-    p = sub.add_parser("sample", help="bucket, downsample, and select URLs")
+    p = add_parser("sample", cmd_sample, "bucket, downsample, and select URLs")
     p.add_argument("--first-captures", required=True,
                    help="TSV of url<TAB>timestamp (from fetch-first)")
     p.add_argument("--out-dir", required=True)
@@ -594,10 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-keep", type=float, dest="tail_keep_fraction")
     p.add_argument("--seed", type=int)
     p.add_argument("--endpoint", help="resolve first captures of upsampled roots")
-    add_common(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("reintegrate", help="per-year quotas for a popular domain")
+    p = add_parser("reintegrate", cmd_reintegrate, "per-year quotas for a popular domain")
     p.add_argument("input", help="candidate URL list")
     p.add_argument("--domain", required=True)
     p.add_argument("-o", "--output", default="-")
@@ -606,10 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-year-min", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--log")
-    add_common(p)
-    p.set_defaults(func=cmd_reintegrate)
 
-    p = sub.add_parser("fetch", help="full TimeMaps via the pagination API")
+    p = add_parser("fetch", cmd_fetch, "full TimeMaps via the pagination API")
     p.add_argument("input")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--endpoint")
@@ -617,26 +578,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backoff-base", type=float)
     p.add_argument("--report")
     p.add_argument("--log")
-    add_common(p)
-    p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("rehydrate", help="restore revisit statuses in TimeMaps")
+    p = add_parser("rehydrate", cmd_rehydrate, "restore revisit statuses in TimeMaps")
     p.add_argument("--in-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--capacity", type=int, dest="cache_capacity")
     p.add_argument("--unresolved", help="unresolved-revisit report TSV")
-    add_common(p)
-    p.set_defaults(func=cmd_rehydrate)
 
-    p = sub.add_parser("stats", help="emit CSV statistics")
+    p = add_parser("stats", cmd_stats, "emit CSV statistics")
     p.add_argument("--first-captures")
     p.add_argument("--urls", help="pre-downsampling URL list")
     p.add_argument("--sampled", help="post-downsampling URL list")
     p.add_argument("--timemap-dir")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--top-n", type=_positive_int, default=20)
-    add_common(p)
-    p.set_defaults(func=cmd_stats)
 
     return parser
 

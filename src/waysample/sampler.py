@@ -4,13 +4,10 @@ Skip-list index sampling, the inclusion-probability model, first-capture
 year bucketing (with the 1996-2000 merge and pre-1996 rejection), missing
 root-URL upsampling, popular-domain reintegration, long-tail reduction,
 logarithmic downsampling with K calibration, and deterministic per-domain
-URL selection.
-
-Bucketing and the missing roots keep their rows in ``spill.SpillSort``s
-with the ``min`` fold, in bounded memory whatever the number of rows.
-
-All randomized operations derive their random stream from (seed, domain)
-so parallel scheduling cannot change results.
+URL selection. Bucketing and the missing roots keep their rows in
+``spill.SpillSort``s, in bounded memory whatever the number of rows or the
+size of any domain. Every random stream derives from (seed, domain), so
+parallel scheduling cannot change results.
 """
 
 from __future__ import annotations
@@ -18,10 +15,10 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from contextlib import closing
-from itertools import starmap
-from typing import Callable, Generator, Iterable, Iterator
+from itertools import compress, islice, repeat
+from typing import IO, Callable, Iterable, Iterator
 
 from .cdx import Timestamp14
 from .spill import SpillSort
@@ -55,11 +52,23 @@ class DomainCount(namedtuple("DomainCount", "domain urls")):
     def n_urls(self) -> int:
         return len(self.urls)
 
+    @property
+    def has_root(self) -> bool:
+        return first_root(self.urls) is not None
 
-def first_root(texts: list[str]) -> str | None:
-    """The first root URL among canonical URL texts: a root's text is
-    scheme://host/, and a host holds no "/"."""
-    return next((text for text in texts if text[-1] == "/" and text.count("/") == 3), None)
+
+# a domain, its URL count, whether one is a root, and its URL texts in text order, read once
+StreamedDomain = namedtuple("StreamedDomain", "domain n_urls has_root urls")
+
+
+def is_root(text: str) -> bool:
+    """Whether a canonical URL text is a root: scheme://host/, where a host holds no "/"."""
+    return text[-1] == "/" and text.count("/") == 3
+
+
+def first_root(texts: Iterable[str]) -> str | None:
+    """The first root URL among canonical URL texts."""
+    return next(filter(is_root, texts), None)
 
 
 class YearBucket(namedtuple("YearBucket", "label domains")):
@@ -71,10 +80,6 @@ class YearBucket(namedtuple("YearBucket", "label domains")):
     def n_domains(self) -> int:
         return len(self.domains)
 
-    @property
-    def n_urls(self) -> int:
-        return sum(d.n_urls for d in self.domains)
-
 
 def skip_sample(records: Iterable, interval: int, phase: int = 0) -> Iterator:
     """Emit stream items at positions congruent to phase modulo interval."""
@@ -82,9 +87,7 @@ def skip_sample(records: Iterable, interval: int, phase: int = 0) -> Iterator:
         raise ValueError("interval must be >= 1")
     if not (0 <= phase < interval):
         raise ValueError("phase must satisfy 0 <= phase < interval")
-    for pos, record in enumerate(records):
-        if pos % interval == phase:
-            yield record
+    return islice(records, phase, None, interval)
 
 
 def inclusion_probability(memento_count: int, interval: int) -> float:
@@ -111,8 +114,8 @@ BucketingResult = namedtuple("BucketingResult", "buckets dropped_pre_1996")
 
 class FirstYearBuckets(SpillSort):
     """The distinct URLs of each first-capture year bucket, by domain, in a
-    SpillSort of the ``min`` fold: memory is its budget plus the largest
-    domain, whatever the number of rows. A row is a key of its bucket label,
+    SpillSort of the ``min`` fold: memory is its budget, whatever the number
+    of rows or the size of any domain. A row is a key of its bucket label,
     domain key and URL text, so a URL repeated in a bucket is one key, and
     the rows hold the same buckets in whatever order they are added. ``add``
     returns a row's label: None for a pre-1996 row, which is not kept."""
@@ -131,21 +134,36 @@ class FirstYearBuckets(SpillSort):
             self._add((label, domain_key(url.host), url.text), 0)
         return label
 
-    def buckets(self) -> Iterator[tuple[str, Counter, Iterator[DomainCount]]]:
+    def buckets(self) -> Iterator[tuple[str, Counter, Iterator[StreamedDomain]]]:
         """Each bucket's label, how many of its domains hold each number of
-        URLs, and its domains: in label and then domain-key order, each
-        domain's URLs in text order. The sizes of every bucket take one pass
-        over the sorted rows, before the first is yielded, and the domains a
-        second."""
-        sizes = {label: Counter(domains) for label, domains in self.groups(whole=False)}
-        for label, domains in self.groups():
-            yield label, sizes[label], starmap(DomainCount, domains)
+        URLs, and its StreamedDomains: in label and then domain-key order,
+        each domain's URLs in text order. The sorted rows are read twice, a
+        URL at a time. The first read, before the first bucket is yielded,
+        writes each domain's URL count and root flag to an anonymous side
+        file in ``spill_dir``, which the second read takes in step."""
+        import tempfile  # imported here, as in spill
+
+        sizes = {}
+        with tempfile.TemporaryFile(dir=self.spill_dir) as side:
+            for label, domains in self.groups(decode=False):
+                sizes[label] = bucket_sizes = Counter()
+                for _, urls in domains:
+                    n = root = 0
+                    for n, url in enumerate(urls, 1):  # is_root on the bytes: "/" is one byte
+                        root = root or url[-1:] == b"/" and url.count(b"/") == 3
+                    bucket_sizes[n] += 1
+                    side.write(b"%d %d\n" % (n, root))
+            side.seek(0)
+            for label, domains in self.groups():
+                records = islice(side, sizes[label].total())
+                yield label, sizes[label], (
+                    StreamedDomain(name, int(n), root == b"1", urls)
+                    for (name, urls), (n, root) in zip(domains, map(bytes.split, records)))
+                deque(records, 0)  # the side lines of any domain left unread
 
 
-def bucket_by_first_year(
-    entries: Iterable[tuple[CanonicalUrl, Timestamp14]],
-    spill_dir: str | None = None,
-) -> BucketingResult:
+def bucket_by_first_year(entries: Iterable[tuple[CanonicalUrl, Timestamp14]],
+                         spill_dir: str | None = None) -> BucketingResult:
     """Group URLs by first-capture year: pre-1996 dropped and counted,
     1996-2000 merged into one bucket, each later year on its own. Buckets
     are in label order, their domains in domain-key order, and the URLs of a
@@ -156,7 +174,8 @@ def bucket_by_first_year(
     ``spill_dir``."""
     with FirstYearBuckets(spill_dir) as buckets:
         dropped = sum(buckets.add(url, first_capture) is None for url, first_capture in entries)
-        return BucketingResult([YearBucket(label, list(domains))
+        return BucketingResult([YearBucket(label, [DomainCount(d.domain, list(d.urls))
+                                                   for d in domains])
                                 for label, _, domains in buckets.buckets()], dropped)
 
 
@@ -203,19 +222,15 @@ class ReintegrationResult(namedtuple("ReintegrationResult", "per_year unmet_year
         return bool(self.unmet_years)
 
 
-def reintegrate_popular(
-    domain: str,
-    candidate_urls: Iterable[CanonicalUrl],
-    first_captures: Callable[[list[CanonicalUrl]], Generator[Timestamp14 | None, None, None]],
-    years: list[int],
-    per_year_min: int,
-    seed: int,
-) -> ReintegrationResult:
-    """Randomly draw candidates without replacement until every requested
-    year has at least per_year_min URLs, resolving each draw's first-capture
-    year through ``first_captures``. It maps the draws to their first
-    captures (None where there is none) in draw order; it may look ahead of
-    the draw being read, and it is closed once the quotas are met.
+def reintegrate_popular(domain: str, candidate_urls: Iterable[str],
+                        first_captures: Callable[[list[str]], Iterator[Timestamp14 | None]],
+                        years: list[int], per_year_min: int, seed: int) -> ReintegrationResult:
+    """Randomly draw candidate URL texts without replacement until every
+    requested year has at least per_year_min URLs, resolving each draw's
+    first-capture year through ``first_captures``, a generator. It maps the
+    draws to their first captures (None where there is none) in draw order;
+    it may look ahead of the draw being read, and it is closed once the
+    quotas are met.
 
     If the pool runs out first, the partial result names the unmet years.
     """
@@ -225,7 +240,7 @@ def reintegrate_popular(
     pool = list(candidate_urls)
     rng.shuffle(pool)
     wanted = set(years)
-    per_year: dict[int, list[CanonicalUrl]] = {y: [] for y in years}
+    per_year: dict[int, list[str]] = {y: [] for y in years}
     with closing(first_captures(pool)) as firsts:
         for url in pool:
             if all(len(per_year[y]) >= per_year_min for y in years):
@@ -238,15 +253,25 @@ def reintegrate_popular(
 
 
 def tail_survivors(label: str, n_domains: int, n_singles: int, threshold: int,
-                   keep_fraction: float, seed: int) -> set[int] | None:
+                   keep_fraction: float, seed: int) -> tuple[int, Iterator[bool]]:
     """The long-tail rule: when a bucket holds more than ``threshold``
     domains, ``n_singles`` of them with one URL, it keeps a uniform
-    ``keep_fraction`` of those singles. Returns their positions among the
-    bucket's singles in domain-key order, or None when every domain stays."""
+    ``keep_fraction`` of those singles, rounded. Returns how many it keeps
+    and whether it keeps each single, in domain-key order: by selection
+    sampling (Knuth, TAOCP vol. 2, §3.4.2, Algorithm S) where the rule
+    applies, which keeps a single with probability (singles left to keep) /
+    (singles left), so each subset of that size is equally likely, in O(1) memory."""
     if n_domains <= threshold or not n_singles:
-        return None
-    rng = random.Random(f"{seed}|tail|{label}")
-    return set(rng.sample(range(n_singles), round(n_singles * keep_fraction)))
+        return n_singles, repeat(True, n_singles)
+    kept = round(n_singles * keep_fraction)
+    return kept, _selection_sample(n_singles, kept, random.Random(f"{seed}|tail|{label}").random)
+
+
+def _selection_sample(n: int, m: int, uniform: Callable[[], float]) -> Iterator[bool]:
+    for left in range(n, 0, -1):
+        keep = uniform() * left < m
+        m -= keep
+        yield keep
 
 
 def reduce_long_tail(bucket: YearBucket, threshold: int, keep_fraction: float,
@@ -254,11 +279,11 @@ def reduce_long_tail(bucket: YearBucket, threshold: int, keep_fraction: float,
     """``bucket`` without the single-URL domains that the long-tail rule
     (tail_survivors) drops."""
     singles = sorted(d.domain for d in bucket.domains if d.n_urls == 1)
-    kept = tail_survivors(bucket.label, bucket.n_domains, len(singles), threshold,
-                          keep_fraction, seed)
-    if kept is None:
+    kept, keep = tail_survivors(bucket.label, bucket.n_domains, len(singles), threshold,
+                                keep_fraction, seed)
+    if kept == len(singles):
         return bucket
-    kept_names = {singles[i] for i in kept}
+    kept_names = set(compress(singles, keep))
     domains = [d for d in bucket.domains if d.n_urls > 1 or d.domain in kept_names]
     return YearBucket(bucket.label, domains)
 
@@ -315,9 +340,11 @@ def calibrate_sizes(sizes: Counter, c: int, target: int) -> CalibrationResult:
     return CalibrationResult(k, best_total, overshoot=False)
 
 
-def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
-    """Pick k URLs from a domain: the root URL always included when present,
-    the rest chosen by single-pass reservoir selection.
+def select_urls(domain: DomainCount | StreamedDomain, k: int, seed: int) -> list[str]:
+    """Pick k URLs from a domain, reading its URLs once, in text order: its
+    first root URL always included when it has one, the rest chosen by
+    single-pass reservoir selection (Algorithm R), which needs only n, k and
+    whether there is a root before the first URL.
 
     Deterministic under a fixed seed regardless of scheduling.
     """
@@ -325,16 +352,15 @@ def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
         raise ValueError("k must be >= 1 (C >= 1 forbids zero selections)")
     if k > domain.n_urls:
         raise ValueError(f"k={k} exceeds domain URL count {domain.n_urls}")
-    urls = domain.urls
-    root = first_root(urls)
     # when every URL is kept the reservoir takes them in order and never draws
     rng = random.Random(f"{seed}|select|{domain.domain}") if k < domain.n_urls else None
-    selected = [] if root is None else [root]
-    remaining = k - len(selected)
+    has_root = looking = domain.has_root  # looking for the first root, which is selected
+    remaining = k - has_root
     reservoir: list[str] = []
     seen = 0
-    for url in urls:
-        if url == root:
+    for url in domain.urls:
+        if looking and is_root(url):
+            root, looking = url, False
             continue
         if seen < remaining:
             reservoir.append(url)
@@ -343,4 +369,34 @@ def select_urls(domain: DomainCount, k: int, seed: int) -> list[str]:
             if j < remaining:
                 reservoir[j] = url
         seen += 1
-    return selected + reservoir
+    return [root] + reservoir if has_root else reservoir
+
+
+def sample_bucket(label: str, sizes: Counter, domains: Iterable[StreamedDomain], cfg,
+                  fh: IO[str]) -> dict:
+    """Write a bucket's sample to ``fh``, a URL a line, and return its
+    manifest entry: the long-tail rule (tail_survivors) over its single-URL
+    domains, K calibrated over the sizes it leaves, and select_urls' reduced
+    count from each domain it keeps, in domain-key order, under ``cfg``."""
+    kept, keep = tail_survivors(label, sizes.total(), sizes[1], cfg.tail_threshold,
+                                cfg.tail_keep_fraction, cfg.seed)
+    reduced = Counter({**sizes, 1: kept})  # the sizes the tail rule leaves
+    if reduced.total():
+        calibration = calibrate_sizes(reduced, cfg.c, cfg.target)
+        params = DownsampleParams(k=calibration.k, c=cfg.c)
+    else:  # the tail rule drops every domain, each a single: no K to find
+        calibration = CalibrationResult(None, 0, overshoot=False)
+    selected = with_root = 0
+    for domain in domains:
+        with_root += domain.has_root
+        if domain.n_urls > 1:
+            k = downsample_count(domain.n_urls, params)
+            fh.write("\n".join(select_urls(domain, k, cfg.seed)) + "\n")
+            selected += k
+        elif next(keep):  # a single the tail rule keeps, kept whole as select_urls would keep it
+            fh.write(next(domain.urls) + "\n")
+            selected += 1
+    return {"label": label, "domains": sizes.total(), "domains_with_root": with_root,
+            "domains_after_tail": reduced.total(), "urls": sum(n * m for n, m in sizes.items()),
+            "k": calibration.k, "calibrated_total": calibration.total,
+            "overshoot": calibration.overshoot, "selected": selected}

@@ -163,29 +163,18 @@ class SpillSort:
         """The number of each key, in key order."""
         return map(int, map(itemgetter(slice(-1 - self.digits, None)), self._lines()))
 
-    def groups(self, whole: bool = True) -> Iterator[tuple[str, Iterator]]:
+    def groups(self, decode: bool = True) -> Iterator[tuple[str, Iterator[tuple]]]:
         """For keys of three fields or more: each first field, in order, and
         each of its second fields, in order, with the last fields of its keys
-        in key order; or, not ``whole``, with how many keys it has, which
-        reads no more of a line than its first two fields."""
+        in key order, read one at a time. Not ``decode``, the second and last
+        fields are bytes as read: their UTF-8, each NUL as NUL STX. A group's
+        iterators are read before the next group's, as ``groupby``'s are."""
         # map calls bytes.split without the argument tuple methodcaller builds per line
-        rows = map(bytes.split, self._lines(), repeat(SEP), repeat(-1 if whole else 2))
+        rows = map(bytes.split, self._lines(), repeat(SEP))
+        field = _text if decode else bytes  # bytes returns its bytes argument itself
         for first, rows_of_first in groupby(rows, key=itemgetter(0)):
-            seconds = groupby(rows_of_first, key=itemgetter(1))
-            yield _text(first), map(_last_fields if whole else _size, seconds)
-
-
-def _size(group: tuple[bytes, Iterable[list[bytes]]]) -> int:
-    return len(list(group[1]))
-
-
-def _last_fields(group: tuple[bytes, Iterable[list[bytes]]]) -> tuple[str, list[str]]:
-    """A second field and the last fields of its lines, decoded at once."""
-    second, rows = group
-    texts = b"\n".join(map(itemgetter(-2), rows)).decode()
-    if "\0" in texts:
-        texts = texts.replace("\0\2", "\0")
-    return _text(second), texts.split("\n")
+            yield _text(first), ((field(second), map(field, map(itemgetter(-2), rows)))
+                                 for second, rows in groupby(rows_of_first, key=itemgetter(1)))
 
 
 def _run_lines(run: dict[bytes, int], keys: list[bytes], digits: int) -> Iterator[bytes]:

@@ -461,10 +461,10 @@ class TestSample:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["counts"]["buckets"] == [
-            {"label": "2005", "domains": 1, "domains_after_tail": 1, "urls": 2, "k": 1,
-             "calibrated_total": 2, "overshoot": False, "selected": 2},
-            {"label": "2021", "domains": 3, "domains_after_tail": 0, "urls": 3, "k": None,
-             "calibrated_total": 0, "overshoot": False, "selected": 0}]
+            {"label": "2005", "domains": 1, "domains_with_root": 1, "domains_after_tail": 1,
+             "urls": 2, "k": 1, "calibrated_total": 2, "overshoot": False, "selected": 2},
+            {"label": "2021", "domains": 3, "domains_with_root": 3, "domains_after_tail": 0,
+             "urls": 3, "k": None, "calibrated_total": 0, "overshoot": False, "selected": 0}]
         assert (out_dir / "bucket_2021.txt").read_bytes() == b""
         assert manifest["counts"]["selected_total"] == 2
 
@@ -585,9 +585,8 @@ def test_sample_memory_per_row_is_bounded(tmp_path, one_cpu, spread, repeats,
 
 
 def test_sample_memory_is_flat_in_the_row_count(tmp_path, one_cpu):
-    # past its run budget, sample's memory is that budget plus the largest
-    # domain: it held 20 MB more at 160,000 rows than at 40,000 with a
-    # table of every distinct URL
+    # past its run budget, sample's memory is that budget: it held 20 MB
+    # more at 160,000 rows than at 40,000 with a table of every distinct URL
     sizes = (40_000, 160_000)
     for n_rows in sizes:
         _synthetic_first_captures(tmp_path / f"first{n_rows}.tsv", n_rows)
@@ -603,6 +602,28 @@ def test_sample_memory_is_flat_in_the_row_count(tmp_path, one_cpu):
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2_000_000, peaks
+
+
+def test_sample_memory_is_flat_in_the_largest_domain(tmp_path, one_cpu):
+    # each domain streams through both reads of the sorted rows: with a list
+    # of the domain's URLs in each, 80,000 URLs of one domain took 15 MB more
+    # than 20,000
+    sizes = (20_000, 80_000)
+    peaks = []
+    for n_urls in sizes:
+        write_lines(tmp_path / f"first{n_urls}.tsv",
+                    [f"http://big.com/p{i}\t2005061512000{i % 10}" for i in range(n_urls)])
+    tracemalloc.start()
+    try:
+        for n_urls in sizes:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["sample", "--first-captures", str(tmp_path / f"first{n_urls}.tsv"),
+                         "--out-dir", str(tmp_path / f"out{n_urls}"), "--target", "500"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1_000_000, peaks
 
 
 def test_stats_memory_is_flat_in_the_row_count(tmp_path, one_cpu):

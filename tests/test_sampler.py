@@ -1,7 +1,9 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
+from itertools import compress
 from unittest import mock
 
 import pytest
@@ -28,7 +30,7 @@ from waysample.sampler import (
     tail_survivors,
     year_bucket_label,
 )
-from waysample.surt import parse_url
+from waysample.surt import CanonicalUrl, parse_url
 
 from conftest import random_url
 
@@ -199,7 +201,7 @@ class TestReintegration:
         pool, lookup = [], {}
         for year in years:
             for i in range(per_year):
-                url = parse_url(f"https://big.com/{year}/p{i}")
+                url = f"https://big.com/{year}/p{i}"  # a candidate is its canonical text
                 pool.append(url)
                 lookup[url] = ts(f"{year}0601000000")
         return pool, lookup
@@ -231,7 +233,7 @@ class TestReintegration:
         pool, lookup = self._pool(rng, years, 50)
         result = reintegrate_popular("big.com", pool, in_draw_order(lookup), years, 30, seed=1)
         selected = result.per_year[2016]
-        assert len(selected) == len(set(u.text for u in selected))
+        assert len(selected) == len(set(selected))
 
 
 def _bucket(domain_sizes, label="2016"):
@@ -268,43 +270,79 @@ class TestLongTail:
         assert [d.domain for d in a.domains] == [d.domain for d in b.domains]
 
 
-def _reduce_long_tail_before(bucket, threshold, keep_fraction, seed):
-    """reduce_long_tail as it was before tail_survivors: the oracle of the rule."""
-    if bucket.n_domains <= threshold:
-        return bucket
-    rng = random.Random(f"{seed}|tail|{bucket.label}")
-    singles = [d for d in bucket.domains if d.n_urls == 1]
-    if not singles:
-        return bucket
-    keep_n = round(len(singles) * keep_fraction)
-    kept = set(
-        d.domain for d in rng.sample(sorted(singles, key=lambda d: d.domain), keep_n)
-    )
-    domains = [d for d in bucket.domains if d.n_urls > 1 or d.domain in kept]
-    return YearBucket(bucket.label, domains)
+def _algorithm_s(n, m, rng):
+    """The positions of m of n items that selection sampling picks, as Knuth
+    writes it (TAOCP vol. 2, \u00a73.4.2, steps S1-S5): the oracle of the tail rule."""
+    t = selected = 0
+    picked = []
+    while selected < m:
+        if (n - t) * rng.random() < m - selected:
+            picked.append(t)
+            selected += 1
+        t += 1
+    return picked
 
 
 class TestTailSurvivors:
     @given(st.lists(st.integers(1, 3), max_size=80), st.integers(0, 60),
            st.floats(0.01, 1.0), st.integers(0, 5), st.randoms(use_true_random=False))
-    def test_keeps_what_the_rule_it_replaced_kept(self, sizes, threshold, keep_fraction,
-                                                   seed, shuffler):
+    def test_keeps_the_singles_algorithm_s_picks_in_name_order(self, sizes, threshold,
+                                                              keep_fraction, seed, shuffler):
         bucket = _bucket(sizes)  # named d0, d1, ..., so not in name order past d9
         shuffler.shuffle(bucket.domains)
         got = reduce_long_tail(bucket, threshold, keep_fraction, seed)
-        want = _reduce_long_tail_before(bucket, threshold, keep_fraction, seed)
-        assert [d.domain for d in got.domains] == [d.domain for d in want.domains]
+        singles = sorted(d.domain for d in bucket.domains if d.n_urls == 1)
+        kept = set(singles)
+        if bucket.n_domains > threshold:
+            rng = random.Random(f"{seed}|tail|{bucket.label}")
+            kept = {singles[i] for i in _algorithm_s(
+                len(singles), round(len(singles) * keep_fraction), rng)}
+        assert [d.domain for d in got.domains] == [
+            d.domain for d in bucket.domains if d.n_urls > 1 or d.domain in kept]
 
     def test_positions_among_the_singles_in_name_order(self):
         bucket = _bucket([1] * 30 + [2] * 5)
-        kept = tail_survivors("2016", 35, 30, 10, 0.2, 4)
+        kept, keep = tail_survivors("2016", 35, 30, 10, 0.2, 4)
         singles = sorted(d.domain for d in bucket.domains if d.n_urls == 1)
         reduced = reduce_long_tail(bucket, 10, 0.2, 4)
-        assert {d.domain for d in reduced.domains if d.n_urls == 1} == {
-            singles[i] for i in kept}
-        assert len(kept) == 6
-        assert tail_survivors("2016", 10, 30, 10, 0.2, 4) is None  # not above the threshold
-        assert tail_survivors("2016", 35, 0, 10, 0.2, 4) is None  # no single to drop
+        assert {d.domain for d in reduced.domains if d.n_urls == 1} == set(
+            compress(singles, keep))
+        assert kept == 6
+        for n_domains, n_singles in ((10, 30), (35, 0)):  # not above the threshold; no single
+            kept, keep = tail_survivors("2016", n_domains, n_singles, 10, 0.2, 4)
+            assert kept == n_singles and list(keep) == [True] * n_singles
+
+    @given(st.integers(0, 300), st.floats(0.01, 1.0), st.integers(0, 5))
+    def test_keeps_exactly_the_rounded_fraction(self, n_singles, keep_fraction, seed):
+        kept, keep = tail_survivors("2016", n_singles + 1, n_singles, 0, keep_fraction, seed)
+        decisions = list(keep)
+        assert len(decisions) == n_singles
+        assert sum(decisions) == kept == round(n_singles * keep_fraction)
+
+    def test_each_single_is_kept_at_the_keep_fraction(self):
+        n_singles, keep_fraction, seeds = 10, 0.3, 4000
+        counts = [0] * n_singles
+        for seed in range(seeds):
+            _, keep = tail_survivors("2016", 11, n_singles, 0, keep_fraction, seed)
+            counts = [c + kept for c, kept in zip(counts, keep)]
+        error = 4 * math.sqrt(seeds * keep_fraction * (1 - keep_fraction))  # 4 standard errors
+        for count in counts:
+            assert abs(count - seeds * keep_fraction) < error, counts
+
+    def test_memory_is_flat_in_the_single_count(self):
+        # a set of the kept positions held 8.4 MB more at 400,000 singles than at 20,000
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_singles in (20_000, 400_000):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                kept, keep = tail_survivors("2016", n_singles, n_singles, 0, 0.5, 1)
+                assert sum(keep) == kept
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 10_000, peaks
 
 
 class TestDownsampleCount:
@@ -588,3 +626,34 @@ class TestStreamedBucketingOracle:
             sizes = {label: bucket_sizes for label, bucket_sizes, _ in streamed.buckets()}
         assert sizes == {label: Counter(len(d.urls) for d in domains)
                          for label, domains in buckets}
+
+    # roots of several hosts and schemes in one domain, all-root and single-URL
+    # domains, and paths holding characters that str.splitlines takes for line
+    # breaks: the rows are read a line at a time, split on "\n" alone
+    @given(st.lists(st.tuples(st.sampled_from(["http", "https"]),
+                              st.sampled_from(["a.com", "www.a.com", "www2.a.com", "b.org",
+                                               "www.b.org", "c.net"]),
+                              st.sampled_from(["/", "/", "/p", "/\x0b", "/\x85", "/q\u2028r",
+                                               "/\x1c/"])), max_size=40),
+           st.integers(0, 3), st.floats(0, 1), st.sampled_from([None, 4]))
+    def test_streamed_selection_equals_the_list_form(self, rows, seed, k_fraction, budget):
+        entries = [(CanonicalUrl(*row), ts("20050101000000")) for row in rows]
+        buckets, _ = _oracle_bucket(entries)  # one bucket at most
+        listed = {d.domain: d for _, domains in buckets for d in domains}
+        with mock.patch.object(spill, "RUN_BYTES", budget or spill.RUN_BYTES), \
+                mock.patch.object(spill, "FAN_IN", 2 if budget else spill.FAN_IN), \
+                sampler.FirstYearBuckets() as streamed:
+            for entry in entries:
+                streamed.add(*entry)
+            met = []
+            for _, _, bucket in streamed.buckets():
+                for domain in bucket:
+                    want = listed[domain.domain]
+                    texts = [url.text for url in want.urls]
+                    assert (domain.n_urls, domain.has_root) == (len(texts), want.root is not None)
+                    k = 1 + int(k_fraction * (len(texts) - 1))
+                    got = select_urls(domain, k, seed)  # reads the stream once
+                    assert got == select_urls(DomainCount(domain.domain, texts), k, seed)
+                    assert got == [url.text for url in _oracle_select(want, k, seed)]
+                    met.append(domain.domain)
+        assert met == list(listed)
