@@ -2,8 +2,9 @@
 forked child, on as many CPUs as the stage may use.
 
 ``split`` is the one runner that ``filter``, ``classify``, ``sample`` and
-``stats`` share. It is a module of its own, imported only by them, so that
-the stages that split no input compile and load none of it.
+``stats`` share. It is a module of its own, so that ``fetch-first``,
+``fetch`` and ``rehydrate``, which split no input, compile and load none of
+it; ``reintegrate`` loads it with ``sampler``, which it shares with ``sample``.
 """
 
 from __future__ import annotations

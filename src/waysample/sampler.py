@@ -7,22 +7,26 @@ logarithmic downsampling with K calibration, and deterministic per-domain
 URL selection. Bucketing and the missing roots keep their rows in
 ``spill.SpillSort``s, in bounded memory whatever the number of rows or the
 size of any domain. Every random stream derives from (seed, domain), so
-parallel scheduling cannot change results.
+parallel scheduling cannot change results. The ``sample`` and
+``reintegrate`` stages run them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 import random
+import sys
 from collections import Counter, deque, namedtuple
 from contextlib import closing
 from itertools import compress, islice, repeat
 from typing import IO, Callable, Iterable, Iterator
 
+from . import partition
 from .cdx import Timestamp14
 from .spill import SpillSort
-from .surt import CanonicalUrl, domain_key
+from .surt import CanonicalUrl, SurtError, domain_key, parse_url
 
 FIRST_ARCHIVE_YEAR = 1996
 EARLY_YEARS_END = 2000
@@ -400,3 +404,92 @@ def sample_bucket(label: str, sizes: Counter, domains: Iterable[StreamedDomain],
             "domains_after_tail": reduced.total(), "urls": sum(n * m for n, m in sizes.items()),
             "k": calibration.k, "calibrated_total": calibration.total,
             "overshoot": calibration.overshoot, "selected": selected}
+
+
+def _bucket_rows(stage, args, buckets: FirstYearBuckets) -> None:
+    """Add each archived row of ``--first-captures`` whose URL parses to
+    ``buckets``, the byte ranges split over CPUs, then the root of each host
+    seen only through deep links that ``--endpoint`` finds archived, at its
+    first capture."""
+    counts = stage.counts
+
+    def add_rows(source, buckets, missing) -> None:
+        for url_text, first_capture in stage.first_captures(source):
+            try:
+                url = parse_url(url_text)
+            except SurtError:
+                counts["unparseable"] += 1
+                continue
+            counts["input"] += 1
+            missing.add(url)
+            if buckets.add(url, first_capture) is None:
+                counts["dropped_pre_1996"] += 1
+
+    with MissingRoots(args.out_dir) as missing:
+        partition.split(counts, args.first_captures, add_rows, buckets, missing,
+                        spill_dir=args.out_dir)
+        roots = missing.roots()
+        if not stage.cfg.endpoint:
+            counts["missing_roots"] = sum(1 for _ in roots)
+            return
+        cdx_client = stage.client
+        for root, record, error in stage.map_urls(
+                lambda root: cdx_client.fetch_first_record(root.text), roots):
+            counts["missing_roots"] += 1
+            counts["roots_added" if record else
+                   "root_errors" if error else "roots_unarchived"] += 1
+            if record is not None and buckets.add(root, record.timestamp) is None:
+                counts["dropped_pre_1996"] += 1
+
+
+def cmd_sample(stage, args) -> None:
+    cfg, counts = stage.cfg, stage.counts
+    os.makedirs(args.out_dir, exist_ok=True)
+    stage.manifest = args.manifest or os.path.join(args.out_dir, "manifest.json")
+    counts.update(input=0, dropped_pre_1996=0, missing_roots=0, roots_added=0,
+                  roots_unarchived=0, root_errors=0)
+    # the sorted rows spill to anonymous files in the out-dir
+    with FirstYearBuckets(args.out_dir) as buckets:
+        _bucket_rows(stage, args, buckets)
+        reports = counts["buckets"] = []
+        counts["selected_total"] = 0
+        for label, sizes, domains in buckets.buckets():
+            with stage.open(os.path.join(args.out_dir, f"bucket_{label}.txt"), "w") as fh:
+                reports.append(sample_bucket(label, sizes, domains, cfg, fh))
+            counts["selected_total"] += reports[-1]["selected"]
+
+
+def cmd_reintegrate(stage, args) -> None:
+    cfg, cdx_client = stage.cfg, stage.client
+    first, last = args.years
+    years = list(range(first, last + 1))
+    candidates = [url.text for url in stage.parsed_urls(args.input)]  # texts are smaller
+    # the draws whose first capture the quota loop read, and those of them whose lookup
+    # failed, read as no capture; not the look-ahead lookups, whose number is the timing's
+    stage.counts.update(lookups=0, lookup_errors=0)
+
+    def lookup(url: str) -> Timestamp14 | None:
+        record = cdx_client.fetch_first_record(url)
+        return record.timestamp if record else None
+
+    def first_captures(draws: list[str]):
+        with closing(stage.map_urls(lookup, draws)) as results:
+            for _, first, error in results:
+                stage.counts["lookups"] += 1
+                stage.counts["lookup_errors"] += error is not None
+                yield first
+
+    result = reintegrate_popular(
+        args.domain, candidates, first_captures, years, cfg.per_year_min, cfg.seed)
+    with stage.open(args.output, "w") as fout:
+        for year in years:
+            for url in result.per_year[year]:
+                fout.write(f"{year}\t{url}\n")
+    if result.exhausted:
+        print(f"candidate pool exhausted before quotas met for years: "
+              f"{result.unmet_years}", file=sys.stderr)
+    stage.counts.update(
+        candidates=len(candidates),
+        per_year={y: len(result.per_year[y]) for y in years},
+        unmet_years=result.unmet_years,
+    )

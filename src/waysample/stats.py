@@ -1,19 +1,22 @@
 """Statistics emitted by the pipeline as CSV: first-capture-year
 histograms, CCDF points, top-domain tables, and the rank correlation
-between pre- and post-downsampling domain rankings."""
+between pre- and post-downsampling domain rankings; and the ``stats``
+stage, which writes them."""
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import Counter
 from itertools import repeat
 from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator
 
-from .cdx import Timestamp14
+from . import partition
+from .cdx import Timestamp14, count_timemap
 from .spill import SpillSort
-from .surt import domain_key
+from .surt import domain_key, parse_host
 
 
 def year_histogram(entries: Iterable[tuple[str, Timestamp14]]) -> dict[int, int]:
@@ -123,3 +126,56 @@ def rank_correlation(counts: Iterable[tuple[int, int]]) -> float:
     if vx == 0 or vy == 0:
         return 1.0
     return cov / math.sqrt(vx * vy)
+
+
+def cmd_stats(stage, args) -> None:
+    os.makedirs(args.out_dir, exist_ok=True)
+    counts = stage.counts
+    stage.params["top_n"] = args.top_n
+    tables = {}  # CSV name: header and rows, written once every input has been read
+
+    if args.first_captures:
+        # the year histograms of the file's byte ranges, added up
+        histogram = sum(map(Counter, partition.split(counts, args.first_captures, lambda source: (
+            year_histogram(stage.first_captures(source))))), Counter())
+        tables["first_capture_years.csv"] = "year,count", sorted(histogram.items())
+        counts["first_capture_years"] = histogram.total()
+
+    lists = {"pre": (args.urls, ""), "post": (args.sampled, "_sampled")}
+    # counted in sorted runs that spill to anonymous files in the out-dir
+    with DomainCounts(args.out_dir) as domains:
+        for (path, _), weights in zip(lists.values(), ((1, 0), (0, 1))):
+            if path:
+                partition.split(counts, path, lambda source, part: domain_counts(
+                    part, stage.parsed_urls(source, parse_host), *weights),
+                    domains, spill_dir=args.out_dir)
+        tallies = dict(zip(lists, domains.tallies()))
+        for which, (path, suffix) in lists.items():
+            if path:
+                del tallies[which][0]  # the domains of the other list only
+                tables[f"urls_per_domain_ccdf{suffix}.csv"] = (
+                    "urls_per_domain,percent_of_domains", ccdf_points(tallies[which]))
+                counts[f"domains_{which}"] = tallies[which].total()
+        if args.urls and args.sampled:
+            top = top_domains(domains, tallies["pre"], args.top_n)
+            tables["top_domains.csv"] = "rank,domain,urls_pre,urls_post", [
+                (rank, *row) for rank, row in enumerate(top, 1)]
+            r = rank_correlation(domains)
+            tables["rank_correlation.csv"] = "pearson_r_of_ranks", [(f"{r:.6f}",)]
+            counts["rank_correlation"] = round(r, 6)
+
+    if args.timemap_dir:
+        tally = Counter()  # TimeMaps by memento count
+        with os.scandir(args.timemap_dir) as entries:
+            for entry in entries:
+                if entry.name.endswith(".cdx"):
+                    tally[count_timemap(entry.path)] += 1
+        counts["empty_timemaps"] = tally.pop(0, 0)
+        tables["mementos_per_url_ccdf.csv"] = (
+            "mementos_per_url,percent_of_urls", ccdf_points(tally))
+        counts["timemaps"] = tally.total()
+
+    for name, (header, rows) in tables.items():
+        with stage.open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)

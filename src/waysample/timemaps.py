@@ -4,13 +4,15 @@ Revisit rehydration with a bounded LRU digest cache, page merging and
 revisit-distance measurement. One TimeMap is processed by one worker;
 the LRU pass is inherently sequential. A TimeMap file is rehydrated in one
 pass, a line at a time: one out of timestamp order is refused, not sorted.
+The ``rehydrate`` stage runs that pass over each TimeMap of a directory.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict, namedtuple
 
-from .cdx import REVISIT_MIME, CdxRecord, TimeMap, timemap_records
+from .cdx import REVISIT_MIME, CdxRecord, TimeMap, atomic_open, timemap_records
 
 DEFAULT_CACHE_CAPACITY = 1000
 
@@ -127,3 +129,20 @@ def merge_pages(pages: list[list[CdxRecord]], uri_r: str = "") -> TimeMap:
     duplicates removed; the TimeMap rejects mixed urlkeys and sorts by
     timestamp."""
     return TimeMap(uri_r, list(dict.fromkeys(r for page in pages for r in page)))
+
+
+def cmd_rehydrate(stage, args) -> None:
+    os.makedirs(args.out_dir, exist_ok=True)
+    counts = stage.counts
+    counts.update(timemaps=0, revisits_resolved=0, revisits_unresolved=0)
+    unresolved_path = args.unresolved or os.path.join(args.out_dir, "unresolved.tsv")
+    with stage.open(unresolved_path, "w") as unresolved_out:
+        for name in sorted(os.listdir(args.in_dir)):
+            if not name.endswith(".cdx"):
+                continue
+            counts["timemaps"] += 1
+            with atomic_open(os.path.join(args.out_dir, name)) as out:
+                resolved, unresolved = rehydrate_file(
+                    os.path.join(args.in_dir, name), stage.cfg.cache_capacity, out, unresolved_out)
+            counts["revisits_resolved"] += resolved
+            counts["revisits_unresolved"] += unresolved

@@ -16,7 +16,7 @@ from urllib.parse import parse_qs, quote, urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waysample import cdx, cli, sampler, spill, timemaps
+from waysample import cdx, cli, fetching, filtering, sampler, spill, timemaps
 from waysample.cli import main, timemap_filename
 from waysample.config import PipelineConfig
 from waysample.mockserver import MockCdxServer
@@ -100,7 +100,7 @@ class TestFilter:
     def test_failure_on_a_row_leaves_nothing_at_the_output(self, tmp_path, monkeypatch):
         inp, out, manifest = tmp_path / "urls.txt", tmp_path / "verdicts.tsv", tmp_path / "m.json"
         write_lines(inp, INDEX_SAMPLE * 2000)  # rows well past a write buffer
-        verdict, calls = cli.urlfilter.verdict, []
+        verdict, calls = filtering.urlfilter.verdict, []
 
         def failing_on_row_10000(url):
             calls.append(url)
@@ -108,7 +108,7 @@ class TestFilter:
                 raise RuntimeError("injected")
             return verdict(url)
 
-        monkeypatch.setattr(cli.urlfilter, "verdict", failing_on_row_10000)
+        monkeypatch.setattr(filtering.urlfilter, "verdict", failing_on_row_10000)
         with pytest.raises(RuntimeError):
             main(["filter", str(inp), "-o", str(out), "--manifest", str(manifest)])
         assert sorted(os.listdir(tmp_path)) == ["m.json", "urls.txt"]
@@ -710,10 +710,10 @@ class TestReintegrate:
 
 
 def interrupting_timemap_writes(interrupt: Callable[[str], bool]) -> Callable:
-    """``cli.atomic_open``, but a file of a TimeMap path for which ``interrupt``
+    """``fetching.atomic_open``, but a file of a TimeMap path for which ``interrupt``
     is true takes two writes and raises KeyboardInterrupt at the third, once
     it has checked that its temporary sibling exists."""
-    real = cli.atomic_open
+    real = fetching.atomic_open
 
     class Interrupting:
         def __init__(self, fh, path):
@@ -855,7 +855,7 @@ class TestFetchAndRehydrate:
 
         with monkeypatch.context() as patch:
             # two lines into the temporary file of the TimeMap, then an interrupt
-            patch.setattr(cli, "atomic_open", interrupting_timemap_writes(lambda path: True))
+            patch.setattr(fetching, "atomic_open", interrupting_timemap_writes(lambda path: True))
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         assert os.listdir(out_dir) == []  # nor a partial report
@@ -1231,6 +1231,7 @@ def test_every_output_opens_through_stage_open(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.Stage, "open", through_stage)
     monkeypatch.setattr(cli, "atomic_open", through_atomic)  # manifests
+    monkeypatch.setattr(timemaps, "atomic_open", through_atomic)  # rehydrated TimeMaps
     monkeypatch.setattr(cdx, "atomic_open", through_atomic)  # write_timemap
 
     inp, out = tmp_path / "in", tmp_path / "out"
@@ -1575,7 +1576,7 @@ class TestFanOut:
                 return len(calls) == 3
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "atomic_open", interrupting_timemap_writes(third))
+            patch.setattr(fetching, "atomic_open", interrupting_timemap_writes(third))
             with pytest.raises(KeyboardInterrupt):
                 main(args)
         # the stage failed, and its manifest and fetch log say so

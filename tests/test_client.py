@@ -603,7 +603,8 @@ def test_cli_import_loads_no_http_dependency():
 
 
 @pytest.mark.parametrize("module", ["waysample.cli", "waysample.client", "waysample.sampler",
-                                    "waysample.spill", "waysample.stats", "waysample.timemaps"])
+                                    "waysample.spill", "waysample.stats", "waysample.timemaps",
+                                    "waysample.filtering", "waysample.fetching"])
 def test_stage_modules_load_no_dataclasses_or_datetime(module):
     # every stage is a process of its own, which pays for each module its
     # imports load: the records are tuples, and datetime is imported only to
@@ -613,21 +614,58 @@ def test_stage_modules_load_no_dataclasses_or_datetime(module):
     assert not loaded & {"dataclasses", "inspect", "datetime"}
 
 
-def test_stats_stage_loads_neither_the_sampler_nor_random(tmp_path):
-    # stats counts domains with the spill engine alone; lists this short fit
-    # one run, so no spill file is made and tempfile, which loads random, is not
-    urls = tmp_path / "urls.txt"
-    urls.write_text("http://a.com/\nhttp://www.a.com/x\nhttp://b.com/\n")
-    argv = ["stats", "--urls", str(urls), "--sampled", str(urls),
-            "--out-dir", str(tmp_path / "out")]
-    probe = (f"import sys; before = set(sys.modules); from waysample.cli import main; "
-             f"main({argv!r}); print(' '.join(sorted(set(sys.modules) - before)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                check=True, env=env).stdout.split())
-    assert {"waysample.stats", "waysample.spill"} <= loaded
-    assert not loaded & {"waysample.sampler", "random"}
-    assert len(os.listdir(tmp_path / "out")) == 4  # the two CCDFs, the top domains and r
+# the waysample modules that every stage loads: the runner and what Stage uses
+STAGE_COMMON = {"cli", "cdx", "config", "surt"}
+# and those each stage loads besides: no offline stage loads the client, and
+# no stage another stage's module
+STAGE_MODULES = {
+    "filter": {"filtering", "urlfilter", "partition", "spill"},
+    "classify": {"filtering", "urlfilter", "partition", "spill"},
+    "fetch-first": {"fetching", "urlfilter", "client"},
+    "sample": {"sampler", "partition", "spill"},
+    "reintegrate": {"sampler", "partition", "spill", "client"},
+    "fetch": {"fetching", "urlfilter", "client"},
+    "rehydrate": {"timemaps"},
+    "stats": {"stats", "partition", "spill"},
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_MODULES)
+def test_each_stage_loads_only_its_modules(tmp_path, stage):
+    # main imports the one module that holds the stage; lists this short fit
+    # one spill run, so no spill file is made and tempfile, which loads random, is not
+    urls, first = tmp_path / "urls.txt", tmp_path / "first.tsv"
+    urls.write_text(f"{URL_A}\nhttp://www.example.com/x\nhttp://b.com/\n")
+    first.write_text(f"{URL_A}\t20050101000000\ttext/html\tok\n")
+    (tmp_path / "timemaps").mkdir()
+    record = CdxRecord(KEY_A, Timestamp14("20050101000000"), URL_A, "text/html", "200",
+                       "A" * 32, 1024)
+    (tmp_path / "timemaps" / "a.cdx").write_text(record.to_line() + "\n")
+    out = str(tmp_path / "out")
+    with MockCdxServer([record], page_size=10) as server:
+        argv = {
+            "filter": ["filter", str(urls), "-o", out],
+            "classify": ["classify", str(urls), "-o", out],
+            "fetch-first": ["fetch-first", str(urls), "-o", out, "--endpoint", server.endpoint],
+            "sample": ["sample", "--first-captures", str(first), "--out-dir", out],
+            "reintegrate": ["reintegrate", str(urls), "--domain", "example.com", "-o", out,
+                            "--years", "2005-2005", "--per-year-min", "1",
+                            "--endpoint", server.endpoint],
+            "fetch": ["fetch", str(urls), "--out-dir", out, "--endpoint", server.endpoint],
+            "rehydrate": ["rehydrate", "--in-dir", str(tmp_path / "timemaps"), "--out-dir", out],
+            "stats": ["stats", "--urls", str(urls), "--sampled", str(urls), "--out-dir", out],
+        }[stage]
+        probe = (f"import sys; before = set(sys.modules); from waysample.cli import main; "
+                 f"main({argv!r}); print(' '.join(sorted(set(sys.modules) - before)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                    text=True, check=True, env=env, timeout=60).stdout.split())
+    assert {name[len("waysample."):] for name in loaded
+            if name.startswith("waysample.")} == STAGE_COMMON | STAGE_MODULES[stage]
+    assert not loaded & {"dataclasses", "inspect", "datetime"}
+    if stage == "stats":
+        assert "random" not in loaded
+        assert len(os.listdir(out)) == 4  # the two CCDFs, the top domains and r
 
 
 # a mock CDX server holding one capture of URL_A, run in a child process so

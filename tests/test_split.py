@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from waysample import cli, partition, spill, urlfilter
+from waysample import partition, sampler, spill, stats, urlfilter
 from waysample.cli import main
 from waysample.mockserver import MockCdxServer
 from waysample.surt import surt_text_for_url
@@ -135,8 +135,8 @@ def test_a_malformed_row_names_its_line_in_the_file(tmp_path):
 
 def _trapped(stage):
     """What a stage calls for each URL in its children: a URL it is given fails there."""
-    return {"filter": (urlfilter, "verdict"), "sample": (cli, "parse_url"),
-            "stats": (cli, "parse_host")}[stage]
+    return {"filter": (urlfilter, "verdict"), "sample": (sampler, "parse_url"),
+            "stats": (stats, "parse_host")}[stage]
 
 
 @pytest.mark.parametrize("stage", ["filter", "sample", "stats"])

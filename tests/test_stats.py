@@ -308,6 +308,11 @@ def test_stats_tables_match_the_counter_oracle(run_bytes, fan_in, urls, sampled,
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.writelines(line + "\n" for line in lines)
                 argv += [flag, path]
+        if urls is None and sampled is None:  # a usage error, which writes nothing
+            with pytest.raises(SystemExit, match="^2$"):
+                main(argv)
+            assert os.listdir(tmp) == []
+            return
         assert main(argv) == 0
         files = {}
         for name in os.listdir(os.path.join(tmp, "out")):
@@ -328,7 +333,7 @@ def test_year_histogram_matches_the_counter_oracle(entries):
 
 
 def test_memento_ccdf_matches_the_counter_oracle(tmp_path):
-    # TimeMaps of many sizes, some repeated and some empty, which count as none
+    # TimeMaps of many sizes, some repeated and some empty, which the CCDF leaves out
     rng = random.Random(11)
     sizes = [rng.choice([0, 1, 1, 2, 3, 5, 8, 40]) for _ in range(60)]
     timemaps = tmp_path / "timemaps"
@@ -344,3 +349,15 @@ def test_memento_ccdf_matches_the_counter_oracle(tmp_path):
     assert (tmp_path / "out" / "mementos_per_url_ccdf.csv").read_text() == (
         "mementos_per_url,percent_of_urls\n" + "".join(f"{x},{p}\n" for x, p in points))
     assert json.loads(manifest.read_text())["counts"]["timemaps"] == sum(map(bool, sizes))
+    assert json.loads(manifest.read_text())["counts"]["empty_timemaps"] == sizes.count(0)
+
+
+def test_stats_without_an_input_is_a_usage_error(tmp_path, capsys):
+    # an --out-dir alone has nothing to count: exit 2 before any file or manifest is written
+    out, manifest = tmp_path / "out", tmp_path / "stats.json"
+    with pytest.raises(SystemExit, match="^2$"):
+        main(["stats", "--out-dir", str(out), "--manifest", str(manifest)])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "waysample stats: error: one of --first-captures, --urls, --sampled or --timemap-dir"
+        " is required")
+    assert os.listdir(tmp_path) == []
