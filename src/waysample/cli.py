@@ -17,9 +17,8 @@ import os
 import re
 import sys
 import time
-from collections import deque
 from contextlib import ExitStack, contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 from urllib.parse import quote
 
 from .cdx import CdxParseError, Timestamp14, atomic_open, parse_timestamp
@@ -165,47 +164,6 @@ class Stage:
     # for fetch: a stage module that imported this one would compile it again
     # under ``python -m waysample.cli``, where it runs as __main__
     timemap_filename = staticmethod(timemap_filename)
-
-    def map_urls(self, fn: Callable, items: Iterable, key: Callable | None = None) -> Iterator:
-        """Yield ``(item, fn(item), None)`` for each of ``items``, in input
-        order, running ``fn`` on ``politeness_limit`` threads with at most four
-        times that many items in flight. A ``FetchError`` from ``fn`` yields
-        ``(item, None, error)``. Items with the same ``key`` other than None
-        run one after another, in input order.
-
-        Any other exception from ``fn``, or closing the generator, cancels the
-        items not yet started and waits for the running ones to end.
-        """
-        # imported here: they load logging and socket, which the offline stages do without
-        from concurrent.futures import ThreadPoolExecutor
-
-        from . import client as client_mod
-
-        window: deque = deque()  # (item, key, future or None), in input order
-        pool = ThreadPoolExecutor(self.cfg.politeness_limit)
-
-        def call(item) -> tuple:
-            try:
-                return item, fn(item), None
-            except client_mod.FetchError as exc:  # its traceback would hold fn's data
-                return item, None, exc.with_traceback(None)
-
-        def oldest() -> tuple:
-            item, _, future = window.popleft()
-            # an item whose key was in the window when it came in runs here, after the others
-            return future.result() if future else call(item)
-
-        try:
-            for item in items:
-                k = key(item) if key else None
-                held = k is not None and any(k == other for _, other, _ in window)
-                window.append((item, k, None if held else pool.submit(call, item)))
-                if len(window) >= 4 * self.cfg.politeness_limit:
-                    yield oldest()
-            while window:
-                yield oldest()
-        finally:
-            pool.shutdown(cancel_futures=True)
 
     def finish(self, status: str) -> None:
         """Close the client and its ``--log``, if a client was built, and write the manifest."""

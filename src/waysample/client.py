@@ -2,12 +2,12 @@
 fetches, retries with exponential backoff, a politeness ceiling on
 concurrent requests, and content-addressed raw-response persistence.
 
-Safe for concurrent use; per-URL fetches are independent tasks coordinated
-only by a pool of ``politeness_limit`` keep-alive connections, which every
-request attempt holds one of, and by the request pacing.
+Safe for concurrent use: each request attempt holds one of ``politeness_limit``
+keep-alive connections; ``ArchiveClient.map`` runs per-URL work on as many threads.
 
 Requests are HTTP/1.1 GETs on a stdlib ``socket`` (see ``_Connection``);
-``ssl`` loads for an ``https://`` endpoint only, ``hashlib`` once a body is stored.
+``ssl`` loads for an ``https://`` endpoint only, ``hashlib`` once a body is stored,
+``random`` at the first retry; the host is resolved as ASCII bytes, without ``idna``.
 
 A request is of one of three kinds, under the names that column 2 of the
 ``--log`` TSV and ``MockCdxServer.schedule_faults`` use: ``limit`` sends
@@ -19,14 +19,14 @@ body that is not UTF-8 is a ``CdxResponseError``, as a malformed one is.
 from __future__ import annotations
 
 import os
-import random
+import queue
 import socket
 import threading
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import groupby
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 from urllib.parse import quote_plus, urlsplit
 
 from . import __version__
@@ -83,9 +83,10 @@ class RetryPolicy(namedtuple("RetryPolicy", "max_attempts backoff_base jitter"))
             raise ValueError(f"retry cap must be at least 1, got {max_attempts}")
         return tuple.__new__(cls, (max_attempts, backoff_base, jitter))
 
-    def delay(self, attempt: int, rng: random.Random) -> float:
+    def delay(self, attempt: int) -> float:
+        import random  # imported here: a stage that meets no retry does without it
         base = self.backoff_base * (2 ** (attempt - 1))
-        return base * (1.0 + self.jitter * rng.random())
+        return base * (1.0 + self.jitter * random.random())
 
 
 class _BadResponse(OSError):
@@ -99,7 +100,7 @@ class _Connection:
     reply without keep-alive, the connection closes."""
 
     def __init__(self, host: str, port: int, netloc: str, tls=None):
-        self._address, self._tls = (host, port), tls
+        self._address, self._host, self._tls = (host.encode("ascii"), port), host, tls
         self._head = (f" HTTP/1.1\r\nHost: {netloc}\r\nUser-Agent: waysample/{__version__}"
                       "\r\nAccept-Encoding: identity\r\n\r\n").encode("ascii")
         self.sock = self._rfile = None
@@ -117,7 +118,7 @@ class _Connection:
             sock = socket.create_connection(self._address, TIMEOUT)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # a failed handshake closes the socket, which wrap_socket took over from sock
-            self.sock = (self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            self.sock = (self._tls.wrap_socket(sock, server_hostname=self._host)
                          if self._tls else sock)
             self._rfile = self.sock.makefile("rb")
         self.sock.sendall(b"GET " + target.encode("ascii") + self._head)
@@ -172,7 +173,6 @@ class ArchiveClient:
                  politeness_limit: int = 4, request_delay: float = 0.0,
                  storage_dir: str | None = None,
                  log: Callable[[FetchLog], None] | None = None):
-        import queue  # imported here: the offline stages build no client and do without it
         self.base_url, self.retry, self.politeness_limit = base_url, retry, politeness_limit
         self.request_delay, self.storage_dir = request_delay, storage_dir
         self.log = log
@@ -200,7 +200,6 @@ class ArchiveClient:
         self._answered = False  # some request got an HTTP response
         self._lock = threading.Lock()
         self._next_start = 0.0  # monotonic time before which no request may start
-        self._rng = random.Random()
 
     def close(self) -> None:
         """Close the idle connections; each reopens on its next request."""
@@ -213,6 +212,59 @@ class ArchiveClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def map(self, fn: Callable, items: Iterable, key: Callable | None = None) -> Iterator:
+        """Yield ``(item, fn(item), None)`` for each of ``items``, in input order, from
+        ``politeness_limit`` threads, with at most four times that many items read ahead;
+        a ``FetchError`` yields ``(item, None, error)``, and items with the same ``key``
+        other than None run in turn. Any other exception is raised in its item's turn; it,
+        or closing the generator, cancels the items not yet started and joins the threads."""
+        todo: queue.SimpleQueue = queue.SimpleQueue()  # runs for the threads; None ends one
+        window: deque = deque()  # (run, key, held) in input order; a run is [item, lock]
+        cancelled = False
+
+        def work() -> None:
+            while (run := todo.get()) is not None:  # its lock is held until its outcome is in
+                try:
+                    if not cancelled:
+                        run.append((run[0], fn(run[0]), None))
+                except FetchError as exc:  # its traceback would hold fn's data
+                    run.append((run[0], None, exc.with_traceback(None)))
+                except BaseException as exc:  # raised by oldest, in its item's turn
+                    run.append(exc)
+                run[1].release()
+
+        def oldest() -> tuple:
+            run, _, held = window.popleft()
+            if held:  # its key was in the window when it came in: it runs now, after the others
+                todo.put(run)
+            run[1].acquire()
+            if isinstance(run[2], BaseException):
+                raise run.pop()  # named by no variable, so no cycle holds it with this frame
+            return run[2]
+
+        workers = [threading.Thread(target=work) for _ in range(self.politeness_limit)]
+        try:
+            for worker in workers:
+                worker.start()
+            for item in items:
+                k = key(item) if key else None
+                run = [item, threading.Lock()]
+                run[1].acquire()
+                held = k is not None and any(k == other for _, other, _ in window)
+                window.append((run, k, held))
+                if not held:
+                    todo.put(run)
+                if len(window) >= 4 * self.politeness_limit:
+                    yield oldest()
+            while window:
+                yield oldest()
+        finally:
+            cancelled = True
+            for _ in workers:
+                todo.put(None)
+            for worker in filter(threading.Thread.is_alive, workers):  # not one never started
+                worker.join()
 
     def _store_body(self, body: bytes) -> str | None:
         if self.storage_dir is None:
@@ -295,7 +347,7 @@ class ArchiveClient:
             if 400 <= status < TRANSIENT_STATUS_MIN and status != 429:  # 429: rate limited
                 raise TransportError(f"permanent HTTP {status} for {url!r} ({label})", status)
             if attempt < self.retry.max_attempts:
-                time.sleep(self.retry.delay(attempt, self._rng))
+                time.sleep(self.retry.delay(attempt))
         raise TransportError(
             f"gave up after {self.retry.max_attempts} attempts "
             f"for {url!r} ({label}) (last status {last_status})",

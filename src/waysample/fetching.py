@@ -1,5 +1,5 @@
 """The ``fetch-first`` and ``fetch`` stages: a CDX query per URL, on the
-stage's client threads, one report row per input URL in input order."""
+client's threads, one report row per input URL in input order."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def cmd_fetch_first(stage, args) -> None:
         return "archived", f"{record.timestamp.raw}\t{record.mime}\tok"
 
     with stage.open(args.output, "w") as fout:
-        for url, row, _ in stage.map_urls(first_capture_row, stage.urls(args.input)):
+        for url, row, _ in cdx_client.map(first_capture_row, stage.urls(args.input)):
             outcome, columns = row or ("error", "-\t-\terror")
             counts[outcome] += 1
             fout.write(f"{url}\t{columns}\n")
@@ -60,7 +60,7 @@ def cmd_fetch(stage, args) -> None:
     report_path = args.report or os.path.join(args.out_dir, "fetch_report.tsv")
     with stage.open(report_path, "w") as report:
         # URLs sharing a TimeMap file run in input order: the first fetches it
-        for (url, _), outcome, _ in stage.map_urls(fetch, targets(),
+        for (url, _), outcome, _ in cdx_client.map(fetch, targets(),
                                                    key=lambda target: target[1]):
             outcome = outcome or "error"
             counts["fetched" if outcome == "ok" else outcome] += 1

@@ -23,7 +23,6 @@ from contextlib import closing
 from itertools import compress, islice, repeat
 from typing import IO, Callable, Iterable, Iterator
 
-from . import partition
 from .cdx import Timestamp14
 from .spill import SpillSort
 from .surt import CanonicalUrl, SurtError, domain_key, parse_url
@@ -411,6 +410,7 @@ def _bucket_rows(stage, args, buckets: FirstYearBuckets) -> None:
     ``buckets``, the byte ranges split over CPUs, then the root of each host
     seen only through deep links that ``--endpoint`` finds archived, at its
     first capture."""
+    from . import partition  # imported here: reintegrate, which shares this module, splits nothing
     counts = stage.counts
 
     def add_rows(source, buckets, missing) -> None:
@@ -433,7 +433,7 @@ def _bucket_rows(stage, args, buckets: FirstYearBuckets) -> None:
             counts["missing_roots"] = sum(1 for _ in roots)
             return
         cdx_client = stage.client
-        for root, record, error in stage.map_urls(
+        for root, record, error in cdx_client.map(
                 lambda root: cdx_client.fetch_first_record(root.text), roots):
             counts["missing_roots"] += 1
             counts["roots_added" if record else
@@ -473,7 +473,7 @@ def cmd_reintegrate(stage, args) -> None:
         return record.timestamp if record else None
 
     def first_captures(draws: list[str]):
-        with closing(stage.map_urls(lookup, draws)) as results:
+        with closing(cdx_client.map(lookup, draws)) as results:
             for _, first, error in results:
                 stage.counts["lookups"] += 1
                 stage.counts["lookup_errors"] += error is not None

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -709,10 +710,11 @@ class TestReintegrate:
         assert counts["input"] == 4
 
 
-def interrupting_timemap_writes(interrupt: Callable[[str], bool]) -> Callable:
+def interrupting_timemap_writes(interrupt: Callable[[str], bool],
+                                error: BaseException | type = KeyboardInterrupt) -> Callable:
     """``fetching.atomic_open``, but a file of a TimeMap path for which ``interrupt``
-    is true takes two writes and raises KeyboardInterrupt at the third, once
-    it has checked that its temporary sibling exists."""
+    is true takes two writes and raises ``error`` at the third, once it has
+    checked that its temporary sibling exists."""
     real = fetching.atomic_open
 
     class Interrupting:
@@ -724,7 +726,7 @@ def interrupting_timemap_writes(interrupt: Callable[[str], bool]) -> Callable:
             if self.writes == 3:
                 siblings = os.listdir(os.path.dirname(self.path))
                 assert f"{os.path.basename(self.path)}.tmp." in " ".join(siblings)
-                raise KeyboardInterrupt
+                raise error
             return self.fh.write(text)
 
         def __getattr__(self, name):
@@ -863,6 +865,30 @@ class TestFetchAndRehydrate:
         report = dict(line.split("\t") for line in read_lines(out_dir / "fetch_report.tsv"))
         assert report == {url: "ok"}
         assert len(read_lines(out_dir / timemap_filename(url))) == len(histories[url])
+
+    def test_os_error_in_a_worker_ends_the_stage(self, tmp_path, archive, monkeypatch):
+        server, histories = archive
+        urls = sorted(histories)
+        inp = tmp_path / "urls.txt"
+        out_dir = tmp_path / "timemaps"
+        manifest = tmp_path / "manifest.json"
+        write_lines(inp, urls)
+        full = OSError(errno.ENOSPC, "No space left on device")
+        first = timemap_filename(urls[0])
+
+        with monkeypatch.context() as patch:
+            # the first URL's TimeMap gets two lines, then its worker finds the disk full
+            patch.setattr(fetching, "atomic_open", interrupting_timemap_writes(
+                lambda path: path.endswith(first), full))
+            with pytest.raises(SystemExit) as exc:
+                main(["fetch", str(inp), "--out-dir", str(out_dir), "--endpoint",
+                      server.endpoint, "--politeness", "2", "--manifest", str(manifest)])
+        assert exc.value.code == f"error: {full}"  # one line, no traceback
+        assert json.loads(manifest.read_text())["status"] == "failed"
+        # whole TimeMaps only: no temporary sibling, nor a partial report; and
+        # no_thread_is_left checks that every worker has ended
+        names = os.listdir(out_dir)
+        assert first not in names and all(name.endswith(".cdx") for name in names)
 
     def test_long_urls_get_short_distinct_names(self, tmp_path):
         seeded = random.Random(0x10A6)

@@ -535,6 +535,13 @@ class TestEndpoint:
         with pytest.raises(ValueError):
             ArchiveClient(base_url)
 
+    def test_endpoint_named_by_host_name(self, server, corpus):
+        # the host goes to getaddrinfo as ASCII bytes, which it resolves as a name too
+        parts = urlsplit(server.endpoint)
+        assert parts.hostname == "127.0.0.1"
+        with ArchiveClient(f"http://localhost:{parts.port}/cdx", retry=FAST_RETRY) as client:
+            assert client.fetch_first_record(URL_A) == corpus[URL_A][0]
+
     def test_https_without_ssl_module_is_rejected(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "ssl", None)  # import ssl raises ImportError
         with pytest.raises(ValueError, match="ssl module"):
@@ -577,12 +584,12 @@ HEAVY_MODULES = {"http.client", "email", "ssl", "_ssl", "hashlib", "_hashlib"}
 
 
 def _modules_loaded_by(module: str) -> set[str]:
-    # compared with the modules loaded before the import, since site hooks
-    # of the interpreter may load some of these packages themselves
+    # without site (-S), whose .pth hooks may load some of these modules at
+    # start-up and so hide them, and compared with what start-up loads
     probe = (f"import sys; before = set(sys.modules); import {module}; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    return set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    return set(subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                               check=True, env=env).stdout.split())
 
 
@@ -590,8 +597,8 @@ def test_cli_import_loads_no_http_dependency():
     third_party = {"requests", "urllib3", "idna", "charset_normalizer", "certifi"}
     loaded = _modules_loaded_by("waysample.cli")
     # the client and its HTTP stack load only where a network stage builds a
-    # client or runs map_urls; logging, concurrent and queue come with the
-    # thread pool and the client's connection pool
+    # client; queue comes with the client's connections and worker threads, and
+    # no stage loads logging or concurrent, which a thread pool would bring
     assert not loaded & {"waysample.client", "http.client", "ssl"}
     assert not {name.split(".")[0] for name in loaded} & {
         *third_party, "logging", "concurrent", "queue"}
@@ -623,7 +630,7 @@ STAGE_MODULES = {
     "classify": {"filtering", "urlfilter", "partition", "spill"},
     "fetch-first": {"fetching", "urlfilter", "client"},
     "sample": {"sampler", "partition", "spill"},
-    "reintegrate": {"sampler", "partition", "spill", "client"},
+    "reintegrate": {"sampler", "spill", "client"},
     "fetch": {"fetching", "urlfilter", "client"},
     "rehydrate": {"timemaps"},
     "stats": {"stats", "partition", "spill"},
@@ -658,7 +665,8 @@ def test_each_stage_loads_only_its_modules(tmp_path, stage):
         probe = (f"import sys; before = set(sys.modules); from waysample.cli import main; "
                  f"main({argv!r}); print(' '.join(sorted(set(sys.modules) - before)))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True,
+        # without site, as in _modules_loaded_by
+        loaded = set(subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
                                     text=True, check=True, env=env, timeout=60).stdout.split())
     assert {name[len("waysample."):] for name in loaded
             if name.startswith("waysample.")} == STAGE_COMMON | STAGE_MODULES[stage]
@@ -666,6 +674,37 @@ def test_each_stage_loads_only_its_modules(tmp_path, stage):
     if stage == "stats":
         assert "random" not in loaded
         assert len(os.listdir(out)) == 4  # the two CCDFs, the top domains and r
+    if "client" in STAGE_MODULES[stage]:
+        # the client runs plain threads, not a thread pool with its logging, and
+        # resolves the endpoint's host as bytes, without the idna codec
+        assert not loaded & {"concurrent", "logging", "encodings.idna", "unicodedata"}
+    if stage in ("fetch-first", "fetch"):
+        assert "random" not in loaded  # the backoff jitter's, loaded at a first retry
+
+
+@pytest.mark.parametrize("end", ["error", "close"])
+def test_map_cancels_the_items_not_started(end):
+    # an exception from fn, or closing the generator, ends the map: of the 8
+    # items read ahead for 2 threads, those not yet started never run, and
+    # no_thread_is_left checks that both threads were joined
+    started = []
+
+    def fn(item):
+        started.append(item)
+        if item == 0 and end == "error":
+            raise OSError("no space left")
+        time.sleep(0.2)
+        return item
+
+    with ArchiveClient("http://127.0.0.1:9/cdx", politeness_limit=2) as client:
+        results = client.map(fn, range(100))
+        if end == "error":
+            with pytest.raises(OSError, match="no space left"):
+                next(results)
+        else:
+            assert next(results) == (0, 0, None)
+            results.close()
+    assert len(started) < 8
 
 
 # a mock CDX server holding one capture of URL_A, run in a child process so
