@@ -37,18 +37,14 @@ class MixedKeyError(ValueError):
     """Records with differing urlkeys where a single key is required."""
 
 
-def _calendar_datetime(raw: str):
-    """The ``datetime.datetime`` of 14 digits; ValueError if it is no calendar date."""
-    from datetime import datetime  # imported here: the common timestamp is checked without it
-
-    return datetime(int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
-                    int(raw[8:10]), int(raw[10:12]), int(raw[12:14]))
-
-
 # 14 digits that are a calendar datetime whatever the month's length: year
-# not 0000, month 01-12, day 01-28, hour 00-23, minute and second 00-59
+# not 0000, month 01-12, day 01-28, hour 00-23, minute and second 00-59. The
+# others are checked as ``datetime`` would check them, without loading it: by
+# the month's length, 29 days in February of a Gregorian leap year
 _COMMON_TIMESTAMP_RE = re.compile(r"(?!0000)[0-9]{4}(?:0[1-9]|1[0-2])(?:0[1-9]|1[0-9]|2[0-8])"
                                   r"(?:[01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]")
+# the days of each month of a common year, January first
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 class Timestamp14(namedtuple("Timestamp14", "raw")):
@@ -57,7 +53,7 @@ class Timestamp14(namedtuple("Timestamp14", "raw")):
     Only the ASCII digits 0-9 are accepted, so string comparison order
     equals chronological order. It is an immutable 1-tuple of the raw
     digits, so it orders, compares and hashes by them. The common timestamp is
-    accepted by one regex match; only the others are checked by ``datetime``.
+    accepted by one regex match, the others by month length and leap year.
     """
 
     __slots__ = ()
@@ -67,15 +63,12 @@ class Timestamp14(namedtuple("Timestamp14", "raw")):
         if _COMMON_TIMESTAMP_RE.fullmatch(raw) is None:
             if len(raw) != 14 or not raw.isascii() or not raw.isdigit():
                 raise CdxParseError(f"timestamp is not 14 digits: {raw!r}")
-            try:
-                _calendar_datetime(raw)
-            except ValueError as exc:
-                raise CdxParseError(f"invalid calendar datetime: {raw!r}") from exc
+            year, month, day = int(raw[:4]), int(raw[4:6]), int(raw[6:8])
+            leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+            if not (year and 1 <= month <= 12 and 1 <= day <= _MONTH_DAYS[month - 1] + leap
+                    and raw[8:10] < "24" and raw[10:12] < "60" and raw[12:] < "60"):
+                raise CdxParseError(f"invalid calendar datetime: {raw!r}")
         return tuple.__new__(cls, (raw,))
-
-    @property
-    def datetime(self):
-        return _calendar_datetime(self.raw)
 
     @property
     def year(self) -> int:
@@ -176,7 +169,13 @@ def parse_zipnum_line(line: str, line_no: int | None = None) -> ZipNumEntry:
     surt, ts = key_parts
     offset, length, block = (_number(value, name, line_no) for name, value in
                              (("offset", offset), ("length", length), ("block", block)))
-    return ZipNumEntry(surt, Timestamp14(ts), part, offset, length, block)
+    if length == 0:  # which ZipNumEntry refuses too, but without the line
+        raise CdxParseError("non-positive length: 0", line_no)
+    try:
+        ts = Timestamp14(ts)
+    except CdxParseError as exc:
+        raise CdxParseError(exc.reason, line_no) from None
+    return ZipNumEntry(surt, ts, part, offset, length, block)
 
 
 class TimeMap(namedtuple("TimeMap", "uri_r records")):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from datetime import datetime
@@ -38,11 +39,17 @@ def _strptime_oracle(raw: str) -> datetime | None:
         return None
 
 
+def _fields(ts: Timestamp14) -> tuple[int, ...]:
+    # year, month, day, hour, minute and second of the raw digits, as a
+    # datetime's timetuple() starts
+    return tuple(int(ts.raw[i:j]) for i, j in ((0, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14)))
+
+
 class TestTimestamp:
     def test_golden(self):
         ts = parse_timestamp("20020120142510")
-        assert (ts.datetime.year, ts.datetime.month, ts.datetime.day) == (2002, 1, 20)
-        assert (ts.datetime.hour, ts.datetime.minute, ts.datetime.second) == (14, 25, 10)
+        assert _fields(ts) == (2002, 1, 20, 14, 25, 10)
+        assert _fields(ts) == _strptime_oracle(ts.raw).timetuple()[:6]
 
     def test_pre_1996_parses(self):
         assert parse_timestamp("19791231000000").year == 1979
@@ -86,17 +93,37 @@ class TestTimestamp:
         expected = _strptime_oracle(raw)
         assert (expected is not None) == valid
         if valid:
-            assert parse_timestamp(raw).datetime == expected
+            assert _fields(parse_timestamp(raw)) == expected.timetuple()[:6]
         else:
             with pytest.raises(CdxParseError):
                 parse_timestamp(raw)
 
-    def test_leap_day_is_checked_by_datetime(self):
-        # 29 February is outside the common-timestamp regex, so the datetime
-        # imported on first use decides
-        assert Timestamp14("20000229120000").datetime == datetime(2000, 2, 29, 12, 0, 0)
-        with pytest.raises(CdxParseError, match="invalid calendar datetime"):
-            Timestamp14("20010229120000")
+    def test_leap_day_is_checked_by_the_leap_year_rule(self):
+        # 29 February is outside the common-timestamp regex, so the month
+        # lengths and the Gregorian leap-year rule decide
+        assert _fields(Timestamp14("20000229120000")) == (2000, 2, 29, 12, 0, 0)
+        assert Timestamp14("20040229120000").year == 2004
+        for raw in ("20010229120000", "19000229120000", "20040230120000"):
+            with pytest.raises(CdxParseError, match=f"^invalid calendar datetime: '{raw}'$"):
+                Timestamp14(raw)
+
+    def test_month_ends_match_strptime_oracle(self):
+        # every month end of years on each side of the leap-year rule, and of
+        # the first and last years, with a time at and past each bound
+        mismatches = []
+        for year, month, day, time in itertools.product(
+                (1, 4, 100, 400, 1900, 1996, 2000, 2001, 2004, 2100, 9999), range(14),
+                (0, 28, 29, 30, 31, 32), ("235959", "240000", "006000", "000060")):
+            raw = f"{year:04d}{month:02d}{day:02d}{time}"
+            expected = _strptime_oracle(raw)
+            try:
+                outcome = _fields(Timestamp14(raw))
+            except CdxParseError as exc:
+                outcome = str(exc)
+            if outcome != (expected.timetuple()[:6] if expected
+                           else f"invalid calendar datetime: {raw!r}"):
+                mismatches.append(raw)
+        assert mismatches == []
 
     @settings(max_examples=500)
     @given(st.one_of(
@@ -111,7 +138,7 @@ class TestTimestamp:
                 parse_timestamp(raw)
         else:
             ts = parse_timestamp(raw)
-            assert ts.datetime == expected
+            assert _fields(ts) == expected.timetuple()[:6]
             assert ts.year == expected.year
 
 
@@ -223,6 +250,18 @@ class TestZipNumLine:
     def test_zero_length(self):
         with pytest.raises(CdxParseError):
             parse_zipnum_line("a)/ 20130804002034\tpart-a\t5\t0\t1")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("com,a)/ 20230231000000\tp\t0\t1\t0", "invalid calendar datetime: '20230231000000'"),
+        ("com,a)/ 2023023100000\tp\t0\t1\t0", "timestamp is not 14 digits: '2023023100000'"),
+        ("com,a)/ 20230131000000\tp\t0\t0\t0", "non-positive length: 0"),
+    ])
+    def test_entry_errors_name_the_line(self, line, reason):
+        # as parse_cdx_line names it for the same timestamp
+        with pytest.raises(CdxParseError) as info:
+            parse_zipnum_line(line, 7)
+        assert (str(info.value), info.value.reason, info.value.line_no) == (
+            f"line 7: {reason}", reason, 7)
 
     def test_round_trip_1000_generated(self, rng):
         for _ in range(1000):

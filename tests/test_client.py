@@ -3,6 +3,7 @@ import datetime
 import gc
 import io
 import ipaddress
+import json
 import os
 import random
 import socket
@@ -614,8 +615,8 @@ def test_cli_import_loads_no_http_dependency():
                                     "waysample.filtering", "waysample.fetching"])
 def test_stage_modules_load_no_dataclasses_or_datetime(module):
     # every stage is a process of its own, which pays for each module its
-    # imports load: the records are tuples, and datetime is imported only to
-    # check a timestamp that the common-date regex does not take
+    # imports load: the records are tuples, and a timestamp that the
+    # common-date regex does not take is checked by a month-length table
     loaded = _modules_loaded_by(module)
     assert module in loaded
     assert not loaded & {"dataclasses", "inspect", "datetime"}
@@ -630,6 +631,7 @@ STAGE_MODULES = {
     "classify": {"filtering", "urlfilter", "partition", "spill"},
     "fetch-first": {"fetching", "urlfilter", "client"},
     "sample": {"sampler", "partition", "spill"},
+    "sample --endpoint": {"sampler", "partition", "spill", "client"},
     "reintegrate": {"sampler", "spill", "client"},
     "fetch": {"fetching", "urlfilter", "client"},
     "rehydrate": {"timemaps"},
@@ -640,23 +642,29 @@ STAGE_MODULES = {
 @pytest.mark.parametrize("stage", STAGE_MODULES)
 def test_each_stage_loads_only_its_modules(tmp_path, stage):
     # main imports the one module that holds the stage; lists this short fit
-    # one spill run, so no spill file is made and tempfile, which loads random, is not
+    # one spill run, so no spill file is made and tempfile, which loads random, is not.
+    # The stamps fall on 29 February and 31 December, outside the common-date
+    # regex, and example.com is seen only through a deep link, so that sample
+    # --endpoint looks its root up
     urls, first = tmp_path / "urls.txt", tmp_path / "first.tsv"
     urls.write_text(f"{URL_A}\nhttp://www.example.com/x\nhttp://b.com/\n")
-    first.write_text(f"{URL_A}\t20050101000000\ttext/html\tok\n")
+    first.write_text("http://www.example.com/x\t20041231235959\ttext/html\tok\n"
+                     "http://b.com/\t20040229000000\ttext/html\tok\n")
     (tmp_path / "timemaps").mkdir()
-    record = CdxRecord(KEY_A, Timestamp14("20050101000000"), URL_A, "text/html", "200",
-                       "A" * 32, 1024)
-    (tmp_path / "timemaps" / "a.cdx").write_text(record.to_line() + "\n")
+    records = [CdxRecord(KEY_A, Timestamp14(ts), URL_A, "text/html", "200", "A" * 32, 1024)
+               for ts in ("20040229120000", "20041231235959")]
+    (tmp_path / "timemaps" / "a.cdx").write_text("".join(r.to_line() + "\n" for r in records))
     out = str(tmp_path / "out")
-    with MockCdxServer([record], page_size=10) as server:
+    with MockCdxServer(records, page_size=10) as server:
         argv = {
             "filter": ["filter", str(urls), "-o", out],
             "classify": ["classify", str(urls), "-o", out],
             "fetch-first": ["fetch-first", str(urls), "-o", out, "--endpoint", server.endpoint],
             "sample": ["sample", "--first-captures", str(first), "--out-dir", out],
+            "sample --endpoint": ["sample", "--first-captures", str(first), "--out-dir", out,
+                                  "--endpoint", server.endpoint],
             "reintegrate": ["reintegrate", str(urls), "--domain", "example.com", "-o", out,
-                            "--years", "2005-2005", "--per-year-min", "1",
+                            "--years", "2004-2004", "--per-year-min", "1",
                             "--endpoint", server.endpoint],
             "fetch": ["fetch", str(urls), "--out-dir", out, "--endpoint", server.endpoint],
             "rehydrate": ["rehydrate", "--in-dir", str(tmp_path / "timemaps"), "--out-dir", out],
@@ -674,6 +682,9 @@ def test_each_stage_loads_only_its_modules(tmp_path, stage):
     if stage == "stats":
         assert "random" not in loaded
         assert len(os.listdir(out)) == 4  # the two CCDFs, the top domains and r
+    if stage == "sample --endpoint":
+        with open(os.path.join(out, "manifest.json")) as fh:
+            assert json.load(fh)["counts"]["roots_added"] == 1
     if "client" in STAGE_MODULES[stage]:
         # the client runs plain threads, not a thread pool with its logging, and
         # resolves the endpoint's host as bytes, without the idna codec
